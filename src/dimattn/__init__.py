@@ -4,27 +4,22 @@ Token-wise scaled dot-product attention relates token pairs and costs
 O(N^2 d); scoring pairs of embedding dimensions instead (S = Q^T K) costs
 O(N d^2) and, combined with a learned per-dimension filter over the
 resulting third-order tensor, yields a drop-in attention sublayer.  The
-package ships the encoder and causal forms (each with a literal oracle and
-a fast factored/streaming path), analytic gradients for training, FLOPs
-accounting, scaling benchmarks, and a small masked/causal LM harness.
+package ships one fast kernel per attention op with its analytic gradient
+(`grad`), the literal oracles they are checked against (`attention`,
+`masked`), FLOPs accounting and scaling benchmarks of those same kernels,
+and a small masked/causal LM harness.
 """
 
 from .attention import (
-    MultiConvParams,
-    MultiHeadParams,
     NORM_MODES,
     conv_extract,
     covariance_identity_check,
-    dim_attention_factored,
     dim_attention_materialized,
     dim_score,
     explicit_rep,
     implicit_rep,
     kr_tensor,
-    multi_conv_block,
-    multi_head_baseline,
     normalize_scores,
-    token_attention,
 )
 from .analysis import (
     FlopsReport,
@@ -33,6 +28,12 @@ from .analysis import (
     flops_dim_attention,
     flops_masked,
     flops_token_attention,
+)
+from .grad import (
+    dim_attention_multi_fwd,
+    masked_attention_multi_fwd,
+    softmax_fwd,
+    token_attention_fwd,
 )
 from .masked import (
     causal_mask,
@@ -51,20 +52,18 @@ from .model import (
     mlm_loss,
     train_step,
 )
-from .tensor import cum_outer, make_rng, matmul, rand_init, softmax_axis
+from .tensor import make_rng, matmul, rand_init
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "BlockConfig", "FlopsReport", "MultiConvParams",
-    "MultiHeadParams", "NORM_MODES", "SweepResult", "TrainConfig",
-    "bench_sweep", "causal_mask", "conv_extract", "covariance_identity_check",
-    "cum_outer", "decoder_forward", "dim_attention_factored",
-    "dim_attention_materialized", "dim_score", "encoder_forward",
-    "explicit_rep", "flops_dim_attention", "flops_masked",
-    "flops_token_attention", "implicit_rep", "init_params", "kr_tensor",
-    "make_rng", "masked_kr_tensor", "masked_output", "masked_score_naive",
-    "masked_score_streaming", "matmul", "mlm_loss", "multi_conv_block",
-    "multi_head_baseline", "normalize_scores", "rand_init", "softmax_axis",
-    "token_attention", "train_step",
+    "AdamState", "BlockConfig", "FlopsReport", "NORM_MODES", "SweepResult",
+    "TrainConfig", "bench_sweep", "causal_mask", "conv_extract",
+    "covariance_identity_check", "decoder_forward", "dim_attention_materialized",
+    "dim_attention_multi_fwd", "dim_score", "encoder_forward", "explicit_rep",
+    "flops_dim_attention", "flops_masked", "flops_token_attention",
+    "implicit_rep", "init_params", "kr_tensor", "make_rng", "masked_attention_multi_fwd",
+    "masked_kr_tensor", "masked_output", "masked_score_naive",
+    "masked_score_streaming", "matmul", "mlm_loss", "normalize_scores",
+    "rand_init", "softmax_fwd", "token_attention_fwd", "train_step",
 ]

@@ -14,10 +14,12 @@ Scaling identities used by the verification suites (exact, not asymptotic):
     isolates the quadratic part, which quadruples; the score component
     N^2 (2d - 1) is purely quadratic already.
 
-Benchmarks run each variant on identical seeded inputs and report the median
-of k >= 5 timed repeats after three discarded warmup runs.  Token-wise
-attention is timed in its row-blocked form so long-N timings stay
-compute-bound rather than cache-traffic-bound; the arithmetic is identical.
+Benchmarks time the `grad` forward kernels that training runs (one filter
+is ws[None]) on identical seeded inputs and report the median of k >= 5
+timed repeats after three discarded warmup runs.  Token-wise attention is
+called on blocks of query rows, which are independent without a causal
+mask, so long-N timings never hold the full N x N matrix; the arithmetic
+per row is identical.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import attention, masked
+from . import grad, masked
 from .tensor import make_rng
 
 
@@ -70,9 +72,6 @@ class FlopsReport:
     @property
     def total(self) -> int:
         return self.mults + self.adds
-
-    def component_totals(self) -> dict:
-        return {k: v.total for k, v in self.components.items()}
 
 
 def flops_token_attention(n: int, d: int, h: int = 1,
@@ -149,7 +148,18 @@ def flops_masked(n: int, d: int, streaming: bool) -> FlopsReport:
 
 BENCH_VARIANTS = ("token_encoder", "dim_encoder", "masked_naive", "masked_streaming")
 
-_TOKEN_ROW_BLOCK = 128
+# Rows per token-attention call: a 32 x N score block is 1 MB at N = 4096,
+# small enough to stay in a 2 MB L2 through the softmax passes over it;
+# at 128 rows it spills from N = 2048 on and the timings scale faster than N^2.
+_TOKEN_ROW_BLOCK = 32
+
+
+def token_attention_rows(q, k, v, row_block: int = _TOKEN_ROW_BLOCK) -> np.ndarray:
+    """Non-causal `grad.token_attention_fwd` evaluated on blocks of query rows."""
+    out = np.empty_like(v)
+    for lo in range(0, q.shape[0], row_block):
+        out[lo:lo + row_block] = grad.token_attention_fwd(q[lo:lo + row_block], k, v)[0]
+    return out
 
 
 def _bench_one(variant: str, n: int, d: int, rng) -> tuple:
@@ -158,16 +168,16 @@ def _bench_one(variant: str, n: int, d: int, rng) -> tuple:
     v = rng.standard_normal((n, d))
     w = rng.standard_normal((d, d))
     if variant == "token_encoder":
-        fn = lambda: attention.token_attention(q, k, v, row_block=_TOKEN_ROW_BLOCK)
+        fn = lambda: token_attention_rows(q, k, v)
         flops = flops_token_attention(n, d).total
     elif variant == "dim_encoder":
-        fn = lambda: attention.dim_attention_factored(q, k, v, w, "softmax_rows_over_k")
+        fn = lambda: grad.dim_attention_multi_fwd(q, k, v, w[None], "softmax_rows_over_k")
         flops = flops_dim_attention(n, d).total
     elif variant == "masked_naive":
         fn = lambda: masked.masked_output_vectorized_naive(q, k, v, w)
         flops = flops_masked(n, d, streaming=False).total
     elif variant == "masked_streaming":
-        fn = lambda: masked.masked_output(q, k, v, w, mode="streaming")
+        fn = lambda: grad.masked_attention_multi_fwd(q, k, v, w[None])
         flops = flops_masked(n, d, streaming=True).total
     else:
         raise ValueError(f"unknown bench variant {variant!r}")

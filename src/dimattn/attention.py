@@ -1,4 +1,4 @@
-"""Encoder-side attention: token-wise baseline and dimension-wise forms.
+"""Encoder-side dimension-wise attention: the literal oracle and its identities.
 
 Token-wise attention relates token pairs through an N x N softmax weight
 matrix, so its cost grows quadratically with sequence length N.  The
@@ -12,24 +12,18 @@ Summing X over j gives V scaled by column sums of f(S); summing over k gives
 V @ f(S)^T.  A learned d x d filter W slid along the token axis generalizes
 both: O[i, j] = sum_m W[j, m] * X[i, j, m].
 
-Every dimension-wise output here comes in two equivalent forms:
-
-  * materialized: build the N x d x d tensor literally (the test oracle),
-  * factored:     O = V @ (W * f(S))^T, which never allocates the tensor and
-                  is the form that actually achieves the linear cost.
+This module builds that tensor literally: it is the oracle the factored
+kernel O = V @ (W * f(S))^T in `grad.dim_attention_multi_fwd`, which never
+allocates the tensor, is checked against.  The fast token-wise and
+dimension-wise kernels live in `grad`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .opcount import TALLY
-from .tensor import matmul, softmax_axis
-
-NORM_MODES = ("none", "scale_inv_sqrt_N", "softmax_rows_over_k", "softmax_cols_over_j")
+from .grad import NORM_MODES, _norm_fwd  # noqa: F401  (NORM_MODES re-exported)
+from .tensor import matmul
 
 
 def normalize_scores(s: np.ndarray, mode: str, seq_len: int) -> np.ndarray:
@@ -39,105 +33,8 @@ def normalize_scores(s: np.ndarray, mode: str, seq_len: int) -> np.ndarray:
     scale_inv_sqrt_N divides by sqrt(seq_len), the token count that produced
     S, since every score entry is a sum of seq_len products.
     """
-    if mode == "none":
-        return s
-    if mode == "scale_inv_sqrt_N":
-        return s / math.sqrt(seq_len)
-    if mode == "softmax_rows_over_k":
-        return softmax_axis(s, "rows_over_k")
-    if mode == "softmax_cols_over_j":
-        return softmax_axis(s, "cols_over_j")
-    raise ValueError(f"unknown norm mode {mode!r}, expected one of {NORM_MODES}")
+    return _norm_fwd(s, mode, seq_len)[0]
 
-
-def _check_qkv(q, k, v):
-    if q.shape != k.shape or q.shape != v.shape:
-        raise ValueError(f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}")
-    if q.ndim != 2:
-        raise ValueError(f"expected N x d matrices, got order {q.ndim}")
-
-
-# ---------------------------------------------------------------------------
-# token-wise baseline
-# ---------------------------------------------------------------------------
-
-def token_attention(q, k, v, causal: bool = False, row_block: int | None = None):
-    """softmax(Q K^T / sqrt(d), over keys) @ V.
-
-    `row_block` evaluates the same function in row blocks without ever
-    holding the full N x N matrix, which keeps long-N benchmarks compute
-    bound; results are identical up to floating-point accumulation order.
-    """
-    _check_qkv(q, k, v)
-    n, d = q.shape
-    if d < 1:
-        raise ValueError("head dimension must be >= 1")
-    scale = 1.0 / math.sqrt(d)
-    kt = np.ascontiguousarray(k.T)
-    if row_block is None:
-        row_block = n
-    out = np.empty_like(v)
-    for lo in range(0, n, row_block):
-        hi = min(lo + row_block, n)
-        scores = matmul(q[lo:hi], kt, "scores") * scale
-        if causal:
-            cols = np.arange(n)[None, :]
-            rows = np.arange(lo, hi)[:, None]
-            scores = np.where(cols <= rows, scores, -np.inf)
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=1, keepdims=True)
-        out[lo:hi] = matmul(scores, v, "attn_v")
-    return out
-
-
-@dataclass
-class MultiHeadParams:
-    """Per-head projections plus the shared output projection.
-
-    wq/wk/wv hold one d_model x d matrix per head; wo is (h*d) x d_model.
-    """
-
-    wq: list = field(default_factory=list)
-    wk: list = field(default_factory=list)
-    wv: list = field(default_factory=list)
-    wo: np.ndarray = None
-
-    def __post_init__(self):
-        h = len(self.wq)
-        if not (len(self.wk) == len(self.wv) == h) or h < 1:
-            raise ValueError("need the same nonzero number of Q/K/V projections")
-        d = self.wq[0].shape[1]
-        if self.wo.shape[0] != h * d:
-            raise ValueError(
-                f"output projection expects width {h * d}, got {self.wo.shape[0]}"
-            )
-
-    @property
-    def heads(self) -> int:
-        return len(self.wq)
-
-
-def multi_head_baseline(x_in: np.ndarray, params: MultiHeadParams) -> np.ndarray:
-    """Concat of token-attention heads on projected inputs, then W^O."""
-    n, d_model = x_in.shape
-    h = params.heads
-    d = params.wq[0].shape[1]
-    if h * d != d_model:
-        raise ValueError(f"d_model {d_model} must equal heads*d = {h}*{d}")
-    heads = []
-    for i in range(h):
-        q = matmul(x_in, params.wq[i], "proj_q")
-        k = matmul(x_in, params.wk[i], "proj_k")
-        v = matmul(x_in, params.wv[i], "proj_v")
-        heads.append(token_attention(q, k, v))
-    concat = np.concatenate(heads, axis=1)
-    return matmul(concat, params.wo, "proj_out")
-
-
-# ---------------------------------------------------------------------------
-# dimension-wise attention
-# ---------------------------------------------------------------------------
 
 def dim_score(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Dimension-pair score matrix S = Q^T K (d x d), linear cost in N."""
@@ -216,89 +113,3 @@ def conv_extract(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def dim_attention_materialized(q, k, v, w, mode: str = "none") -> np.ndarray:
     """Literal pipeline: scores -> tensor -> filter.  The equivalence oracle."""
     return conv_extract(kr_tensor(dim_score(q, k), v, mode), w)
-
-
-def dim_attention_factored(q, k, v, w, mode: str = "none") -> np.ndarray:
-    """O = V @ (W * f(S))^T without materializing the N x d x d tensor."""
-    _check_qkv(q, k, v)
-    d = q.shape[1]
-    if w.shape != (d, d):
-        raise ValueError(f"filter must be {d}x{d}, got {w.shape}")
-    s = dim_score(q, k)
-    fs = normalize_scores(s, mode, q.shape[0])
-    if TALLY.active:
-        TALLY.elemwise_mul("filter_gate", d * d)
-    a = w * fs
-    return matmul(v, np.ascontiguousarray(a.T), "filter_mix")
-
-
-@dataclass
-class MultiConvParams:
-    """Projection groups and convolution filters for the block form.
-
-    For each group g there is one Q/K/V projection triple (d_model x d) and
-    c filters (d x d); all g*c filter outputs are concatenated and projected
-    back to d_model by wo, whose input extent must equal g*c*d.
-    """
-
-    wq: list = field(default_factory=list)
-    wk: list = field(default_factory=list)
-    wv: list = field(default_factory=list)
-    filters: list = field(default_factory=list)
-    wo: np.ndarray = None
-
-    def __post_init__(self):
-        g = len(self.wq)
-        if g < 1 or not (len(self.wk) == len(self.wv) == len(self.filters) == g):
-            raise ValueError("need one Q/K/V triple and one filter list per group")
-        c = len(self.filters[0])
-        if c < 1 or any(len(fl) != c for fl in self.filters):
-            raise ValueError("every group must carry the same nonzero filter count")
-        d = self.wq[0].shape[1]
-        if self.wo.shape[0] != g * c * d:
-            raise ValueError(
-                f"concat width {g * c * d} does not match wo input {self.wo.shape[0]}"
-            )
-
-    @property
-    def groups(self) -> int:
-        return len(self.wq)
-
-    @property
-    def convs_per_group(self) -> int:
-        return len(self.filters[0])
-
-    @property
-    def head_dim(self) -> int:
-        return self.wq[0].shape[1]
-
-
-def multi_conv_block(x_in: np.ndarray, params: MultiConvParams, mode: str = "none"):
-    """Grouped dimension-wise attention with multiple filters per group.
-
-    Each group projects the input to Q/K/V, computes one normalized score
-    matrix, applies each of its filters through the factored path, and all
-    outputs are concatenated and projected by wo -- the dimension-wise
-    analogue of multi-head concat-and-project.
-    """
-    n, d_model = x_in.shape
-    d = params.head_dim
-    outs = []
-    for g in range(params.groups):
-        if params.wq[g].shape[0] != d_model:
-            raise ValueError(
-                f"group {g} projection expects width {params.wq[g].shape[0]}, "
-                f"input has {d_model}"
-            )
-        q = matmul(x_in, params.wq[g], "proj_q")
-        k = matmul(x_in, params.wk[g], "proj_k")
-        v = matmul(x_in, params.wv[g], "proj_v")
-        s = dim_score(q, k)
-        fs = normalize_scores(s, mode, n)
-        for w in params.filters[g]:
-            if TALLY.active:
-                TALLY.elemwise_mul("filter_gate", d * d)
-            a = w * fs
-            outs.append(matmul(v, np.ascontiguousarray(a.T), "filter_mix"))
-    concat = np.concatenate(outs, axis=1)
-    return matmul(concat, params.wo, "proj_out")

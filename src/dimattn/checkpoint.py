@@ -90,5 +90,6 @@ def load_checkpoint(path):
             blob, dtype=dt, count=entry["nbytes"] // np.dtype(dt).itemsize,
             offset=entry["offset"],
         ).reshape(entry["shape"])
-        params[entry["name"]] = np.ascontiguousarray(arr)
+        # copy: a view of the bytes blob is read-only
+        params[entry["name"]] = arr.copy()
     return params, manifest["config"]

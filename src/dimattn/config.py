@@ -53,23 +53,16 @@ class RunConfig:
     valid_fraction: float = 0.1
     eval_batches: int = 8
 
+    def _shared(self, cls, *own) -> dict:
+        """The fields of `cls` a RunConfig carries under the same name."""
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in own}
+
     def block_config(self, vocab_size: int) -> BlockConfig:
-        return BlockConfig(
-            vocab_size=vocab_size, d_model=self.d_model, layers=self.layers,
-            attention=self.attention, heads=self.heads, groups=self.groups,
-            convs=self.convs, head_dim=self.head_dim, ffn_width=self.ffn_width,
-            norm_mode=self.norm_mode, n_max=self.seq_len, precision=self.precision,
-            dropout=self.dropout, tie_embeddings=self.tie_embeddings,
-            learned_positions=self.learned_positions,
-            scale_positions=self.scale_positions,
-        )
+        return BlockConfig(vocab_size=vocab_size, n_max=self.seq_len,
+                           **self._shared(BlockConfig, "vocab_size", "n_max"))
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            seed=self.seed, batch_size=self.batch_size, steps=self.steps,
-            lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-            warmup=self.warmup, clip=self.clip, eval_interval=self.eval_interval,
-        )
+        return TrainConfig(**self._shared(TrainConfig))
 
     def echo_lines(self) -> list:
         return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]

@@ -6,8 +6,12 @@ holding whatever the backward rule needs; backward maps an upstream
 cotangent to per-input gradients.  `fd_check` closes the loop with central
 finite differences against the scalarizing loss sum(output).
 
-Attention ops accept either a single sequence [N, d] or a batch [B, N, d];
-parameter gradients are summed over the batch.
+The attention forwards here are the only fast implementation of each op:
+training runs them, `dimattn bench` times them and the FLOPs tally counts
+them (opcount conventions, multiplied by batch and filter count).
+attention.py and masked.py keep the literal oracles they are checked
+against.  Attention ops accept either a single sequence [N, d] or a batch
+[B, N, d]; parameter gradients are summed over the batch.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .opcount import TALLY
 
 
 @dataclass
@@ -32,33 +38,6 @@ def _node(op, out, **saved):
 # ---------------------------------------------------------------------------
 # elementary ops
 # ---------------------------------------------------------------------------
-
-def identity_fwd(x):
-    return x, _node("identity", x)
-
-
-def identity_bwd(node, u):
-    return {"x": u}
-
-
-def add_fwd(x, y):
-    out = x + y
-    return out, _node("add", out)
-
-
-def add_bwd(node, u):
-    return {"x": u, "y": u}
-
-
-def matmul_fwd(a, b):
-    out = a @ b
-    return out, _node("matmul", out, a=a, b=b)
-
-
-def matmul_bwd(node, u):
-    a, b = node.saved["a"], node.saved["b"]
-    return {"a": u @ b.T, "b": a.T @ u}
-
 
 def linear_fwd(x, w, b=None):
     """x[..., m] @ w[m, n] (+ b), leading axes flattened for the product."""
@@ -136,21 +115,29 @@ def layer_norm_bwd(node, u):
     }
 
 
-def softmax_rows_fwd(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-    return p, _node("softmax_rows", p, p=p)
+def softmax_fwd(x, axis=-1):
+    """Softmax along `axis`, maximum subtracted first; the one softmax every
+    op and oracle uses."""
+    p = x - x.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
+    return p, _node("softmax", p, p=p, axis=axis)
 
 
-def softmax_rows_bwd(node, u):
-    p = node.saved["p"]
-    return {"x": p * (u - (u * p).sum(axis=-1, keepdims=True))}
+def softmax_bwd(node, u):
+    p, axis = node.saved["p"], node.saved["axis"]
+    return {"x": p * (u - (u * p).sum(axis=axis, keepdims=True))}
 
 
 # ---------------------------------------------------------------------------
-# attention ops
+# attention ops: the only fast implementation of each, which training runs,
+# `dimattn bench` times and the FLOPs tally counts
 # ---------------------------------------------------------------------------
+
+NORM_MODES = ("none", "scale_inv_sqrt_N", "softmax_rows_over_k", "softmax_cols_over_j")
+
+_SOFTMAX_AXIS = {"softmax_rows_over_k": -1, "softmax_cols_over_j": -2}
+
 
 def _batched(*arrays):
     """Promote [N, d] inputs to [1, N, d]; report whether promotion happened."""
@@ -159,44 +146,40 @@ def _batched(*arrays):
     return list(arrays), False
 
 
-def _norm_fwd(s, mode):
-    """Normalize score matrices [B, d, d]; returns (f(S), state for backward).
-
-    The scale_inv_sqrt_N branch lives at the call site, which knows N.
-    """
+def _norm_fwd(s, mode, n):
+    """f(S) for score matrices [..., d, d] made from n tokens, plus the
+    softmax node its backward needs (None for the other modes)."""
     if mode == "none":
         return s, None
-    if mode == "softmax_rows_over_k":
-        shifted = s - s.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=-1, keepdims=True)
-        return p, p
-    if mode == "softmax_cols_over_j":
-        shifted = s - s.max(axis=-2, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=-2, keepdims=True)
-        return p, p
-    raise ValueError(f"unknown norm mode {mode!r}")
-
-
-def _norm_bwd(dp, mode, p, n):
-    if mode == "none":
-        return dp
     if mode == "scale_inv_sqrt_N":
-        return dp / math.sqrt(n)
-    if mode == "softmax_rows_over_k":
-        return p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-    if mode == "softmax_cols_over_j":
-        return p * (dp - (dp * p).sum(axis=-2, keepdims=True))
-    raise ValueError(f"unknown norm mode {mode!r}")
+        return s / math.sqrt(n), None
+    if mode in _SOFTMAX_AXIS:
+        return softmax_fwd(s, _SOFTMAX_AXIS[mode])
+    raise ValueError(f"unknown norm mode {mode!r}, expected one of {NORM_MODES}")
+
+
+def _norm_bwd(dfs, mode, softmax, n):
+    if mode == "scale_inv_sqrt_N":
+        return dfs / math.sqrt(n)
+    if softmax is not None:
+        return softmax_bwd(softmax, dfs)["x"]
+    return dfs
 
 
 def token_attention_fwd(q, k, v, causal=False, key_pad=None):
-    """Softmax attention over keys; key_pad marks keys excluded from every query."""
+    """Softmax attention over keys; key_pad marks keys excluded from every query.
+
+    Without `causal` the query rows are independent, so q may be any block
+    of rows [Nq, d] of the full query matrix against all N keys.
+    """
     (qb, kb, vb), squeezed = _batched(q, k, v)
-    n, d = qb.shape[-2:]
+    b, n, d = qb.shape
+    if TALLY.active:
+        TALLY.matmul("scores", n, d, kb.shape[1], batch=b)
+        TALLY.matmul("attn_v", n, kb.shape[1], d, batch=b)
     scale = 1.0 / math.sqrt(d)
-    scores = np.einsum("bnd,bmd->bnm", qb, kb) * scale
+    scores = np.einsum("bnd,bmd->bnm", qb, kb)
+    scores *= scale
     if causal:
         idx = np.arange(n)
         scores = np.where(idx[None, :, None] >= idx[None, None, :], scores, -np.inf)
@@ -205,14 +188,12 @@ def token_attention_fwd(q, k, v, causal=False, key_pad=None):
         if pad.ndim == 1:
             pad = pad[None]
         scores = np.where(pad[:, None, :], -np.inf, scores)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p, softmax = softmax_fwd(scores)
     out = np.einsum("bnm,bmd->bnd", p, vb)
     if squeezed:
         out = out[0]
-    return out, _node("token_attention", out, p=p, q=qb, k=kb, v=vb,
-                      scale=scale, squeezed=squeezed)
+    return out, _node("token_attention", out, p=p, softmax=softmax, q=qb, k=kb,
+                      v=vb, scale=scale, squeezed=squeezed)
 
 
 def token_attention_bwd(node, u):
@@ -221,7 +202,7 @@ def token_attention_bwd(node, u):
     p, q, k, v, scale = s["p"], s["q"], s["k"], s["v"], s["scale"]
     dv = np.einsum("bnm,bnd->bmd", p, ub)
     dp = np.einsum("bnd,bmd->bnm", ub, v)
-    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    ds = softmax_bwd(s["softmax"], dp)["x"]
     dq = np.einsum("bnm,bmd->bnd", ds, k) * scale
     dk = np.einsum("bnm,bnd->bmd", ds, q) * scale
     if s["squeezed"]:
@@ -229,40 +210,29 @@ def token_attention_bwd(node, u):
     return {"q": dq, "k": dk, "v": dv}
 
 
-def dim_attention_fwd(q, k, v, w, mode="none"):
-    """Factored dimension-wise attention O = V @ (W * f(S))^T with S = Q^T K."""
-    out, node = dim_attention_multi_fwd(q, k, v, w[None], mode=mode)
-    node.op = "dim_attention"
-    return out, node
-
-
-def dim_attention_bwd(node, u):
-    grads = dim_attention_multi_bwd(node, u)
-    grads["w"] = grads.pop("ws")[0]
-    return grads
-
-
 def dim_attention_multi_fwd(q, k, v, ws, mode="none"):
-    """c filters sharing one normalized score matrix; outputs concatenated.
+    """Factored dimension-wise attention O_f = V @ (W_f * f(S))^T, S = Q^T K.
 
-    Output layout is [..., N, c*d] with filter f occupying columns
-    [f*d, (f+1)*d).
+    The c filters ws [c, d, d] share one normalized score matrix; one filter
+    is ws[None].  Output layout is [..., N, c*d] with filter f occupying
+    columns [f*d, (f+1)*d).
     """
     (qb, kb, vb), squeezed = _batched(q, k, v)
-    n, d = qb.shape[-2:]
+    b, n, d = qb.shape
+    c = ws.shape[0]
+    if TALLY.active:
+        TALLY.matmul("scores", d, n, d, batch=b)
+        TALLY.elemwise_mul("filter_gate", b * c * d * d)
+        TALLY.matmul("filter_mix", n, d, d, batch=b * c)
     s = np.einsum("bni,bnj->bij", qb, kb)
-    if mode == "scale_inv_sqrt_N":
-        fs, p = s / math.sqrt(n), None
-    else:
-        fs, p = _norm_fwd(s, mode)
+    fs, softmax = _norm_fwd(s, mode, n)
     a = ws[None, :, :, :] * fs[:, None, :, :]
     o4 = np.einsum("bnm,bcjm->bcnj", vb, a)
-    c = ws.shape[0]
-    out = o4.transpose(0, 2, 1, 3).reshape(qb.shape[0], n, c * d)
+    out = o4.transpose(0, 2, 1, 3).reshape(b, n, c * d)
     if squeezed:
         out = out[0]
     return out, _node("dim_attention_multi", out, q=qb, k=kb, v=vb, ws=ws,
-                      a=a, fs=fs, p=p, mode=mode, squeezed=squeezed)
+                      a=a, fs=fs, softmax=softmax, mode=mode, squeezed=squeezed)
 
 
 def dim_attention_multi_bwd(node, u):
@@ -276,7 +246,7 @@ def dim_attention_multi_bwd(node, u):
     da = np.einsum("bcnj,bnm->bcjm", u4, v)
     dws = np.einsum("bjm,bcjm->cjm", s["fs"], da)
     dfs = np.einsum("cjm,bcjm->bjm", ws, da)
-    ds = _norm_bwd(dfs, s["mode"], s["p"], n)
+    ds = _norm_bwd(dfs, s["mode"], s["softmax"], n)
     dq = np.einsum("bij,bnj->bni", ds, k)
     dk = np.einsum("bij,bni->bnj", ds, q)
     if s["squeezed"]:
@@ -284,34 +254,25 @@ def dim_attention_multi_bwd(node, u):
     return {"q": dq, "k": dk, "v": dv, "ws": dws}
 
 
-def masked_attention_fwd(q, k, v, w, scale_positions=False):
-    out, node = masked_attention_multi_fwd(q, k, v, w[None],
-                                           scale_positions=scale_positions)
-    node.op = "masked_attention"
-    return out, node
-
-
-def masked_attention_bwd(node, u):
-    grads = masked_attention_multi_bwd(node, u)
-    grads["w"] = grads.pop("ws")[0]
-    return grads
-
-
 def masked_attention_multi_fwd(q, k, v, ws, scale_positions=False):
     """Causal dimension-wise attention via the prefix-sum scan, c filters.
 
     The running state G_i = sum_{n<=i} q_n k_n^T is the cumulative sum of
-    per-token outer products; row i of filter f is (W_f * G_i) @ V[i, :].
+    per-token outer products; row i of filter f is (W_f * G_i) @ V[i, :],
+    times 1/sqrt(i+1) with scale_positions.  One filter is ws[None].
     """
     (qb, kb, vb), squeezed = _batched(q, k, v)
     b, n, d = qb.shape
+    c = ws.shape[0]
+    if TALLY.active:
+        TALLY.add("cum_outer", b * n * d * d, b * (n - 1) * d * d)
+        TALLY.add("masked_mix", 2 * b * c * n * d * d, b * c * n * d * (d - 1))
     cum = np.cumsum(qb[:, :, :, None] * kb[:, :, None, :], axis=1)
     o4 = np.einsum("cjm,bijm,bim->bcij", ws, cum, vb)
     scales = None
     if scale_positions:
         scales = 1.0 / np.sqrt(np.arange(1, n + 1, dtype=qb.dtype))
         o4 = o4 * scales[None, None, :, None]
-    c = ws.shape[0]
     out = o4.transpose(0, 2, 1, 3).reshape(b, n, c * d)
     if squeezed:
         out = out[0]
@@ -378,37 +339,27 @@ def cross_entropy_masked_bwd(node, u):
 # ---------------------------------------------------------------------------
 
 FORWARDS = {
-    "identity": identity_fwd,
-    "add": add_fwd,
-    "matmul": matmul_fwd,
     "linear": linear_fwd,
     "relu": relu_fwd,
     "embed": embed_fwd,
     "dropout": dropout_fwd,
     "layer_norm": layer_norm_fwd,
-    "softmax_rows": softmax_rows_fwd,
+    "softmax": softmax_fwd,
     "token_attention": token_attention_fwd,
-    "dim_attention": dim_attention_fwd,
     "dim_attention_multi": dim_attention_multi_fwd,
-    "masked_attention": masked_attention_fwd,
     "masked_attention_multi": masked_attention_multi_fwd,
     "cross_entropy_masked": cross_entropy_masked_fwd,
 }
 
 BACKWARDS = {
-    "identity": identity_bwd,
-    "add": add_bwd,
-    "matmul": matmul_bwd,
     "linear": linear_bwd,
     "relu": relu_bwd,
     "embed": embed_bwd,
     "dropout": dropout_bwd,
     "layer_norm": layer_norm_bwd,
-    "softmax_rows": softmax_rows_bwd,
+    "softmax": softmax_bwd,
     "token_attention": token_attention_bwd,
-    "dim_attention": dim_attention_bwd,
     "dim_attention_multi": dim_attention_multi_bwd,
-    "masked_attention": masked_attention_bwd,
     "masked_attention_multi": masked_attention_multi_bwd,
     "cross_entropy_masked": cross_entropy_masked_bwd,
 }

@@ -11,9 +11,10 @@ k differs from slice k-1 by exactly the outer product q_k k_k^T, the whole
 tensor is a running prefix sum and can be evaluated in O(N d^2) instead of
 the O(N^2 d^2) the literal sum costs.
 
-Two evaluations are provided: a four-index-loop literal form that serves as
-the correctness oracle, and a streaming form built on prefix sums.  The
-output contraction applies a shared d x d filter exactly as in the encoder:
+This module holds the literal four-index-loop forms, the correctness
+oracles, plus the prefix-sum score tensor as a checked identity.  The fast
+causal kernel is `grad.masked_attention_multi_fwd`.  The output contraction
+applies a shared d x d filter exactly as in the encoder:
 
     O[i, j] = sum_m W[j, m] * S3[j, m, i] * V[i, m].
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .opcount import TALLY
-from .tensor import cum_outer
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -67,9 +67,14 @@ def masked_score_naive(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def masked_score_streaming(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Prefix-sum evaluation of the masked score tensor; O(N d^2) total."""
+    """Prefix-sum evaluation of the masked score tensor; O(N d^2) total.
+
+    Slice k is the running sum of the per-token outer products q_n k_n^T
+    for n <= k, the state the causal kernel carries.
+    """
     _check_pair(q, k)
-    return np.ascontiguousarray(cum_outer(q, k).transpose(1, 2, 0))
+    cum = np.cumsum(q[:, :, None] * k[:, None, :], axis=0)
+    return np.ascontiguousarray(cum.transpose(1, 2, 0))
 
 
 def masked_kr_tensor(s3: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -88,21 +93,11 @@ def masked_kr_tensor(s3: np.ndarray, v: np.ndarray) -> np.ndarray:
     return s3.transpose(2, 0, 1) * v[:, None, :]
 
 
-def position_scales(n: int) -> np.ndarray:
-    """Optional per-position scale 1/sqrt(i+1), compensating shorter prefixes."""
-    return 1.0 / np.sqrt(np.arange(1, n + 1, dtype=np.float64))
+def masked_output(q, k, v, w):
+    """Causal dimension-wise attention O[i, j] = sum_m W[j,m] S3[j,m,i] V[i,m].
 
-
-def masked_output(q, k, v, w, mode: str = "streaming", scale_positions: bool = False):
-    """Causal dimension-wise attention output O[i, j] = sum_m W[j,m] S3[j,m,i] V[i,m].
-
-    mode="naive" composes the literal oracle pieces; mode="streaming" keeps a
-    running d x d prefix state G_i = sum_{n<=i} q_n k_n^T (evaluated as one
-    cumulative scan) and emits row i as (W * G_i) @ V[i, :].  Both agree to
-    floating-point accumulation order.
-
-    scale_positions multiplies row i by 1/sqrt(i+1); early rows sum fewer
-    prefix terms, and this keeps their magnitude comparable.  Off by default.
+    Composes the literal oracle pieces and sums the filter contraction in
+    explicit loops; the oracle for `grad.masked_attention_multi_fwd`.
     """
     _check_pair(q, k)
     n, d = q.shape
@@ -110,26 +105,16 @@ def masked_output(q, k, v, w, mode: str = "streaming", scale_positions: bool = F
         raise ValueError(f"V shape {v.shape} does not match Q/K {q.shape}")
     if w.shape != (d, d):
         raise ValueError(f"filter must be {d}x{d}, got {w.shape}")
-    if mode == "naive":
-        x = masked_kr_tensor(masked_score_naive(q, k), v)
-        if TALLY.active:
-            TALLY.add("masked_conv", n * d * d, n * d * (d - 1))
-        out = np.zeros((n, d))
-        for i in range(n):
-            for j in range(d):
-                acc = 0.0
-                for m in range(d):
-                    acc += w[j, m] * x[i, j, m]
-                out[i, j] = acc
-    elif mode == "streaming":
-        g = cum_outer(q, k)
-        if TALLY.active:
-            TALLY.add("masked_mix", 2 * n * d * d, n * d * (d - 1))
-        out = np.einsum("jm,ijm,im->ij", w, g, v)
-    else:
-        raise ValueError(f"unknown mode {mode!r}, expected 'naive' or 'streaming'")
-    if scale_positions:
-        out = out * position_scales(n)[:, None]
+    x = masked_kr_tensor(masked_score_naive(q, k), v)
+    if TALLY.active:
+        TALLY.add("masked_conv", n * d * d, n * d * (d - 1))
+    out = np.zeros((n, d))
+    for i in range(n):
+        for j in range(d):
+            acc = 0.0
+            for m in range(d):
+                acc += w[j, m] * x[i, j, m]
+            out[i, j] = acc
     return out
 
 

@@ -1,5 +1,8 @@
 """Multiply/add tally for the attention kernels.
 
+The hooks sit in the `grad` forward kernels that training runs and in the
+literal oracles of `attention` and `masked`.
+
 The counters follow one fixed convention so analytic cost formulas can be
 checked against what the kernels actually do:
 
@@ -44,11 +47,11 @@ class OpTally:
         m, a = self.by_component.get(component, (0, 0))
         self.by_component[component] = (m + mults, a + adds)
 
-    def matmul(self, component: str, m: int, k: int, n: int):
-        """Tally an (m x k) @ (k x n) product: m*n dots of length k."""
+    def matmul(self, component: str, m: int, k: int, n: int, batch: int = 1):
+        """Tally `batch` (m x k) @ (k x n) products: m*n dots of length k each."""
         if not self.active:
             return
-        self.add(component, m * n * k, m * n * (k - 1))
+        self.add(component, batch * m * n * k, batch * m * n * (k - 1))
 
     def elemwise_mul(self, component: str, n: int):
         if not self.active:

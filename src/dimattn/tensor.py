@@ -1,4 +1,4 @@
-"""Dense tensor kernels used everywhere else in the package.
+"""Dense tensor helpers: the tallied matmul and seeded parameter init.
 
 Tensors are plain numpy arrays: C-contiguous (row-major, last index fastest),
 real valued, order 1 to 3, dtype float64 by default.  float32 is accepted for
@@ -13,21 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .opcount import TALLY
-
-F32 = np.float32
-F64 = np.float64
-
-_PRECISIONS = {"f32": F32, "f64": F64}
-
-
-def as_tensor(data, precision="f64") -> np.ndarray:
-    """Copy `data` into a contiguous row-major array of the given precision."""
-    if precision not in _PRECISIONS:
-        raise ValueError(f"unknown precision {precision!r}, expected 'f32' or 'f64'")
-    arr = np.ascontiguousarray(data, dtype=_PRECISIONS[precision])
-    if arr.ndim < 1 or arr.ndim > 3:
-        raise ValueError(f"tensor order must be 1..3, got shape {arr.shape}")
-    return arr
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -61,43 +46,6 @@ def matmul(a: np.ndarray, b: np.ndarray, component: str = "matmul") -> np.ndarra
     return a @ b
 
 
-def softmax_axis(m: np.ndarray, axis: str) -> np.ndarray:
-    """Numerically stable softmax along rows or columns of a matrix.
-
-    axis="rows_over_k" normalizes each row (index k runs over columns);
-    axis="cols_over_j" normalizes each column (index j runs over rows).
-    The maximum is always subtracted before exponentiation.
-    """
-    if m.ndim != 2:
-        raise ValueError(f"softmax_axis expects a matrix, got order {m.ndim}")
-    if axis == "rows_over_k":
-        ax = m.ndim - 1
-    elif axis == "cols_over_j":
-        ax = m.ndim - 2
-    else:
-        raise ValueError(f"unknown softmax axis {axis!r}")
-    shifted = m - np.max(m, axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=ax, keepdims=True)
-
-
-def cum_outer(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Prefix sums of per-token outer products.
-
-    out[t, i, j] = sum_{n <= t} q[n, i] * k[n, j], computed in one pass so the
-    cost is linear in the number of tokens.
-    """
-    if q.shape != k.shape:
-        raise ValueError(f"cum_outer shape mismatch: {q.shape} vs {k.shape}")
-    if q.ndim != 2:
-        raise ValueError(f"cum_outer expects N x d matrices, got order {q.ndim}")
-    n, d = q.shape
-    if TALLY.active:
-        TALLY.add("cum_outer", n * d * d, (n - 1) * d * d)
-    outers = q[:, :, None] * k[:, None, :]
-    return np.cumsum(outers, axis=0)
-
-
 def rand_init(shape, scheme: str, rng: np.random.Generator, sigma: float = 0.02) -> np.ndarray:
     """Seeded parameter init: 'xavier_uniform' or 'normal' (with sigma).
 
@@ -117,8 +65,3 @@ def rand_init(shape, scheme: str, rng: np.random.Generator, sigma: float = 0.02)
         return rng.normal(0.0, sigma, size=shape)
     raise ValueError(f"unknown init scheme {scheme!r}")
 
-
-def assert_finite(arr: np.ndarray, what: str):
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.size(arr) - np.count_nonzero(np.isfinite(arr)))
-        raise FloatingPointError(f"{what}: {bad} non-finite values")

@@ -10,6 +10,7 @@ metrics CSV and checkpoint files.
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
 import numpy as np
 
@@ -108,16 +109,32 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
     }
 
 
+def _check_param_shapes(params: dict, bc: model.BlockConfig):
+    """Every tensor the config implies, with its shape, and nothing else."""
+    want = {name: tuple(shape) for name, shape, _ in model._param_specs(bc)}
+    got = {name: arr.shape for name, arr in params.items()}
+    for name in sorted(set(want) | set(got)):
+        if want.get(name) != got.get(name):
+            raise ValueError(
+                f"checkpoint does not fit the config and corpus (vocab_size "
+                f"{bc.vocab_size}): tensor {name!r} has shape {got.get(name)} "
+                f"in the file, {want.get(name)} expected")
+
+
 def evaluate_checkpoint(ckpt_path: str, override_data: str | None = None) -> dict:
     """Reload a checkpoint and report NLL on the held-out split."""
     from .checkpoint import load_checkpoint
 
     params, cfg_dict = load_checkpoint(ckpt_path)
+    unknown = sorted(set(cfg_dict) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ValueError(f"checkpoint config has unknown keys {unknown}")
     cfg = RunConfig(**cfg_dict)
     if override_data:
         cfg.data = override_data
     vocab, _, valid_split = _load_windows(cfg)
     bc = cfg.block_config(vocab.size)
+    _check_param_shapes(params, bc)
     params = {k: v.astype(bc.dtype) for k, v in params.items()}
     nll = _eval_nll(params, bc, cfg, valid_split, decoder=cfg.task == "clm")
     return {"valid_nll": nll, "vocab_size": vocab.size, "task": cfg.task}

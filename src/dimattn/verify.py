@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analysis, attention, data, grad, masked, model
 from .opcount import counting
-from .tensor import cum_outer, make_rng, matmul, rand_init, softmax_axis
+from .tensor import make_rng, matmul, rand_init
 
 
 def _rng(seed):
@@ -40,12 +40,12 @@ def suite_numerics_softmax(seed=0):
     for _ in range(20):
         d = int(rng.integers(1, 16))
         m = rng.standard_normal((d, d)) * 3
-        for axis, ax in (("rows_over_k", 1), ("cols_over_j", 0)):
-            p = softmax_axis(m, axis)
-            worst_sum = max(worst_sum, float(np.abs(p.sum(axis=ax) - 1.0).max()))
-            shifted = softmax_axis(m + 7.25, axis)
+        for axis in (-1, -2):
+            p = grad.softmax_fwd(m, axis)[0]
+            worst_sum = max(worst_sum, float(np.abs(p.sum(axis=axis) - 1.0).max()))
+            shifted = grad.softmax_fwd(m + 7.25, axis)[0]
             worst_shift = max(worst_shift, float(np.abs(p - shifted).max()))
-    stable = softmax_axis(np.array([[1000.0, 1000.0]]), "rows_over_k")
+    stable = grad.softmax_fwd(np.array([[1000.0, 1000.0]]))[0]
     ok = (worst_shift <= 1e-12 and worst_sum <= 1e-12
           and np.allclose(stable, 0.5) and np.isfinite(stable).all())
     return ok, (f"shift invariance {worst_shift:.2e}, slice sums off by "
@@ -59,8 +59,8 @@ def suite_numerics_cum_outer(seed=0):
         n, d = int(rng.integers(1, 40)), int(rng.integers(1, 12))
         q = rng.standard_normal((n, d))
         k = rng.standard_normal((n, d))
-        out = cum_outer(q, k)
-        worst = max(worst, float(np.abs(out[-1] - q.T @ k).max()))
+        out = masked.masked_score_streaming(q, k)
+        worst = max(worst, float(np.abs(out[:, :, -1] - q.T @ k).max()))
     ok = worst <= 1e-10
     return ok, f"last slice vs Q^T K max diff {worst:.2e} (<= 1e-10)"
 
@@ -89,7 +89,7 @@ def suite_factored_equivalence(seed=0):
         w = rng.standard_normal((d, d))
         mode = attention.NORM_MODES[case % len(attention.NORM_MODES)]
         lit = attention.dim_attention_materialized(q, k, v, w, mode)
-        fac = attention.dim_attention_factored(q, k, v, w, mode)
+        fac = grad.dim_attention_multi_fwd(q, k, v, w[None], mode)[0]
         worst = max(worst, float(np.abs(lit - fac).max()))
     ok = worst <= 1e-10
     return ok, f"200 cases, materialized vs factored max diff {worst:.2e} (<= 1e-10)"
@@ -174,8 +174,8 @@ def suite_masked_equivalence(seed=0):
         s_naive = masked.masked_score_naive(q, k)
         s_stream = masked.masked_score_streaming(q, k)
         worst_scores = max(worst_scores, float(np.abs(s_naive - s_stream).max()))
-        o_naive = masked.masked_output(q, k, v, w, mode="naive")
-        o_stream = masked.masked_output(q, k, v, w, mode="streaming")
+        o_naive = masked.masked_output(q, k, v, w)
+        o_stream = grad.masked_attention_multi_fwd(q, k, v, w[None])[0]
         worst_out = max(worst_out, float(np.abs(o_naive - o_stream).max()))
     ok = worst_scores <= 1e-10 and worst_out <= 1e-10
     return ok, (f"100 cases, score tensor diff {worst_scores:.2e}, "
@@ -223,11 +223,11 @@ def suite_causality(seed=0):
         q2[p + 1:] += rng.standard_normal((n - p - 1, d))
         k2[p + 1:] += rng.standard_normal((n - p - 1, d))
         v2[p + 1:] += rng.standard_normal((n - p - 1, d))
-        a = masked.masked_output(q, k, v, w, mode="naive")
-        b = masked.masked_output(q2, k2, v2, w, mode="naive")
+        a = masked.masked_output(q, k, v, w)
+        b = masked.masked_output(q2, k2, v2, w)
         naive_exact &= np.array_equal(a[: p + 1], b[: p + 1])
-        a = masked.masked_output(q, k, v, w, mode="streaming")
-        b = masked.masked_output(q2, k2, v2, w, mode="streaming")
+        a = grad.masked_attention_multi_fwd(q, k, v, w[None])[0]
+        b = grad.masked_attention_multi_fwd(q2, k2, v2, w[None])[0]
         worst_stream = max(worst_stream, float(np.abs(a[: p + 1] - b[: p + 1]).max()))
 
         if case < 10:  # full decoder stacks are heavier; ten configs suffice
@@ -250,9 +250,16 @@ def suite_causality(seed=0):
                 f"{worst_stream:.2e}, decoder logits drift {worst_model:.2e} (<= 1e-12)")
 
 
+def _attention_inputs(r, n, d):
+    """q/k/v as one sequence or a batch of two, and one or two filters."""
+    lead = () if r.integers(0, 2) else (2,)
+    return {"q": r.standard_normal(lead + (n, d)),
+            "k": r.standard_normal(lead + (n, d)),
+            "v": r.standard_normal(lead + (n, d)),
+            "ws": r.standard_normal((int(r.integers(1, 3)), d, d))}
+
+
 _FD_OP_CASES = [
-    ("matmul", lambda r: ({"a": r.standard_normal((3, 4)),
-                           "b": r.standard_normal((4, 2))}, {})),
     ("linear", lambda r: ({"x": r.standard_normal((2, 3, 4)),
                            "w": r.standard_normal((4, 3)),
                            "b": r.standard_normal(3)}, {})),
@@ -266,25 +273,10 @@ _FD_OP_CASES = [
                                     "k": r.standard_normal((5, 3)),
                                     "v": r.standard_normal((5, 3))},
                                    {"causal": bool(r.integers(0, 2))})),
-    ("dim_attention", lambda r: ({"q": r.standard_normal((5, 3)),
-                                  "k": r.standard_normal((5, 3)),
-                                  "v": r.standard_normal((5, 3)),
-                                  "w": r.standard_normal((3, 3))},
-                                 {"mode": attention.NORM_MODES[int(r.integers(0, 4))]})),
-    ("dim_attention_multi", lambda r: ({"q": r.standard_normal((2, 4, 3)),
-                                        "k": r.standard_normal((2, 4, 3)),
-                                        "v": r.standard_normal((2, 4, 3)),
-                                        "ws": r.standard_normal((2, 3, 3))},
-                                       {"mode": "softmax_rows_over_k"})),
-    ("masked_attention", lambda r: ({"q": r.standard_normal((4, 2)),
-                                     "k": r.standard_normal((4, 2)),
-                                     "v": r.standard_normal((4, 2)),
-                                     "w": r.standard_normal((2, 2))},
-                                    {"scale_positions": bool(r.integers(0, 2))})),
-    ("masked_attention_multi", lambda r: ({"q": r.standard_normal((2, 4, 2)),
-                                           "k": r.standard_normal((2, 4, 2)),
-                                           "v": r.standard_normal((2, 4, 2)),
-                                           "ws": r.standard_normal((2, 2, 2))}, {})),
+    ("dim_attention_multi", lambda r: (
+        _attention_inputs(r, 5, 3), {"mode": attention.NORM_MODES[int(r.integers(0, 4))]})),
+    ("masked_attention_multi", lambda r: (
+        _attention_inputs(r, 4, 2), {"scale_positions": bool(r.integers(0, 2))})),
     ("cross_entropy_masked", lambda r: (
         {"logits": r.standard_normal((2, 4, 6))},
         {"targets": r.integers(0, 6, (2, 4)),
@@ -314,7 +306,7 @@ def suite_gradient_ops(seed=0):
 
     # softmax Jacobian annihilates constants: uniform input + uniform
     # upstream give an exactly-zero input gradient
-    p, node = grad.softmax_rows_fwd(np.zeros((3, 5)))
+    p, node = grad.softmax_fwd(np.zeros((3, 5)))
     soft_zero = grad.backward(node, np.ones((3, 5)))["x"]
     softmax_ok = bool(np.abs(soft_zero).max() <= 1e-15)
 
@@ -322,21 +314,21 @@ def suite_gradient_ops(seed=0):
     r = make_rng(seed)
     q, k, v, w = (r.standard_normal((4, 3)) for _ in range(4))
     w = r.standard_normal((3, 3))
-    out, node = grad.dim_attention_fwd(q, k, v, w, mode="softmax_rows_over_k")
+    out, node = grad.dim_attention_multi_fwd(q, k, v, w[None], mode="softmax_rows_over_k")
     zeros = grad.backward(node, np.zeros_like(out))
     zero_ok = all(not g.any() for g in zeros.values())
 
     # duplicated input: d/dQ of op(Q, Q, V) equals the sum of both partials
     h = 1e-6
-    out, node = grad.dim_attention_fwd(q, q, v, w, mode="none")
+    out, node = grad.dim_attention_multi_fwd(q, q, v, w[None], mode="none")
     gs = grad.backward(node, np.ones_like(out))
     shared = gs["q"] + gs["k"]
     worst_dup = 0.0
     for idx in np.ndindex(q.shape):
         qp = q.copy(); qp[idx] += h
         qm = q.copy(); qm[idx] -= h
-        fp = float(np.sum(grad.dim_attention_fwd(qp, qp, v, w, mode="none")[0]))
-        fm = float(np.sum(grad.dim_attention_fwd(qm, qm, v, w, mode="none")[0]))
+        fp = float(np.sum(grad.dim_attention_multi_fwd(qp, qp, v, w[None], mode="none")[0]))
+        fm = float(np.sum(grad.dim_attention_multi_fwd(qm, qm, v, w[None], mode="none")[0]))
         num = (fp - fm) / (2 * h)
         worst_dup = max(worst_dup, abs(num - shared[idx]) /
                         max(abs(num), abs(shared[idx]), 1e-8))
@@ -386,8 +378,9 @@ def suite_gradient_end_to_end(seed=0):
 
 
 def suite_flops_consistency(seed=0):
-    """Analytic reports equal instrumented counters exactly, per component;
-    the integer doubling laws hold exactly."""
+    """Analytic reports equal the counters of the grad forward kernels that
+    training runs (and of the naive oracle) exactly, per component; the
+    integer doubling laws hold exactly."""
     rng = _rng(seed)
     problems = []
 
@@ -401,44 +394,30 @@ def suite_flops_consistency(seed=0):
     q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
     w = rng.standard_normal((d, d))
     with counting() as tally:
-        attention.token_attention(q, k, v)
+        grad.token_attention_fwd(q, k, v)
     compare("token core", tally, analysis.flops_token_attention(n, d))
 
     with counting() as tally:
-        attention.dim_attention_factored(q, k, v, w, "softmax_rows_over_k")
+        grad.dim_attention_multi_fwd(q, k, v, w[None], "softmax_rows_over_k")
     compare("dim core", tally, analysis.flops_dim_attention(n, d))
 
-    h, dm = 3, 12
-    x = rng.standard_normal((n, dm))
-    mh = attention.MultiHeadParams(
-        wq=[rng.standard_normal((dm, 4)) for _ in range(h)],
-        wk=[rng.standard_normal((dm, 4)) for _ in range(h)],
-        wv=[rng.standard_normal((dm, 4)) for _ in range(h)],
-        wo=rng.standard_normal((12, dm)))
+    # a batch entry costs what a head (token) or a group (dim) does
+    h, c = 3, 2
+    qb, kb, vb = (rng.standard_normal((h, n, d)) for _ in range(3))
     with counting() as tally:
-        attention.multi_head_baseline(x, mh)
-    compare("token block", tally,
-            analysis.flops_token_attention(n, 4, h, include_projections=True))
-
-    g, c, d2 = 2, 3, 2
-    dm2 = g * c * d2
-    x2 = rng.standard_normal((n, dm2))
-    mc = attention.MultiConvParams(
-        wq=[rng.standard_normal((dm2, d2)) for _ in range(g)],
-        wk=[rng.standard_normal((dm2, d2)) for _ in range(g)],
-        wv=[rng.standard_normal((dm2, d2)) for _ in range(g)],
-        filters=[[rng.standard_normal((d2, d2)) for _ in range(c)] for _ in range(g)],
-        wo=rng.standard_normal((g * c * d2, dm2)))
+        grad.token_attention_fwd(qb, kb, vb)
+    compare("token heads", tally, analysis.flops_token_attention(n, d, h))
     with counting() as tally:
-        attention.multi_conv_block(x2, mc, "softmax_rows_over_k")
-    compare("dim block", tally,
-            analysis.flops_dim_attention(n, d2, g, c, include_projections=True))
+        grad.dim_attention_multi_fwd(qb, kb, vb, rng.standard_normal((c, d, d)),
+                                     "softmax_rows_over_k")
+    compare("dim groups x filters", tally, analysis.flops_dim_attention(n, d, h, c))
 
-    for streaming in (False, True):
-        with counting() as tally:
-            masked.masked_output(q, k, v, w, mode="streaming" if streaming else "naive")
-        compare(f"masked streaming={streaming}", tally,
-                analysis.flops_masked(n, d, streaming))
+    with counting() as tally:
+        masked.masked_output(q, k, v, w)
+    compare("masked naive", tally, analysis.flops_masked(n, d, streaming=False))
+    with counting() as tally:
+        grad.masked_attention_multi_fwd(q, k, v, w[None])
+    compare("masked streaming", tally, analysis.flops_masked(n, d, streaming=True))
 
     # doubling identities (exact integer laws)
     for nn in (8, 32, 128):
@@ -528,7 +507,7 @@ def suite_determinism(seed=0):
 
 
 def suite_cost_scaling(seed=0):
-    """Instrumented counters: factored path linear, naive/streaming separated."""
+    """Kernel counters: dim kernel linear, naive oracle/causal kernel separated."""
     rng = _rng(seed)
     d = 6
     counts = {}
@@ -536,7 +515,7 @@ def suite_cost_scaling(seed=0):
         q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
         w = rng.standard_normal((d, d))
         with counting() as tally:
-            attention.dim_attention_factored(q, k, v, w)
+            grad.dim_attention_multi_fwd(q, k, v, w[None])
         counts[n] = (tally.mults, tally.adds)
     inc1 = tuple(b - a for a, b in zip(counts[8], counts[16]))
     inc2 = tuple(b - a for a, b in zip(counts[16], counts[32]))
@@ -547,10 +526,10 @@ def suite_cost_scaling(seed=0):
         q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
         w = rng.standard_normal((d, d))
         with counting() as tally:
-            masked.masked_output(q, k, v, w, mode="naive")
+            masked.masked_output(q, k, v, w)
         naive_scores = tally.by_component["masked_scores_naive"][0]
         with counting() as tally:
-            masked.masked_output(q, k, v, w, mode="streaming")
+            grad.masked_attention_multi_fwd(q, k, v, w[None])
         mults[n] = (naive_scores, tally.mults)
     sep_ok = (mults[16][0] == 4 * mults[8][0]) and (mults[16][1] == 2 * mults[8][1])
     ok = linear_ok and sep_ok

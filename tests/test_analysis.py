@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from dimattn import analysis, attention, masked
+from dimattn import analysis, grad, masked, model
 from dimattn.opcount import counting
+
+
+def components(rep, scale=None):
+    """A report's per-component (mults, adds), each times scale.get(name, 1)."""
+    scale = scale or {}
+    return {k: (v.mults * scale.get(k, 1), v.adds * scale.get(k, 1))
+            for k, v in rep.components.items()}
 
 
 class TestAnalyticCounts:
@@ -21,9 +28,9 @@ class TestAnalyticCounts:
         rep = analysis.flops_token_attention(100, 64, 1)
         with counting() as tally:
             r = np.random.default_rng(0)
-            attention.token_attention(r.standard_normal((100, 64)),
-                                      r.standard_normal((100, 64)),
-                                      r.standard_normal((100, 64)))
+            grad.token_attention_fwd(r.standard_normal((100, 64)),
+                                     r.standard_normal((100, 64)),
+                                     r.standard_normal((100, 64)))
         assert (tally.mults, tally.adds) == (rep.mults, rep.adds)
         assert rep.total == 2_543_600
 
@@ -43,29 +50,24 @@ class TestAnalyticCounts:
         assert (a.components["filter_gate"] == b.components["filter_gate"])
 
     def test_counters_match_per_component(self, rng):
+        # heads ride in the kernel's batch axis, one score matrix each
         n, d, h = 12, 4, 2
-        x = rng.standard_normal((n, h * d))
-        mh = attention.MultiHeadParams(
-            wq=[rng.standard_normal((h * d, d)) for _ in range(h)],
-            wk=[rng.standard_normal((h * d, d)) for _ in range(h)],
-            wv=[rng.standard_normal((h * d, d)) for _ in range(h)],
-            wo=rng.standard_normal((h * d, h * d)))
+        q, k, v = (rng.standard_normal((h, n, d)) for _ in range(3))
         with counting() as tally:
-            attention.multi_head_baseline(x, mh)
-        rep = analysis.flops_token_attention(n, d, h, include_projections=True)
-        assert tally.by_component == {k: (v.mults, v.adds)
-                                      for k, v in rep.components.items()}
+            grad.token_attention_fwd(q, k, v, causal=True)
+        rep = analysis.flops_token_attention(n, d, h)
+        assert tally.by_component == components(rep)
 
     def test_masked_counters_match(self, rng):
         n, d = 9, 3
         q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
         w = rng.standard_normal((d, d))
-        for streaming, mode in ((False, "naive"), (True, "streaming")):
-            with counting() as tally:
-                masked.masked_output(q, k, v, w, mode=mode)
-            rep = analysis.flops_masked(n, d, streaming)
-            assert tally.by_component == {kk: (vv.mults, vv.adds)
-                                          for kk, vv in rep.components.items()}
+        with counting() as tally:
+            masked.masked_output(q, k, v, w)
+        assert tally.by_component == components(analysis.flops_masked(n, d, False))
+        with counting() as tally:
+            grad.masked_attention_multi_fwd(q, k, v, w[None])
+        assert tally.by_component == components(analysis.flops_masked(n, d, True))
 
     def test_projection_ratio_at_matched_widths(self):
         # d_model 512: token 8 heads of width 64 vs dim 8 groups, 1 conv
@@ -80,6 +82,32 @@ class TestAnalyticCounts:
             analysis.flops_token_attention(0, 4)
         with pytest.raises(ValueError):
             analysis.flops_dim_attention(4, 0)
+
+
+class TestTrainingTally:
+    """The tally counts the kernels model.forward runs, batch and filters
+    included; projections, FFN and the head are not attention-core work."""
+
+    def forward_counts(self, bc, rng, decoder):
+        params = model.init_params(bc, 0)
+        ids = rng.integers(0, bc.vocab_size, (3, bc.n_max))
+        with counting() as tally:
+            model.forward(params, ids, bc, decoder=decoder)
+        return tally.by_component
+
+    def test_dim_encoder(self, rng):
+        bc = model.BlockConfig(vocab_size=11, d_model=12, layers=1, groups=1,
+                               convs=3, head_dim=4, ffn_width=8, n_max=7)
+        per_seq = analysis.flops_dim_attention(7, 4, 1, 3)
+        assert self.forward_counts(bc, rng, decoder=False) == components(
+            per_seq, {"scores": 3, "filter_gate": 3, "filter_mix": 3})
+
+    def test_dim_decoder(self, rng):
+        bc = model.BlockConfig(vocab_size=11, d_model=12, layers=1, groups=1,
+                               convs=3, head_dim=4, ffn_width=8, n_max=7)
+        per_seq = analysis.flops_masked(7, 4, streaming=True)
+        assert self.forward_counts(bc, rng, decoder=True) == components(
+            per_seq, {"cum_outer": 3, "masked_mix": 3 * 3})
 
 
 class TestBenchSweep:

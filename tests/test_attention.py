@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dimattn import attention
+from dimattn import analysis, attention, grad, model
 from dimattn.opcount import counting
 
 # Shared fixture from the dimension-wise walkthrough:
@@ -26,79 +26,92 @@ def loop_token_attention(q, k, v):
     return out
 
 
+def token_attention(q, k, v, causal=False):
+    return grad.token_attention_fwd(q, k, v, causal=causal)[0]
+
+
+def dim_attention(q, k, v, w, mode="none"):
+    """The training kernel with one filter."""
+    return grad.dim_attention_multi_fwd(q, k, v, w[None], mode)[0]
+
+
+def token_layer(bc, params, ids):
+    """Layer input and the concatenated head outputs of a one-layer model."""
+    _, cache = model.forward(params, ids, bc)
+    layer = cache["layers"][0]
+    return layer["nq"].saved["x"][0], layer["no"].saved["x"][0]
+
+
 class TestTokenAttention:
     def test_single_token_returns_value(self, rng):
         q, k, v = (rng.standard_normal((1, 4)) for _ in range(3))
-        assert np.allclose(attention.token_attention(q, k, v), v, atol=1e-15)
+        assert np.allclose(token_attention(q, k, v), v, atol=1e-15)
 
     def test_zero_keys_average_values(self, rng):
         q = rng.standard_normal((5, 3))
         v = rng.standard_normal((5, 3))
-        out = attention.token_attention(q, np.zeros((5, 3)), v)
+        out = token_attention(q, np.zeros((5, 3)), v)
         assert np.allclose(out, np.tile(v.mean(axis=0), (5, 1)), atol=1e-12)
 
     def test_matches_loop_oracle(self, rng):
         q, k, v = (rng.standard_normal((3, 2)) for _ in range(3))
-        assert np.allclose(attention.token_attention(q, k, v),
+        assert np.allclose(token_attention(q, k, v),
                            loop_token_attention(q, k, v), atol=1e-12)
 
     def test_row_blocked_equals_full(self, rng):
         q, k, v = (rng.standard_normal((13, 4)) for _ in range(3))
-        full = attention.token_attention(q, k, v)
-        blocked = attention.token_attention(q, k, v, row_block=5)
+        full = token_attention(q, k, v)
+        blocked = analysis.token_attention_rows(q, k, v, row_block=5)
         assert np.abs(full - blocked).max() <= 1e-12
 
     def test_causal_first_row_is_value(self, rng):
         q, k, v = (rng.standard_normal((4, 3)) for _ in range(3))
-        out = attention.token_attention(q, k, v, causal=True)
+        out = token_attention(q, k, v, causal=True)
         assert np.allclose(out[0], v[0], atol=1e-15)
 
     def test_softmax_rows_sum_to_one_via_uniform_values(self, rng):
         # with V = all-ones, output rows are exactly the softmax row sums
         q, k = (rng.standard_normal((6, 3)) for _ in range(2))
-        out = attention.token_attention(q, k, np.ones((6, 3)))
+        out = token_attention(q, k, np.ones((6, 3)))
         assert np.abs(out - 1.0).max() <= 1e-12
 
 
 class TestMultiHeadBaseline:
+    """The model's token sublayer: heads split, attended and concatenated."""
+
     def test_single_head_identity_projections(self, rng):
-        x = rng.standard_normal((4, 3))
-        params = attention.MultiHeadParams(
-            wq=[np.eye(3)], wk=[np.eye(3)], wv=[np.eye(3)], wo=np.eye(3))
-        assert np.allclose(attention.multi_head_baseline(x, params),
-                           attention.token_attention(x, x, x), atol=1e-12)
+        bc = model.BlockConfig(vocab_size=11, d_model=4, layers=1, attention="token",
+                               heads=1, ffn_width=8, n_max=5, dropout=0.0)
+        params = model.init_params(bc, 0)
+        for name in ("wq", "wk", "wv", "wo"):
+            params["l0.attn." + name] = np.eye(4)
+        x, heads = token_layer(bc, params, rng.integers(0, 11, 5))
+        assert np.allclose(heads, loop_token_attention(x, x, x), atol=1e-12)
 
     def test_zero_output_projection(self, rng):
-        x = rng.standard_normal((4, 4))
-        params = attention.MultiHeadParams(
-            wq=[rng.standard_normal((4, 2)) for _ in range(2)],
-            wk=[rng.standard_normal((4, 2)) for _ in range(2)],
-            wv=[rng.standard_normal((4, 2)) for _ in range(2)],
-            wo=np.zeros((4, 4)))
-        assert not attention.multi_head_baseline(x, params).any()
+        bc = model.BlockConfig(vocab_size=11, d_model=4, layers=1, attention="token",
+                               heads=2, ffn_width=8, n_max=5, dropout=0.0)
+        params = model.init_params(bc, 1)
+        params["l0.attn.wo"] = np.zeros((4, 4))
+        ids = rng.integers(0, 11, 5)
+        with_attention, _ = model.forward(params, ids, bc)
+        without, _ = model.forward(params, ids, bc, zero_attention=True)
+        assert np.array_equal(with_attention, without)
 
     def test_two_heads_match_loop_oracle(self, rng):
-        x = rng.standard_normal((3, 4))
-        wq = [rng.standard_normal((4, 2)) for _ in range(2)]
-        wk = [rng.standard_normal((4, 2)) for _ in range(2)]
-        wv = [rng.standard_normal((4, 2)) for _ in range(2)]
-        wo = rng.standard_normal((4, 4))
-        params = attention.MultiHeadParams(wq=wq, wk=wk, wv=wv, wo=wo)
-        heads = [loop_token_attention(x @ wq[i], x @ wk[i], x @ wv[i])
-                 for i in range(2)]
-        expected = np.concatenate(heads, axis=1) @ wo
-        assert np.allclose(attention.multi_head_baseline(x, params), expected,
-                           atol=1e-12)
+        bc = model.BlockConfig(vocab_size=11, d_model=4, layers=1, attention="token",
+                               heads=2, ffn_width=8, n_max=3, dropout=0.0)
+        params = model.init_params(bc, 2)
+        x, heads = token_layer(bc, params, rng.integers(0, 11, 3))
+        wq, wk, wv = (params["l0.attn." + n] for n in ("wq", "wk", "wv"))
+        expected = np.concatenate(
+            [loop_token_attention(x @ wq[:, cols], x @ wk[:, cols], x @ wv[:, cols])
+             for cols in (slice(0, 2), slice(2, 4))], axis=1)
+        assert np.allclose(heads, expected, atol=1e-12)
 
-    def test_divisibility_error(self, rng):
-        x = rng.standard_normal((3, 5))
-        params = attention.MultiHeadParams(
-            wq=[rng.standard_normal((5, 2))] * 2,
-            wk=[rng.standard_normal((5, 2))] * 2,
-            wv=[rng.standard_normal((5, 2))] * 2,
-            wo=rng.standard_normal((4, 5)))
+    def test_divisibility_error(self):
         with pytest.raises(ValueError, match="heads"):
-            attention.multi_head_baseline(x, params)
+            model.BlockConfig(vocab_size=11, d_model=5, attention="token", heads=2)
 
 
 class TestDimScore:
@@ -234,18 +247,18 @@ class TestConvExtract:
 class TestFactoredPath:
     def test_fixture_identity_filter(self):
         q = np.eye(2)  # makes S = K exactly
-        out = attention.dim_attention_factored(q, S_FIX, V_FIX, np.eye(2), "none")
+        out = dim_attention(q, S_FIX, V_FIX, np.eye(2), "none")
         assert np.array_equal(out, np.array([[1.0, 4.0], [2.0, 8.0]]))
 
     def test_fixture_ones_filter_matches_implicit(self):
         q = np.eye(2)
-        out = attention.dim_attention_factored(q, S_FIX, V_FIX, np.ones((2, 2)), "none")
+        out = dim_attention(q, S_FIX, V_FIX, np.ones((2, 2)), "none")
         assert np.array_equal(out, np.array([[3.0, 7.0], [6.0, 14.0]]))
 
     def test_zero_values(self, rng):
         q, k = (rng.standard_normal((4, 3)) for _ in range(2))
         w = rng.standard_normal((3, 3))
-        assert not attention.dim_attention_factored(q, k, np.zeros((4, 3)), w).any()
+        assert not dim_attention(q, k, np.zeros((4, 3)), w).any()
 
     def test_equivalence_with_materialized(self, rng):
         for case in range(40):
@@ -255,7 +268,7 @@ class TestFactoredPath:
             w = rng.standard_normal((d, d))
             mode = attention.NORM_MODES[case % 4]
             lit = attention.dim_attention_materialized(q, k, v, w, mode)
-            fac = attention.dim_attention_factored(q, k, v, w, mode)
+            fac = dim_attention(q, k, v, w, mode)
             assert np.abs(lit - fac).max() <= 1e-10
 
     def test_linear_cost_in_n(self, rng):
@@ -265,30 +278,27 @@ class TestFactoredPath:
             q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
             w = rng.standard_normal((d, d))
             with counting() as tally:
-                attention.dim_attention_factored(q, k, v, w)
+                dim_attention(q, k, v, w)
             counts[n] = tally.total
         assert counts[64] - counts[32] == 2 * (counts[32] - counts[16])
 
 
 class TestMultiConvBlock:
+    """Several filters over one score matrix, as the training kernel runs them."""
+
     def test_degenerate_matches_factored(self, rng):
-        x = rng.standard_normal((4, 3))
-        w = rng.standard_normal((3, 3))
-        params = attention.MultiConvParams(
-            wq=[np.eye(3)], wk=[np.eye(3)], wv=[np.eye(3)],
-            filters=[[w]], wo=np.eye(3))
-        out = attention.multi_conv_block(x, params, "softmax_rows_over_k")
-        expected = attention.dim_attention_factored(x, x, x, w, "softmax_rows_over_k")
-        assert np.abs(out - expected).max() <= 1e-12
+        q, k, v = (rng.standard_normal((4, 3)) for _ in range(3))
+        ws = rng.standard_normal((3, 3, 3))
+        out = grad.dim_attention_multi_fwd(q, k, v, ws, "softmax_rows_over_k")[0]
+        for f in range(3):
+            expected = dim_attention(q, k, v, ws[f], "softmax_rows_over_k")
+            assert np.abs(out[:, 3 * f:3 * f + 3] - expected).max() <= 1e-12
 
     def test_duplicate_filters_duplicate_columns(self, rng):
         x = rng.standard_normal((5, 2))
         w = rng.standard_normal((2, 2))
-        params = attention.MultiConvParams(
-            wq=[rng.standard_normal((2, 2))], wk=[rng.standard_normal((2, 2))],
-            wv=[rng.standard_normal((2, 2))],
-            filters=[[w] * 8], wo=np.eye(16))
-        out = attention.multi_conv_block(x, params, "none")
+        q, k, v = (x @ rng.standard_normal((2, 2)) for _ in range(3))
+        out = grad.dim_attention_multi_fwd(q, k, v, np.stack([w] * 8), "none")[0]
         for c in range(1, 8):
             assert np.array_equal(out[:, :2], out[:, 2 * c: 2 * c + 2])
 
@@ -300,9 +310,8 @@ class TestMultiConvBlock:
         wv = rng.standard_normal((dm, d))
         filters = [rng.standard_normal((d, d)) for _ in range(c)]
         wo = rng.standard_normal((c * d, dm))
-        params = attention.MultiConvParams(
-            wq=[wq], wk=[wk], wv=[wv], filters=[filters], wo=wo)
-        out = attention.multi_conv_block(x, params, "softmax_rows_over_k")
+        out = grad.dim_attention_multi_fwd(x @ wq, x @ wk, x @ wv, np.stack(filters),
+                                           "softmax_rows_over_k")[0] @ wo
 
         q, k, v = x @ wq, x @ wk, x @ wv
         s = np.zeros((d, d))
@@ -324,9 +333,3 @@ class TestMultiConvBlock:
             cols.append(o)
         expected = np.concatenate(cols, axis=1) @ wo
         assert np.abs(out - expected).max() <= 1e-10
-
-    def test_width_mismatch(self, rng):
-        with pytest.raises(ValueError, match="concat width"):
-            attention.MultiConvParams(
-                wq=[np.eye(3)], wk=[np.eye(3)], wv=[np.eye(3)],
-                filters=[[np.eye(3), np.eye(3)]], wo=np.eye(3))

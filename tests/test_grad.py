@@ -2,43 +2,46 @@ import numpy as np
 import pytest
 
 from dimattn import grad
-from dimattn.attention import NORM_MODES
+from dimattn.grad import NORM_MODES
 from dimattn.tensor import make_rng
 
 
 class TestDispatch:
     def test_identity_passthrough(self, rng):
-        x = rng.standard_normal((3, 4))
-        out, node = grad.identity_fwd(x)
+        # relu is the identity on positive inputs, and so is its backward
+        x = np.abs(rng.standard_normal((3, 4))) + 0.1
+        out, node = grad.relu_fwd(x)
         u = rng.standard_normal((3, 4))
         assert np.array_equal(grad.backward(node, u)["x"], u)
 
     def test_unknown_op_rejected(self, rng):
-        _, node = grad.identity_fwd(rng.standard_normal(3))
+        _, node = grad.relu_fwd(rng.standard_normal(3))
         node.op = "fused_rainbow"
         with pytest.raises(ValueError, match="unknown op"):
             grad.backward(node, np.zeros(3))
 
     def test_upstream_shape_checked(self, rng):
-        _, node = grad.identity_fwd(rng.standard_normal((2, 3)))
+        _, node = grad.relu_fwd(rng.standard_normal((2, 3)))
         with pytest.raises(ValueError, match="upstream shape"):
             grad.backward(node, np.zeros((3, 2)))
 
 
 class TestMatmulRule:
+    """linear without a bias is the plain matrix product x @ w."""
+
     def test_analytic_formula(self, rng):
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 2))
         u = rng.standard_normal((3, 2))
-        _, node = grad.matmul_fwd(a, b)
+        _, node = grad.linear_fwd(a, b)
         gs = grad.backward(node, u)
-        assert np.allclose(gs["a"], u @ b.T, atol=1e-15)
-        assert np.allclose(gs["b"], a.T @ u, atol=1e-15)
+        assert np.allclose(gs["x"], u @ b.T, atol=1e-15)
+        assert np.allclose(gs["w"], a.T @ u, atol=1e-15)
 
     def test_fd_2x2(self):
         r = make_rng(0)
-        err = grad.fd_check("matmul", {"a": r.standard_normal((2, 2)),
-                                       "b": r.standard_normal((2, 2))})
+        err = grad.fd_check("linear", {"x": r.standard_normal((2, 2)),
+                                       "w": r.standard_normal((2, 2))})
         assert err <= 1e-9  # linear map: central differences are exact
 
     def test_linear_op_fd_near_exact(self):
@@ -51,14 +54,14 @@ class TestMatmulRule:
 
 class TestSoftmaxRule:
     def test_uniform_input_uniform_upstream_zero_gradient(self):
-        p, node = grad.softmax_rows_fwd(np.zeros((2, 4)))
+        p, node = grad.softmax_fwd(np.zeros((2, 4)))
         g = grad.backward(node, np.ones((2, 4)))["x"]
         assert np.abs(g).max() <= 1e-16
 
     def test_jacobian_against_upstream(self, rng):
         # row softmax Jacobian applied to arbitrary upstream
         x = rng.standard_normal(5)
-        p, node = grad.softmax_rows_fwd(x[None])
+        p, node = grad.softmax_fwd(x[None])
         u = rng.standard_normal(5)
         g = grad.backward(node, u[None])["x"][0]
         p0 = p[0]
@@ -82,8 +85,8 @@ class TestAttentionRules:
         inputs = {"q": r.standard_normal((5, 3)),
                   "k": r.standard_normal((5, 3)),
                   "v": r.standard_normal((5, 3)),
-                  "w": r.standard_normal((3, 3))}
-        assert grad.fd_check("dim_attention", inputs, attrs={"mode": mode}) <= 1e-4
+                  "ws": r.standard_normal((1, 3, 3))}
+        assert grad.fd_check("dim_attention_multi", inputs, attrs={"mode": mode}) <= 1e-4
 
     def test_dim_attention_batched_fd(self):
         r = make_rng(23)
@@ -100,31 +103,31 @@ class TestAttentionRules:
         inputs = {"q": r.standard_normal((4, 2)),
                   "k": r.standard_normal((4, 2)),
                   "v": r.standard_normal((4, 2)),
-                  "w": r.standard_normal((2, 2))}
-        assert grad.fd_check("masked_attention", inputs,
+                  "ws": r.standard_normal((1, 2, 2))}
+        assert grad.fd_check("masked_attention_multi", inputs,
                              attrs={"scale_positions": scale}) <= 1e-4
 
     def test_shared_query_key_gradient_sums_partials(self):
         r = make_rng(3)
         q = r.standard_normal((4, 3))
         v = r.standard_normal((4, 3))
-        w = r.standard_normal((3, 3))
-        out, node = grad.dim_attention_fwd(q, q, v, w, mode="none")
+        ws = r.standard_normal((1, 3, 3))
+        out, node = grad.dim_attention_multi_fwd(q, q, v, ws, mode="none")
         gs = grad.backward(node, np.ones_like(out))
         shared = gs["q"] + gs["k"]
         h = 1e-6
         for idx in [(0, 0), (2, 1), (3, 2)]:
             qp = q.copy(); qp[idx] += h
             qm = q.copy(); qm[idx] -= h
-            num = (np.sum(grad.dim_attention_fwd(qp, qp, v, w, mode="none")[0])
-                   - np.sum(grad.dim_attention_fwd(qm, qm, v, w, mode="none")[0])) / (2 * h)
+            num = (np.sum(grad.dim_attention_multi_fwd(qp, qp, v, ws, mode="none")[0])
+                   - np.sum(grad.dim_attention_multi_fwd(qm, qm, v, ws, mode="none")[0])) / (2 * h)
             assert abs(num - shared[idx]) / max(abs(num), 1e-8) <= 1e-4
 
     def test_zero_upstream_zero_gradients(self):
         r = make_rng(9)
         q, k, v = (r.standard_normal((4, 2)) for _ in range(3))
-        w = r.standard_normal((2, 2))
-        out, node = grad.masked_attention_fwd(q, k, v, w)
+        ws = r.standard_normal((1, 2, 2))
+        out, node = grad.masked_attention_multi_fwd(q, k, v, ws)
         gs = grad.backward(node, np.zeros_like(out))
         assert all(not g.any() for g in gs.values())
 
@@ -191,12 +194,12 @@ class TestFdCheck:
             inputs = {"q": r.standard_normal((5, 3)),
                       "k": r.standard_normal((5, 3)),
                       "v": r.standard_normal((5, 3)),
-                      "w": r.standard_normal((3, 3))}
+                      "ws": r.standard_normal((1, 3, 3))}
             mode = NORM_MODES[i % 4]
-            assert grad.fd_check("dim_attention", inputs,
+            assert grad.fd_check("dim_attention_multi", inputs,
                                  attrs={"mode": mode}) <= 1e-4
             inputs = {"q": r.standard_normal((4, 2)),
                       "k": r.standard_normal((4, 2)),
                       "v": r.standard_normal((4, 2)),
-                      "w": r.standard_normal((2, 2))}
-            assert grad.fd_check("masked_attention", inputs) <= 1e-4
+                      "ws": r.standard_normal((1, 2, 2))}
+            assert grad.fd_check("masked_attention_multi", inputs) <= 1e-4

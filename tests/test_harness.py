@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dimattn import cli, config, data
+from dimattn import checkpoint, cli, config, data, model
 from dimattn.tensor import make_rng
 
 
@@ -136,11 +138,65 @@ class TestRunConfig:
         with pytest.raises(config.ConfigError, match="key=value"):
             config.parse_config("steps 50\n")
 
+    def test_block_and_train_fields_reachable(self):
+        own = {f.name for f in dataclasses.fields(config.RunConfig)}
+        for cls in (model.BlockConfig, model.TrainConfig):
+            for f in dataclasses.fields(cls):
+                if f.name not in ("vocab_size", "n_max"):
+                    assert f.name in own, f"{cls.__name__}.{f.name}"
+        cfg = config.parse_config("seq_len = 7\nheads = 2\nd_model = 6\nattention = token\n"
+                                  "seed = 3\nclip = 0.5\n")
+        bc = cfg.block_config(vocab_size=13)
+        assert (bc.vocab_size, bc.n_max, bc.heads, bc.d_model) == (13, 7, 2, 6)
+        tc = cfg.train_config()
+        assert (tc.seed, tc.clip) == (3, 0.5)
+
     def test_echo_covers_every_field(self):
         cfg = config.RunConfig()
         lines = cfg.echo_lines()
         assert len(lines) == len(cfg.as_dict())
         assert any(line.startswith("seq_len=") for line in lines)
+
+
+def test_package_exports_resolve():
+    import dimattn
+    missing = [name for name in dimattn.__all__ if not hasattr(dimattn, name)]
+    assert not missing
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory, corpus_path):
+    """A 6-step masked-LM run; returns its checkpoint path."""
+    root = tmp_path_factory.mktemp("tiny-run")
+    cfg = root / "tiny.cfg"
+    cfg.write_text(
+        f"data = {corpus_path}\nseq_len = 16\nd_model = 8\nlayers = 1\nconvs = 2\n"
+        "head_dim = 4\nffn_width = 16\nbatch_size = 2\nsteps = 6\nwarmup = 2\n"
+        "eval_interval = 6\neval_batches = 1\n", encoding="utf-8")
+    assert cli.main(["train-mlm", "--config", str(cfg),
+                     "--ckpt-dir", str(root / "run")]) == 0
+    return root / "run" / "final.ckpt"
+
+
+class TestEvalRejectsMismatch:
+    def test_other_vocabulary(self, tiny_run, tmp_path, capsys):
+        other = tmp_path / "other.txt"
+        other.write_text("abc cab bca\n" * 200, encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(tiny_run), "--data", str(other)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert "embed" in err
+
+    def test_unknown_manifest_key(self, tiny_run, tmp_path, capsys):
+        params, cfg = checkpoint.load_checkpoint(tiny_run)
+        path = tmp_path / "odd.ckpt"
+        checkpoint.save_checkpoint(path, params, {**cfg, "warp_factor": 9})
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert "warp_factor" in err
 
 
 class TestCli:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dimattn import attention, masked
+from dimattn import attention, grad, masked
 from dimattn.opcount import counting
 
 # Hand fixture: N=2, d=1, Q=[[2],[3]], K=[[5],[7]], V=[[1],[10]]
@@ -93,44 +93,43 @@ class TestMaskedKrTensor:
             masked.masked_kr_tensor(np.zeros((2, 2, 3)), np.ones((4, 2)))
 
 
+def masked_attention(q, k, v, w, scale_positions=False):
+    """The training kernel with one filter."""
+    return grad.masked_attention_multi_fwd(q, k, v, w[None],
+                                           scale_positions=scale_positions)[0]
+
+
 class TestMaskedOutput:
     def test_fixture_unit_filter(self):
-        out = masked.masked_output(Q_FIX, K_FIX, V_FIX, np.array([[1.0]]),
-                                   mode="naive")
+        out = masked.masked_output(Q_FIX, K_FIX, V_FIX, np.array([[1.0]]))
         assert np.array_equal(out, np.array([[10.0], [310.0]]))
 
     def test_zero_filter(self, rng):
         q, k, v = (rng.standard_normal((4, 2)) for _ in range(3))
-        out = masked.masked_output(q, k, v, np.zeros((2, 2)), mode="streaming")
+        out = masked_attention(q, k, v, np.zeros((2, 2)))
         assert not out.any()
 
     def test_modes_agree(self, rng):
         q, k, v = (rng.standard_normal((6, 4)) for _ in range(3))
         w = rng.standard_normal((4, 4))
-        a = masked.masked_output(q, k, v, w, mode="naive")
-        b = masked.masked_output(q, k, v, w, mode="streaming")
+        a = masked.masked_output(q, k, v, w)
+        b = masked_attention(q, k, v, w)
         assert np.abs(a - b).max() <= 1e-10
 
     def test_vectorized_naive_matches_loop_oracle(self, rng):
         q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))
         w = rng.standard_normal((3, 3))
-        a = masked.masked_output(q, k, v, w, mode="naive")
+        a = masked.masked_output(q, k, v, w)
         b = masked.masked_output_vectorized_naive(q, k, v, w)
         assert np.abs(a - b).max() <= 1e-10
 
     def test_position_scaling(self, rng):
         q, k, v = (rng.standard_normal((4, 2)) for _ in range(3))
         w = rng.standard_normal((2, 2))
-        plain = masked.masked_output(q, k, v, w, mode="streaming")
-        scaled = masked.masked_output(q, k, v, w, mode="streaming",
-                                      scale_positions=True)
+        plain = masked_attention(q, k, v, w)
+        scaled = masked_attention(q, k, v, w, scale_positions=True)
         expected = plain * (1.0 / np.sqrt(np.arange(1, 5)))[:, None]
         assert np.abs(scaled - expected).max() <= 1e-12
-
-    def test_unknown_mode(self, rng):
-        q, k, v = (rng.standard_normal((3, 2)) for _ in range(3))
-        with pytest.raises(ValueError, match="mode"):
-            masked.masked_output(q, k, v, np.eye(2), mode="chunked")
 
 
 class TestCausality:
@@ -144,8 +143,8 @@ class TestCausality:
             q2[p + 1:] = rng.standard_normal((n - p - 1, d))
             k2[p + 1:] = rng.standard_normal((n - p - 1, d))
             v2[p + 1:] = rng.standard_normal((n - p - 1, d))
-            a = masked.masked_output(q, k, v, w, mode="naive")
-            b = masked.masked_output(q2, k2, v2, w, mode="naive")
+            a = masked.masked_output(q, k, v, w)
+            b = masked.masked_output(q2, k2, v2, w)
             assert np.array_equal(a[: p + 1], b[: p + 1])
 
     def test_suffix_perturbation_streaming(self, rng):
@@ -156,8 +155,8 @@ class TestCausality:
             p = int(rng.integers(0, n - 1))
             q2 = q.copy()
             q2[p + 1:] += 10.0
-            a = masked.masked_output(q, k, v, w, mode="streaming")
-            b = masked.masked_output(q2, k, v, w, mode="streaming")
+            a = masked_attention(q, k, v, w)
+            b = masked_attention(q2, k, v, w)
             assert np.abs(a[: p + 1] - b[: p + 1]).max() <= 1e-12
 
 
@@ -169,10 +168,10 @@ class TestCostSeparation:
             q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
             w = rng.standard_normal((d, d))
             with counting() as tally:
-                masked.masked_output(q, k, v, w, mode="naive")
+                masked.masked_output(q, k, v, w)
             naive_scores = tally.by_component["masked_scores_naive"][0]
             with counting() as tally:
-                masked.masked_output(q, k, v, w, mode="streaming")
+                masked_attention(q, k, v, w)
             by_n[n] = (naive_scores, tally.mults)
         # quadratic score tensor: x4 on doubling; streaming total: x2
         assert by_n[12][0] == 4 * by_n[6][0]

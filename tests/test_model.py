@@ -26,7 +26,7 @@ class TestForward:
 
     def test_compositional_oracle(self, rng):
         # one layer, identity projections: the encoder must equal the same
-        # pipeline hand-composed from the library ops
+        # pipeline hand-composed around the materialized-tensor oracle
         bc = tiny_config(d_model=4, head_dim=4, convs=1, ffn_width=8, n_max=2)
         params = model.init_params(bc, 1)
         params["l0.attn.wq0"] = np.eye(4)
@@ -43,7 +43,7 @@ class TestForward:
 
         x0 = params["embed"][ids] * 2.0 \
             + model.sinusoidal_positions(bc.n_max, bc.d_model)[:2]
-        a = attention.dim_attention_factored(
+        a = attention.dim_attention_materialized(
             x0, x0, x0, params["l0.attn.filters0"][0], bc.norm_mode)
         x1 = layer_norm(x0 + a, params["l0.ln1.gamma"], params["l0.ln1.beta"])
         f = np.maximum(x1 @ params["l0.ffn.w1"] + params["l0.ffn.b1"], 0.0)
@@ -120,8 +120,7 @@ class TestDecoder:
         q = x0 @ params["l0.attn.wq0"]
         k = x0 @ params["l0.attn.wk0"]
         v = x0 @ params["l0.attn.wv0"]
-        a = masked.masked_output(q, k, v, params["l0.attn.filters0"][0],
-                                 mode="naive")
+        a = masked.masked_output(q, k, v, params["l0.attn.filters0"][0])
         a = a @ params["l0.attn.wo"]
         x1 = layer_norm(x0 + a, params["l0.ln1.gamma"], params["l0.ln1.beta"])
         f = np.maximum(x1 @ params["l0.ffn.w1"] + params["l0.ffn.b1"], 0.0)
@@ -285,6 +284,21 @@ class TestCheckpoint:
         for name in params:
             assert np.array_equal(loaded[name], params[name])
             assert loaded[name].dtype == params[name].dtype
+
+    def test_loaded_params_update_in_place(self, tmp_path, rng):
+        params = {"w": rng.standard_normal((3, 2)),
+                  "b": rng.standard_normal(2).astype(np.float32)}
+        path = tmp_path / "p.ckpt"
+        checkpoint.save_checkpoint(path, params, {})
+        loaded, _ = checkpoint.load_checkpoint(path)
+        loaded["w"] -= 1.0
+        loaded["b"] *= 2.0
+        assert np.array_equal(loaded["w"], params["w"] - 1.0)
+        checkpoint.save_checkpoint(path, loaded, {})
+        again, _ = checkpoint.load_checkpoint(path)
+        for name in loaded:
+            assert again[name].dtype == loaded[name].dtype
+            assert again[name].tobytes() == loaded[name].tobytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path, rng):
         params = {"w": rng.standard_normal((7, 3)),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dimattn import tensor
+from dimattn import grad, masked, tensor
 
 
 def loop_matmul(a, b):
@@ -54,64 +54,71 @@ class TestMatmul:
         assert worst <= 1e-9
 
 
+def softmax(m, axis=-1):
+    return grad.softmax_fwd(m, axis)[0]
+
+
 class TestSoftmaxAxis:
     def test_uniform_rows(self):
-        out = tensor.softmax_axis(np.zeros((2, 2)), "rows_over_k")
+        out = softmax(np.zeros((2, 2)))
         assert np.array_equal(out, np.full((2, 2), 0.5))
 
     def test_large_inputs_no_overflow(self):
-        out = tensor.softmax_axis(np.array([[1000.0, 1000.0]]), "rows_over_k")
+        out = softmax(np.array([[1000.0, 1000.0]]))
         assert np.isfinite(out).all()
         assert np.allclose(out, [[0.5, 0.5]])
 
     def test_closed_form(self):
         # e^0 / (e^0 + e^ln3) = 1/4
-        out = tensor.softmax_axis(np.array([[0.0, math.log(3.0)]]), "rows_over_k")
+        out = softmax(np.array([[0.0, math.log(3.0)]]))
         assert np.allclose(out, [[0.25, 0.75]], atol=1e-15)
 
     def test_shift_invariance(self, rng):
         m = rng.standard_normal((6, 6))
-        for axis in ("rows_over_k", "cols_over_j"):
-            a = tensor.softmax_axis(m, axis)
-            b = tensor.softmax_axis(m + 3.5, axis)
+        for axis in (-1, -2):
+            a = softmax(m, axis)
+            b = softmax(m + 3.5, axis)
             assert np.abs(a - b).max() <= 1e-12
 
     def test_slices_sum_to_one(self, rng):
         m = rng.standard_normal((5, 7)) * 4
-        assert np.abs(tensor.softmax_axis(m, "rows_over_k").sum(axis=1) - 1).max() <= 1e-12
-        assert np.abs(tensor.softmax_axis(m, "cols_over_j").sum(axis=0) - 1).max() <= 1e-12
+        assert np.abs(softmax(m, -1).sum(axis=1) - 1).max() <= 1e-12
+        assert np.abs(softmax(m, -2).sum(axis=0) - 1).max() <= 1e-12
 
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
-            tensor.softmax_axis(np.zeros((2, 2)), "diagonal")
+            softmax(np.zeros((2, 2)), 2)
 
 
 class TestCumOuter:
+    """Prefix sums of per-token outer products: slice t of the masked score
+    tensor is sum_{n <= t} q_n k_n^T."""
+
     def test_single_token(self, rng):
         q = rng.standard_normal((1, 3))
         k = rng.standard_normal((1, 3))
-        out = tensor.cum_outer(q, k)
-        assert np.allclose(out[0], np.outer(q[0], k[0]))
+        out = masked.masked_score_streaming(q, k)
+        assert np.allclose(out[:, :, 0], np.outer(q[0], k[0]))
 
     def test_hand_fixture(self):
         q = np.array([[2.0], [3.0]])
         k = np.array([[5.0], [7.0]])
-        out = tensor.cum_outer(q, k)
-        assert np.array_equal(out, np.array([[[10.0]], [[31.0]]]))
+        out = masked.masked_score_streaming(q, k)
+        assert np.array_equal(out, np.array([[[10.0, 31.0]]]))
 
     def test_zero_keys(self, rng):
         q = rng.standard_normal((4, 2))
-        assert not tensor.cum_outer(q, np.zeros((4, 2))).any()
+        assert not masked.masked_score_streaming(q, np.zeros((4, 2))).any()
 
     def test_last_slice_is_full_product(self, rng):
         q = rng.standard_normal((9, 4))
         k = rng.standard_normal((9, 4))
-        out = tensor.cum_outer(q, k)
-        assert np.abs(out[-1] - q.T @ k).max() <= 1e-10
+        out = masked.masked_score_streaming(q, k)
+        assert np.abs(out[:, :, -1] - q.T @ k).max() <= 1e-10
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            tensor.cum_outer(np.ones((3, 2)), np.ones((4, 2)))
+        with pytest.raises(ValueError, match="differ"):
+            masked.masked_score_streaming(np.ones((3, 2)), np.ones((4, 2)))
 
 
 class TestRandInit:
@@ -137,14 +144,3 @@ class TestRandInit:
         assert np.array_equal(b1, b2)
         assert not np.array_equal(a1, b1)
 
-
-def test_as_tensor_validates_order():
-    with pytest.raises(ValueError, match="order"):
-        tensor.as_tensor(np.zeros((2, 2, 2, 2)))
-    with pytest.raises(ValueError, match="precision"):
-        tensor.as_tensor([1.0], precision="f16")
-
-
-def test_assert_finite():
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        tensor.assert_finite(np.array([1.0, np.nan]), "probe")

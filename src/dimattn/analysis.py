@@ -58,7 +58,6 @@ def matmul_counts(m: int, k: int, n: int) -> Counts:
 @dataclass
 class FlopsReport:
     variant: str
-    config: dict
     components: dict = field(default_factory=dict)
 
     @property
@@ -95,8 +94,7 @@ def flops_token_attention(n: int, d: int, h: int = 1,
             **comps,
             "proj_out": matmul_counts(n, h * d, d_model),
         }
-    return FlopsReport("token", {"N": n, "d": d, "h": h,
-                                 "projections": include_projections}, comps)
+    return FlopsReport("token", comps)
 
 
 def flops_dim_attention(n: int, d: int, g: int = 1, c: int = 1,
@@ -122,8 +120,7 @@ def flops_dim_attention(n: int, d: int, g: int = 1, c: int = 1,
             **comps,
             "proj_out": matmul_counts(n, g * c * d, d_model),
         }
-    return FlopsReport("dim", {"N": n, "d": d, "g": g, "c": c,
-                               "projections": include_projections}, comps)
+    return FlopsReport("dim", comps)
 
 
 def flops_masked(n: int, d: int, streaming: bool) -> FlopsReport:
@@ -133,13 +130,13 @@ def flops_masked(n: int, d: int, streaming: bool) -> FlopsReport:
             "cum_outer": Counts(n * d * d, (n - 1) * d * d),
             "masked_mix": Counts(2 * n * d * d, n * d * (d - 1)),
         }
-        return FlopsReport("masked_streaming", {"N": n, "d": d}, comps)
+        return FlopsReport("masked_streaming", comps)
     comps = {
         "masked_scores_naive": Counts(2 * d * d * n * n, d * d * n * (n - 1)),
         "masked_kr": Counts(n * d * d, 0),
         "masked_conv": Counts(n * d * d, n * d * (d - 1)),
     }
-    return FlopsReport("masked_naive", {"N": n, "d": d}, comps)
+    return FlopsReport("masked_naive", comps)
 
 
 # ---------------------------------------------------------------------------

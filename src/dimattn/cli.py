@@ -129,7 +129,7 @@ def _cmd_train(args, task: str) -> int:
     ckpt_dir = args.ckpt_dir or os.path.join("runs", task)
     try:
         summary = run_training(cfg, ckpt_dir, metrics_path=args.metrics)
-    except OSError as e:
+    except (OSError, ValueError) as e:
         print(f"cannot run training: {e}", file=sys.stderr)
         return 2
     print(f"final valid nll: {summary['final_valid_nll']:.6f}")

@@ -35,9 +35,6 @@ class RunConfig:
     ffn_width: int = 256
     norm_mode: str = "softmax_rows_over_k"
     dropout: float = 0.1
-    tie_embeddings: bool = True
-    learned_positions: bool = False
-    scale_positions: bool = False
     precision: str = "f64"
     # training
     seed: int = 0
@@ -72,23 +69,15 @@ class RunConfig:
 
 
 def _convert(key: str, raw: str, target_type):
-    raw = raw.strip()
-    if target_type is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected true/false, got {raw!r}")
     try:
-        return target_type(raw)
+        return target_type(raw.strip())
     except ValueError as e:
         raise ConfigError(f"{key}: {e}") from e
 
 
 def parse_config(text: str) -> RunConfig:
-    known = {f.name: f.type for f in fields(RunConfig)}
-    types = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
     cfg = RunConfig()
+    types = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -97,7 +86,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         setattr(cfg, key, _convert(key, raw, types[key]))
     return cfg
@@ -114,4 +103,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError("config must set data=<corpus path>")
     if cfg.task not in ("mlm", "clm"):
         raise ConfigError(f"task must be mlm or clm, got {cfg.task!r}")
+    if cfg.vocab_cap < 0:
+        raise ConfigError(f"vocab_cap must be >= 0, got {cfg.vocab_cap}")
+    if not 0.0 < cfg.valid_fraction < 1.0:
+        raise ConfigError(f"valid_fraction must lie in (0, 1), got {cfg.valid_fraction}")
+    if cfg.eval_batches < 1:
+        raise ConfigError(f"eval_batches must be >= 1, got {cfg.eval_batches}")
     return cfg

@@ -178,7 +178,7 @@ def token_attention_fwd(q, k, v, causal=False, key_pad=None):
         TALLY.matmul("scores", n, d, kb.shape[1], batch=b)
         TALLY.matmul("attn_v", n, kb.shape[1], d, batch=b)
     scale = 1.0 / math.sqrt(d)
-    scores = np.einsum("bnd,bmd->bnm", qb, kb)
+    scores = qb @ kb.transpose(0, 2, 1)
     scores *= scale
     if causal:
         idx = np.arange(n)
@@ -189,7 +189,7 @@ def token_attention_fwd(q, k, v, causal=False, key_pad=None):
             pad = pad[None]
         scores = np.where(pad[:, None, :], -np.inf, scores)
     p, softmax = softmax_fwd(scores)
-    out = np.einsum("bnm,bmd->bnd", p, vb)
+    out = p @ vb
     if squeezed:
         out = out[0]
     return out, _node("token_attention", out, p=p, softmax=softmax, q=qb, k=kb,
@@ -200,11 +200,11 @@ def token_attention_bwd(node, u):
     s = node.saved
     ub = u[None] if s["squeezed"] else u
     p, q, k, v, scale = s["p"], s["q"], s["k"], s["v"], s["scale"]
-    dv = np.einsum("bnm,bnd->bmd", p, ub)
-    dp = np.einsum("bnd,bmd->bnm", ub, v)
+    dv = p.transpose(0, 2, 1) @ ub
+    dp = ub @ v.transpose(0, 2, 1)
     ds = softmax_bwd(s["softmax"], dp)["x"]
-    dq = np.einsum("bnm,bmd->bnd", ds, k) * scale
-    dk = np.einsum("bnm,bnd->bmd", ds, q) * scale
+    dq = (ds @ k) * scale
+    dk = (ds.transpose(0, 2, 1) @ q) * scale
     if s["squeezed"]:
         dq, dk, dv = dq[0], dk[0], dv[0]
     return {"q": dq, "k": dk, "v": dv}
@@ -224,11 +224,11 @@ def dim_attention_multi_fwd(q, k, v, ws, mode="none"):
         TALLY.matmul("scores", d, n, d, batch=b)
         TALLY.elemwise_mul("filter_gate", b * c * d * d)
         TALLY.matmul("filter_mix", n, d, d, batch=b * c)
-    s = np.einsum("bni,bnj->bij", qb, kb)
+    s = qb.transpose(0, 2, 1) @ kb
     fs, softmax = _norm_fwd(s, mode, n)
     a = ws[None, :, :, :] * fs[:, None, :, :]
-    o4 = np.einsum("bnm,bcjm->bcnj", vb, a)
-    out = o4.transpose(0, 2, 1, 3).reshape(b, n, c * d)
+    # columns (f, j) of the output: V @ A_f^T for every filter in one product
+    out = vb @ a.reshape(b, c * d, d).transpose(0, 2, 1)
     if squeezed:
         out = out[0]
     return out, _node("dim_attention_multi", out, q=qb, k=kb, v=vb, ws=ws,
@@ -241,25 +241,24 @@ def dim_attention_multi_bwd(node, u):
     b, n, d = q.shape
     c = ws.shape[0]
     ub = u[None] if s["squeezed"] else u
-    u4 = ub.reshape(b, n, c, d).transpose(0, 2, 1, 3)
-    dv = np.einsum("bcnj,bcjm->bnm", u4, a)
-    da = np.einsum("bcnj,bnm->bcjm", u4, v)
+    dv = ub @ a.reshape(b, c * d, d)
+    da = (ub.transpose(0, 2, 1) @ v).reshape(b, c, d, d)
     dws = np.einsum("bjm,bcjm->cjm", s["fs"], da)
     dfs = np.einsum("cjm,bcjm->bjm", ws, da)
     ds = _norm_bwd(dfs, s["mode"], s["softmax"], n)
-    dq = np.einsum("bij,bnj->bni", ds, k)
-    dk = np.einsum("bij,bni->bnj", ds, q)
+    dq = k @ ds.transpose(0, 2, 1)
+    dk = q @ ds
     if s["squeezed"]:
         dq, dk, dv = dq[0], dk[0], dv[0]
     return {"q": dq, "k": dk, "v": dv, "ws": dws}
 
 
-def masked_attention_multi_fwd(q, k, v, ws, scale_positions=False):
+def masked_attention_multi_fwd(q, k, v, ws):
     """Causal dimension-wise attention via the prefix-sum scan, c filters.
 
     The running state G_i = sum_{n<=i} q_n k_n^T is the cumulative sum of
-    per-token outer products; row i of filter f is (W_f * G_i) @ V[i, :],
-    times 1/sqrt(i+1) with scale_positions.  One filter is ws[None].
+    per-token outer products; row i of filter f is (W_f * G_i) @ V[i, :].
+    One filter is ws[None].
     """
     (qb, kb, vb), squeezed = _batched(q, k, v)
     b, n, d = qb.shape
@@ -269,15 +268,11 @@ def masked_attention_multi_fwd(q, k, v, ws, scale_positions=False):
         TALLY.add("masked_mix", 2 * b * c * n * d * d, b * c * n * d * (d - 1))
     cum = np.cumsum(qb[:, :, :, None] * kb[:, :, None, :], axis=1)
     o4 = np.einsum("cjm,bijm,bim->bcij", ws, cum, vb)
-    scales = None
-    if scale_positions:
-        scales = 1.0 / np.sqrt(np.arange(1, n + 1, dtype=qb.dtype))
-        o4 = o4 * scales[None, None, :, None]
     out = o4.transpose(0, 2, 1, 3).reshape(b, n, c * d)
     if squeezed:
         out = out[0]
     return out, _node("masked_attention_multi", out, q=qb, k=kb, v=vb, ws=ws,
-                      cum=cum, scales=scales, squeezed=squeezed)
+                      cum=cum, squeezed=squeezed)
 
 
 def masked_attention_multi_bwd(node, u):
@@ -287,8 +282,6 @@ def masked_attention_multi_bwd(node, u):
     c = ws.shape[0]
     ub = u[None] if s["squeezed"] else u
     u4 = ub.reshape(b, n, c, d).transpose(0, 2, 1, 3)
-    if s["scales"] is not None:
-        u4 = u4 * s["scales"][None, None, :, None]
     dv = np.einsum("bcij,cjm,bijm->bim", u4, ws, cum)
     dws = np.einsum("bcij,bijm,bim->cjm", u4, cum, v)
     dcum = np.einsum("bcij,cjm,bim->bijm", u4, ws, v)

@@ -3,11 +3,14 @@
 Architecture follows the original post-layer-norm transformer layout; only
 the attention sublayer differs between the two families:
 
-    x   = embed(ids) + positions
+    x   = embed(ids) * sqrt(d_model) + sinusoidal positions
     for each layer:
         x = LN1(x + dropout(attention(x)))
         x = LN2(x + dropout(ffn(x)))
-    logits = x @ embedding^T          (weight-tied head by default)
+    logits = x @ embedding^T
+
+The output head is always tied to the embedding and positions are always
+the fixed sinusoids; neither has parameters of its own.
 
 attention is either multi-head token attention or grouped multi-filter
 dimension-wise attention; the decoder uses the causal variants (prefix-sum
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grad
+from .grad import NORM_MODES
 from .tensor import derived_rng, rand_init
 
 _STREAM_DROPOUT = 0xD0
@@ -51,21 +55,29 @@ class BlockConfig:
     n_max: int = 100
     precision: str = "f64"
     dropout: float = 0.1
-    tie_embeddings: bool = True
-    learned_positions: bool = False
-    scale_positions: bool = False
 
     def __post_init__(self):
         if self.attention not in ("token", "dim"):
             raise ValueError(f"attention kind must be 'token' or 'dim', got {self.attention!r}")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        for name in ("n_max", "d_model", "heads", "groups", "convs", "ffn_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.layers < 0:
+            raise ValueError(f"layers must be >= 0, got {self.layers}")
+        if self.precision not in ("f32", "f64"):
+            raise ValueError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
+        if self.norm_mode not in NORM_MODES:
+            raise ValueError(f"unknown norm mode {self.norm_mode!r}, expected one of {NORM_MODES}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.attention == "token":
             if self.d_model % self.heads != 0:
                 raise ValueError(
                     f"d_model {self.d_model} not divisible by heads {self.heads}"
                 )
         else:
+            if self.head_dim < 0:
+                raise ValueError(f"head_dim must be >= 0, got {self.head_dim}")
             if self.head_dim == 0:
                 gc = self.groups * self.convs
                 if self.d_model % gc != 0:
@@ -114,13 +126,9 @@ def sinusoidal_positions(n_max: int, d_model: int) -> np.ndarray:
 
 
 def _param_specs(config: BlockConfig):
-    """Ordered (name, shape, init) triples; init is xavier/normal/ones/zeros."""
+    """Ordered (name, shape, init) triples; init is xavier/embed/ones/zeros."""
     dm, ffn = config.d_model, config.ffn_width
     specs = [("embed", (config.vocab_size, dm), "embed")]
-    if config.learned_positions:
-        specs.append(("pos", (config.n_max, dm), "normal"))
-    if not config.tie_embeddings:
-        specs.append(("head", (config.vocab_size, dm), "embed"))
     for i in range(config.layers):
         p = f"l{i}."
         if config.attention == "token":
@@ -163,8 +171,6 @@ def init_params(config: BlockConfig, seed: int) -> dict:
                                 for _ in range(shape[0])])
             else:
                 arr = rand_init(shape, "xavier_uniform", rng)
-        elif kind == "normal":
-            arr = rand_init(shape, "normal", rng, sigma=0.02)
         elif kind == "embed":
             # the forward pass scales embeddings by sqrt(d_model), so rows
             # come out at unit scale next to the O(1) positional encodings
@@ -193,7 +199,7 @@ def _merge_heads(x, b, h):
 
 
 def forward(params, ids, config: BlockConfig, decoder=False, train=False,
-            drop_rng=None, pad=None, zero_attention=False):
+            drop_rng=None, pad=None):
     """Run the model; returns (logits, cache) with cache holding the tape.
 
     ids is an int array [N] or [B, N]; pad is an optional bool array of the
@@ -217,19 +223,15 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
     if use_dropout and drop_rng is None:
         raise ValueError("training with dropout requires a dropout rng")
 
-    cache = {"config": config, "ids": ids, "single": single, "pad": pad,
-             "zero_attention": zero_attention, "layers": []}
+    cache = {"config": config, "ids": ids, "single": single, "decoder": decoder,
+             "layers": []}
 
     emb, emb_node = grad.embed_fwd(params["embed"], ids)
     emb_scale = math.sqrt(config.d_model)
-    if config.learned_positions:
-        pos = params["pos"][:n]
-    else:
-        pos = sinusoidal_positions(config.n_max, config.d_model)[:n].astype(config.dtype)
+    pos = sinusoidal_positions(config.n_max, config.d_model)[:n].astype(config.dtype)
     x = emb * emb_scale + pos
     cache["embed_node"] = emb_node
     cache["emb_scale"] = emb_scale
-    cache["n"] = n
 
     keep = None
     if pad is not None:
@@ -238,10 +240,7 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
     for i in range(config.layers):
         p = f"l{i}."
         lc = {"prefix": p}
-        if zero_attention:
-            a = np.zeros_like(x)
-            lc["attn"] = None
-        elif config.attention == "token":
+        if config.attention == "token":
             q, lc["nq"] = grad.linear_fwd(x, params[p + "attn.wq"])
             k, lc["nk"] = grad.linear_fwd(x, params[p + "attn.wk"])
             v, lc["nv"] = grad.linear_fwd(x, params[p + "attn.wv"])
@@ -252,7 +251,6 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
                                                       key_pad=key_pad)
             merged = _merge_heads(o, b, h)
             a, lc["no"] = grad.linear_fwd(merged, params[p + "attn.wo"])
-            lc["attn"] = "token"
         else:
             outs, groups = [], []
             for g in range(config.groups):
@@ -265,8 +263,7 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
                     k = k * keep[:, :, None]
                 ws = params[p + f"attn.filters{g}"]
                 if decoder:
-                    o, gc["nattn"] = grad.masked_attention_multi_fwd(
-                        q, k, v, ws, scale_positions=config.scale_positions)
+                    o, gc["nattn"] = grad.masked_attention_multi_fwd(q, k, v, ws)
                 else:
                     o, gc["nattn"] = grad.dim_attention_multi_fwd(
                         q, k, v, ws, mode=config.norm_mode)
@@ -274,9 +271,8 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
                 groups.append(gc)
             concat = np.concatenate(outs, axis=2) if len(outs) > 1 else outs[0]
             a, lc["no"] = grad.linear_fwd(concat, params[p + "attn.wo"])
-            lc["attn"] = "dim"
             lc["groups"] = groups
-        if use_dropout and not zero_attention:
+        if use_dropout:
             a, lc["ndrop1"] = grad.dropout_fwd(a, config.dropout, drop_rng)
         x1, lc["nln1"] = grad.layer_norm_fwd(x + a, params[p + "ln1.gamma"],
                                              params[p + "ln1.beta"])
@@ -290,10 +286,9 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
                                             params[p + "ln2.beta"])
         cache["layers"].append(lc)
 
-    head = params["embed"] if config.tie_embeddings else params["head"]
-    logits = np.einsum("bnd,vd->bnv", x, head)
+    logits = np.einsum("bnd,vd->bnv", x, params["embed"])
     cache["x_final"] = x
-    cache["head"] = head
+    cache["head"] = params["embed"]
     if single:
         return logits[0], cache
     return logits, cache
@@ -331,7 +326,7 @@ def backward_from_cache(cache, dlogits) -> dict:
     head = cache["head"]
     dx = np.einsum("bnv,vd->bnd", dlogits, head)
     dhead = np.einsum("bnv,bnd->vd", dlogits, cache["x_final"])
-    acc("embed" if config.tie_embeddings else "head", dhead)
+    acc("embed", dhead)
 
     for lc in reversed(cache["layers"]):
         p = lc["prefix"]
@@ -356,50 +351,35 @@ def backward_from_cache(cache, dlogits) -> dict:
         acc(p + "ln1.beta", g1["beta"])
         dres1 = g1["x"]  # gradient of x + a
         dx = dres1.copy()
-        if lc["attn"] is None:
-            continue
         da = dres1
         if "ndrop1" in lc:
             da = grad.dropout_bwd(lc["ndrop1"], da)["x"]
         go = grad.linear_bwd(lc["no"], da)
         acc(p + "attn.wo", go["w"])
         dconcat = go["x"]
-        if lc["attn"] == "token":
+        if config.attention == "token":
             b = cache["ids"].shape[0]
             h = config.heads
             dmerged = _split_heads(dconcat, h)
             ga = grad.token_attention_bwd(lc["nattn"], dmerged)
-            dq = _merge_heads(ga["q"], b, h)
-            dk = _merge_heads(ga["k"], b, h)
-            dv = _merge_heads(ga["v"], b, h)
-            for node_key, wname, d in (("nq", "wq", dq), ("nk", "wk", dk), ("nv", "wv", dv)):
-                gl = grad.linear_bwd(lc[node_key], d)
-                acc(p + "attn." + wname, gl["w"])
+            for t in ("q", "k", "v"):
+                gl = grad.linear_bwd(lc["n" + t], _merge_heads(ga[t], b, h))
+                acc(p + f"attn.w{t}", gl["w"])
                 dx += gl["x"]
         else:
-            keep = cache["pad"]
-            keep = None if keep is None else (~np.asarray(keep, dtype=bool))
+            # forward zeroed q and k at padded positions, so their
+            # gradients there are already zero
             width = config.convs * config.head_dim
             for g, gc in enumerate(lc["groups"]):
                 du = dconcat[:, :, g * width:(g + 1) * width]
-                ga = grad.masked_attention_multi_bwd(gc["nattn"], du) \
-                    if gc["nattn"].op == "masked_attention_multi" \
-                    else grad.dim_attention_multi_bwd(gc["nattn"], du)
+                ga = (grad.masked_attention_multi_bwd if cache["decoder"]
+                      else grad.dim_attention_multi_bwd)(gc["nattn"], du)
                 acc(p + f"attn.filters{g}", ga["ws"])
-                dq, dk, dv = ga["q"], ga["k"], ga["v"]
-                if keep is not None:
-                    dq = dq * keep[:, :, None]
-                    dk = dk * keep[:, :, None]
-                for node_key, wname, d in (("nq", f"wq{g}", dq), ("nk", f"wk{g}", dk),
-                                           ("nv", f"wv{g}", dv)):
-                    gl = grad.linear_bwd(gc[node_key], d)
-                    acc(p + "attn." + wname, gl["w"])
+                for t in ("q", "k", "v"):
+                    gl = grad.linear_bwd(gc["n" + t], ga[t])
+                    acc(p + f"attn.w{t}{g}", gl["w"])
                     dx += gl["x"]
 
-    if config.learned_positions:
-        dpos = np.zeros((config.n_max, config.d_model), dtype=dx.dtype)
-        dpos[: cache["n"]] = dx.sum(axis=0)
-        acc("pos", dpos)
     ge = grad.embed_bwd(cache["embed_node"], dx * cache["emb_scale"])
     acc("embed", ge["table"])
     return grads

@@ -24,13 +24,14 @@ def _load_windows(cfg: RunConfig):
     vocab, ids = data.build_corpus(cfg.data, cfg.tokenizer, cfg.vocab_cap)
     win, pad = data.windows(ids, cfg.seq_len)
     train_split, valid_split = data.split_windows(win, pad, cfg.valid_fraction)
+    if valid_split[0].shape[0] == 0:
+        raise ValueError(f"empty held-out split: {win.shape[0]} window(s) of "
+                         f"{cfg.seq_len} tokens, valid_fraction {cfg.valid_fraction}")
     return vocab, train_split, valid_split
 
 
 def _eval_nll(params, bc, cfg: RunConfig, valid_split, decoder: bool) -> float:
     win, pad = valid_split
-    if win.shape[0] == 0:
-        return float("nan")
     num_batches = min(cfg.eval_batches,
                       (win.shape[0] + cfg.batch_size - 1) // cfg.batch_size)
     total, count = 0.0, 0
@@ -41,7 +42,7 @@ def _eval_nll(params, bc, cfg: RunConfig, valid_split, decoder: bool) -> float:
         else:
             batch = data.clm_batch(win, pad, cfg.seed, step, cfg.batch_size,
                                    eval_mode=True)
-        if batch.inputs.shape[0] == 0 or not batch.mask.any():
+        if not batch.mask.any():
             continue
         logits, _ = model.forward(params, batch.inputs, bc, decoder=decoder,
                                   pad=batch.pad)
@@ -49,21 +50,23 @@ def _eval_nll(params, bc, cfg: RunConfig, valid_split, decoder: bool) -> float:
         n = int(batch.mask.sum())
         total += loss * n
         count += n
-    return total / count if count else float("nan")
+    if not count:
+        raise ValueError("no held-out token was scored; check eval_batches")
+    return total / count
 
 
 def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
                  log=print) -> dict:
     """Train per the config; returns {'final_valid_nll', 'metrics_path', ...}."""
-    os.makedirs(ckpt_dir, exist_ok=True)
-    if metrics_path is None:
-        metrics_path = os.path.join(ckpt_dir, "metrics.csv")
     vocab, train_split, valid_split = _load_windows(cfg)
     bc = cfg.block_config(vocab.size)
     tc = cfg.train_config()
     decoder = cfg.task == "clm"
     params = model.init_params(bc, tc.seed)
     state = model.AdamState()
+    os.makedirs(ckpt_dir, exist_ok=True)
+    if metrics_path is None:
+        metrics_path = os.path.join(ckpt_dir, "metrics.csv")
 
     log_lines = [f"{line}" for line in cfg.echo_lines()]
     log_lines.append(f"vocab_size={vocab.size}")
@@ -74,7 +77,6 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
 
     win, pad = train_split
     rows = []
-    valid_nll = float("nan")
     for step in range(tc.steps):
         if cfg.task == "mlm":
             batch = data.mlm_batch(win, pad, bc.vocab_size, tc.seed, step,

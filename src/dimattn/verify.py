@@ -275,8 +275,7 @@ _FD_OP_CASES = [
                                    {"causal": bool(r.integers(0, 2))})),
     ("dim_attention_multi", lambda r: (
         _attention_inputs(r, 5, 3), {"mode": attention.NORM_MODES[int(r.integers(0, 4))]})),
-    ("masked_attention_multi", lambda r: (
-        _attention_inputs(r, 4, 2), {"scale_positions": bool(r.integers(0, 2))})),
+    ("masked_attention_multi", lambda r: (_attention_inputs(r, 4, 2), {})),
     ("cross_entropy_masked", lambda r: (
         {"logits": r.standard_normal((2, 4, 6))},
         {"targets": r.integers(0, 6, (2, 4)),
@@ -340,17 +339,23 @@ def suite_gradient_ops(seed=0):
                 f"shared-input sum rule {worst_dup:.1e}")
 
 
-def _tiny_encoder_fd(seed, decoder=False):
-    bc = model.BlockConfig(vocab_size=9, d_model=6, layers=1, attention="dim",
-                           groups=1, convs=2, head_dim=3, ffn_width=8,
-                           n_max=5, dropout=0.0)
+def _tiny_model_fd(bc, seed, decoder=False, pad=None):
+    """Worst relative error of model.loss_and_grads against central
+    differences over every parameter entry, on a batch of two length-5 rows."""
     params = model.init_params(bc, seed)
     rng = make_rng(seed + 1)
-    ids = rng.integers(0, 9, (2, 5))
-    targets = rng.integers(0, 9, (2, 5))
+    ids = rng.integers(0, bc.vocab_size, (2, 5))
+    targets = rng.integers(0, bc.vocab_size, (2, 5))
     mask = rng.random((2, 5)) < 0.5
     mask[0, 0] = True
-    _, grads = model.loss_and_grads(params, ids, targets, mask, bc, decoder=decoder)
+    if pad is not None:
+        mask &= ~pad
+
+    def loss_and_grads():
+        return model.loss_and_grads(params, ids, targets, mask, bc,
+                                    decoder=decoder, pad=pad)
+
+    _, grads = loss_and_grads()
     h = 1e-5
     worst = 0.0
     for name, arr in params.items():
@@ -359,9 +364,9 @@ def _tiny_encoder_fd(seed, decoder=False):
             idx = it.multi_index
             old = arr[idx]
             arr[idx] = old + h
-            lp, _ = model.loss_and_grads(params, ids, targets, mask, bc, decoder=decoder)
+            lp, _ = loss_and_grads()
             arr[idx] = old - h
-            lm, _ = model.loss_and_grads(params, ids, targets, mask, bc, decoder=decoder)
+            lm, _ = loss_and_grads()
             arr[idx] = old
             num = (lp - lm) / (2 * h)
             a = float(grads[name][idx])
@@ -370,11 +375,29 @@ def _tiny_encoder_fd(seed, decoder=False):
 
 
 def suite_gradient_end_to_end(seed=0):
-    worst_enc = _tiny_encoder_fd(seed)
-    worst_dec = _tiny_encoder_fd(seed + 7, decoder=True)
-    ok = worst_enc <= 1e-3 and worst_dec <= 1e-3
-    return ok, (f"tiny encoder rel err {worst_enc:.2e}, decoder {worst_dec:.2e} "
-                f"(<= 1e-3)")
+    """Whole-model FD: dim with one and two groups, token with two heads, and
+    both kinds on a batch whose second row is padded from position 3; each as
+    encoder and as decoder."""
+    shared = dict(vocab_size=9, layers=1, ffn_width=8, n_max=5, dropout=0.0)
+    dim = model.BlockConfig(d_model=6, convs=2, head_dim=3, **shared)
+    token = model.BlockConfig(d_model=6, attention="token", heads=2, **shared)
+    pad = np.zeros((2, 5), dtype=bool)
+    pad[1, 3:] = True
+    cases = [
+        ("dim", dim, None),
+        ("dim groups=2", model.BlockConfig(d_model=8, groups=2, convs=2, head_dim=2,
+                                           **shared), None),
+        ("token heads=2", token, None),
+        ("dim padded", dim, pad),
+        ("token padded", token, pad),
+    ]
+    worst = {}
+    for i, (label, bc, p) in enumerate(cases):
+        for decoder in (False, True):
+            key = f"{label} {'decoder' if decoder else 'encoder'}"
+            worst[key] = _tiny_model_fd(bc, seed + 7 * decoder + 13 * i, decoder, p)
+    ok = max(worst.values()) <= 1e-3
+    return ok, ", ".join(f"{k} {v:.1e}" for k, v in worst.items()) + " (<= 1e-3)"
 
 
 def suite_flops_consistency(seed=0):

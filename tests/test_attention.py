@@ -94,9 +94,12 @@ class TestMultiHeadBaseline:
         params = model.init_params(bc, 1)
         params["l0.attn.wo"] = np.zeros((4, 4))
         ids = rng.integers(0, 11, 5)
-        with_attention, _ = model.forward(params, ids, bc)
-        without, _ = model.forward(params, ids, bc, zero_attention=True)
-        assert np.array_equal(with_attention, without)
+        base, _ = model.forward(params, ids, bc)
+        for name in ("wq", "wk", "wv"):
+            perturbed = dict(params)
+            perturbed["l0.attn." + name] = params["l0.attn." + name] + 1.0
+            logits, _ = model.forward(perturbed, ids, bc)
+            assert np.array_equal(logits, base), name
 
     def test_two_heads_match_loop_oracle(self, rng):
         bc = model.BlockConfig(vocab_size=11, d_model=4, layers=1, attention="token",

@@ -97,15 +97,13 @@ class TestAttentionRules:
         assert grad.fd_check("dim_attention_multi", inputs,
                              attrs={"mode": "softmax_cols_over_j"}) <= 1e-4
 
-    @pytest.mark.parametrize("scale", [False, True])
-    def test_masked_attention_fd(self, scale):
-        r = make_rng(31 + scale)
+    def test_masked_attention_fd(self):
+        r = make_rng(31)
         inputs = {"q": r.standard_normal((4, 2)),
                   "k": r.standard_normal((4, 2)),
                   "v": r.standard_normal((4, 2)),
                   "ws": r.standard_normal((1, 2, 2))}
-        assert grad.fd_check("masked_attention_multi", inputs,
-                             attrs={"scale_positions": scale}) <= 1e-4
+        assert grad.fd_check("masked_attention_multi", inputs) <= 1e-4
 
     def test_shared_query_key_gradient_sums_partials(self):
         r = make_rng(3)

@@ -1,9 +1,10 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dimattn import checkpoint, cli, config, data, model
+from dimattn import checkpoint, cli, config, data, model, train
 from dimattn.tensor import make_rng
 
 
@@ -123,16 +124,17 @@ class TestRunConfig:
             "# a comment\n"
             "task = clm\n"
             "steps=50\n"
-            "lr = 0.002   # inline comment\n"
-            "tie_embeddings = false\n")
+            "lr = 0.002   # inline comment\n")
         assert cfg.task == "clm"
         assert cfg.steps == 50
         assert cfg.lr == pytest.approx(0.002)
-        assert cfg.tie_embeddings is False
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(config.ConfigError, match="unknown key"):
-            config.parse_config("learning_rate = 0.1\n")
+        # the last three were model switches that are now fixed
+        for line in ("learning_rate = 0.1", "tie_embeddings = false",
+                     "learned_positions = true", "scale_positions = true"):
+            with pytest.raises(config.ConfigError, match="unknown key"):
+                config.parse_config(line + "\n")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(config.ConfigError, match="key=value"):
@@ -158,10 +160,25 @@ class TestRunConfig:
         assert any(line.startswith("seq_len=") for line in lines)
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    cfg = config.load_config(path)
+    assert cfg.block_config(vocab_size=40).vocab_size == 40
+    assert cfg.train_config().steps == cfg.steps
+
+
 def test_package_exports_resolve():
     import dimattn
     missing = [name for name in dimattn.__all__ if not hasattr(dimattn, name)]
     assert not missing
+
+
+TINY_CONFIG = ("seq_len = 16\nd_model = 8\nlayers = 1\nconvs = 2\nhead_dim = 4\n"
+               "ffn_width = 16\nbatch_size = 2\nsteps = 6\nwarmup = 2\n"
+               "eval_interval = 6\neval_batches = 1\n")
 
 
 @pytest.fixture(scope="module")
@@ -169,10 +186,7 @@ def tiny_run(tmp_path_factory, corpus_path):
     """A 6-step masked-LM run; returns its checkpoint path."""
     root = tmp_path_factory.mktemp("tiny-run")
     cfg = root / "tiny.cfg"
-    cfg.write_text(
-        f"data = {corpus_path}\nseq_len = 16\nd_model = 8\nlayers = 1\nconvs = 2\n"
-        "head_dim = 4\nffn_width = 16\nbatch_size = 2\nsteps = 6\nwarmup = 2\n"
-        "eval_interval = 6\neval_batches = 1\n", encoding="utf-8")
+    cfg.write_text(f"data = {corpus_path}\n{TINY_CONFIG}", encoding="utf-8")
     assert cli.main(["train-mlm", "--config", str(cfg),
                      "--ckpt-dir", str(root / "run")]) == 0
     return root / "run" / "final.ckpt"
@@ -197,6 +211,58 @@ class TestEvalRejectsMismatch:
         out, err = capsys.readouterr()
         assert "valid nll" not in out
         assert "warp_factor" in err
+
+
+class TestBadConfigValues:
+    """Each value is rejected with exit 2 before a step runs: no NLL is
+    printed and no checkpoint is written."""
+
+    @pytest.mark.parametrize("task,line", [
+        ("mlm", "precision = f16"),
+        ("mlm", "norm_mode = bogus"),
+        ("clm", "norm_mode = bogus"),
+        ("mlm", "vocab_cap = -1"),
+        ("mlm", "valid_fraction = 1.5"),
+        ("mlm", "valid_fraction = 0"),
+        ("mlm", "eval_batches = 0"),
+        ("mlm", "attention = foo"),
+        ("mlm", "tokenizer = bpe"),
+        ("mlm", "dropout = 1.5"),
+        ("mlm", "lr = -1"),
+        ("mlm", "seq_len = 0"),
+        ("mlm", "head_dim = -2"),
+        ("mlm", "attention = token\nheads = 0"),
+        ("mlm", "groups = 0"),
+        ("mlm", "d_model = 0"),
+        ("mlm", "layers = -1"),
+        ("mlm", "data = {empty}"),
+        ("clm", "data = {one_window}"),
+    ])
+    def test_exits_2(self, task, line, tmp_path, corpus_path, capsys):
+        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+        (tmp_path / "one.txt").write_text("abcabc\n", encoding="utf-8")
+        line = line.format(empty=tmp_path / "empty.txt", one_window=tmp_path / "one.txt")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"data = {corpus_path}\n{TINY_CONFIG}{line}\n", encoding="utf-8")
+        rc = cli.main([f"train-{task}", "--config", str(cfg),
+                       "--ckpt-dir", str(tmp_path / "run")])
+        out, err = capsys.readouterr()
+        assert rc == 2, err
+        assert "nll" not in out
+        assert not (tmp_path / "run" / "final.ckpt").exists()
+
+    def test_eval_on_one_window_corpus_exits_2(self, tiny_run, tmp_path, capsys):
+        short = tmp_path / "one.txt"
+        short.write_text("abcabc\n", encoding="utf-8")
+        assert cli.main(["eval", "--ckpt", str(tiny_run), "--data", str(short)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert "empty held-out split" in err
+
+    def test_unscored_eval_raises(self, corpus_path, tmp_path):
+        cfg = config.parse_config(f"data = {corpus_path}\n{TINY_CONFIG}eval_batches = 0\n")
+        with pytest.raises(ValueError, match="no held-out token"):
+            train.run_training(cfg, str(tmp_path / "run"), log=lambda line: None)
 
 
 class TestCli:

@@ -93,10 +93,9 @@ class TestMaskedKrTensor:
             masked.masked_kr_tensor(np.zeros((2, 2, 3)), np.ones((4, 2)))
 
 
-def masked_attention(q, k, v, w, scale_positions=False):
+def masked_attention(q, k, v, w):
     """The training kernel with one filter."""
-    return grad.masked_attention_multi_fwd(q, k, v, w[None],
-                                           scale_positions=scale_positions)[0]
+    return grad.masked_attention_multi_fwd(q, k, v, w[None])[0]
 
 
 class TestMaskedOutput:
@@ -122,14 +121,6 @@ class TestMaskedOutput:
         a = masked.masked_output(q, k, v, w)
         b = masked.masked_output_vectorized_naive(q, k, v, w)
         assert np.abs(a - b).max() <= 1e-10
-
-    def test_position_scaling(self, rng):
-        q, k, v = (rng.standard_normal((4, 2)) for _ in range(3))
-        w = rng.standard_normal((2, 2))
-        plain = masked_attention(q, k, v, w)
-        scaled = masked_attention(q, k, v, w, scale_positions=True)
-        expected = plain * (1.0 / np.sqrt(np.arange(1, 5)))[:, None]
-        assert np.abs(scaled - expected).max() <= 1e-12
 
 
 class TestCausality:

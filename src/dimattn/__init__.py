@@ -42,10 +42,9 @@ from .masked import (
     masked_score_naive,
     masked_score_streaming,
 )
+from .config import RunConfig
 from .model import (
     AdamState,
-    BlockConfig,
-    TrainConfig,
     decoder_forward,
     encoder_forward,
     init_params,
@@ -57,8 +56,8 @@ from .tensor import make_rng, matmul, rand_init
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "BlockConfig", "FlopsReport", "NORM_MODES", "SweepResult",
-    "TrainConfig", "bench_sweep", "causal_mask", "conv_extract",
+    "AdamState", "FlopsReport", "NORM_MODES", "RunConfig", "SweepResult",
+    "bench_sweep", "causal_mask", "conv_extract",
     "covariance_identity_check", "decoder_forward", "dim_attention_materialized",
     "dim_attention_multi_fwd", "dim_score", "encoder_forward", "explicit_rep",
     "flops_dim_attention", "flops_masked", "flops_token_attention",

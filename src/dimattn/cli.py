@@ -116,16 +116,16 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_train(args, task: str) -> int:
+    from dataclasses import replace
+
     from .config import ConfigError, load_config
     from .train import run_training
     try:
         cfg = load_config(args.config)
+        cfg = replace(cfg, task=task, seed=cfg.seed if args.seed is None else args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    cfg.task = task
-    if args.seed is not None:
-        cfg.seed = args.seed
     ckpt_dir = args.ckpt_dir or os.path.join("runs", task)
     try:
         summary = run_training(cfg, ckpt_dir, metrics_path=args.metrics)

@@ -121,6 +121,9 @@ def softmax_fwd(x, axis=-1):
     p = x - x.max(axis=axis, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=axis, keepdims=True)
+    # a subnormal probability moves no result at this precision, but every
+    # product that reads it runs many times slower
+    p[p < np.finfo(p.dtype).tiny] = 0.0
     return p, _node("softmax", p, p=p, axis=axis)
 
 

@@ -21,6 +21,10 @@ identical values for them regardless of attention kind.
 
 The backward pass is written out explicitly: forward stores per-layer tape
 nodes and `backward_from_cache` walks them in reverse.
+
+Every function takes the one `config.RunConfig`: the model reads its shape
+fields (`vocab_size` set from the corpus, `seq_len` as the longest
+sequence), Adam and the training step its optimizer fields.
 """
 
 from __future__ import annotations
@@ -32,87 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grad
-from .grad import NORM_MODES
+from .config import RunConfig
 from .tensor import derived_rng, rand_init
 
 _STREAM_DROPOUT = 0xD0
-
-
-@dataclass
-class BlockConfig:
-    """Shape of the model; `attention` is "token" or "dim"."""
-
-    vocab_size: int
-    d_model: int = 64
-    layers: int = 2
-    attention: str = "dim"
-    heads: int = 4            # token kind
-    groups: int = 1           # dim kind
-    convs: int = 8            # dim kind: filters per group
-    head_dim: int = 0         # dim kind; 0 means d_model // (groups * convs)
-    ffn_width: int = 256
-    norm_mode: str = "softmax_rows_over_k"
-    n_max: int = 100
-    precision: str = "f64"
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.attention not in ("token", "dim"):
-            raise ValueError(f"attention kind must be 'token' or 'dim', got {self.attention!r}")
-        for name in ("n_max", "d_model", "heads", "groups", "convs", "ffn_width"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
-        if self.precision not in ("f32", "f64"):
-            raise ValueError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"unknown norm mode {self.norm_mode!r}, expected one of {NORM_MODES}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.attention == "token":
-            if self.d_model % self.heads != 0:
-                raise ValueError(
-                    f"d_model {self.d_model} not divisible by heads {self.heads}"
-                )
-        else:
-            if self.head_dim < 0:
-                raise ValueError(f"head_dim must be >= 0, got {self.head_dim}")
-            if self.head_dim == 0:
-                gc = self.groups * self.convs
-                if self.d_model % gc != 0:
-                    raise ValueError(
-                        f"d_model {self.d_model} not divisible by groups*convs {gc}; "
-                        "set head_dim explicitly"
-                    )
-                self.head_dim = self.d_model // gc
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == "f32" else np.float64
-
-
-@dataclass
-class TrainConfig:
-    seed: int = 0
-    batch_size: int = 8
-    steps: int = 1000
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-9
-    warmup: int = 400
-    clip: float = 1.0
-    eval_interval: int = 100
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("Adam betas must lie in (0, 1)")
-        for name in ("batch_size", "steps", "warmup", "eval_interval"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.lr < 0 or self.eps <= 0 or self.clip <= 0:
-            raise ValueError("lr must be >= 0; eps and clip must be > 0")
 
 
 def sinusoidal_positions(n_max: int, d_model: int) -> np.ndarray:
@@ -125,13 +52,13 @@ def sinusoidal_positions(n_max: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def _param_specs(config: BlockConfig):
+def _param_specs(cfg: RunConfig):
     """Ordered (name, shape, init) triples; init is xavier/embed/ones/zeros."""
-    dm, ffn = config.d_model, config.ffn_width
-    specs = [("embed", (config.vocab_size, dm), "embed")]
-    for i in range(config.layers):
+    dm, ffn = cfg.d_model, cfg.ffn_width
+    specs = [("embed", (cfg.vocab_size, dm), "embed")]
+    for i in range(cfg.layers):
         p = f"l{i}."
-        if config.attention == "token":
+        if cfg.attention == "token":
             specs += [
                 (p + "attn.wq", (dm, dm), "xavier"),
                 (p + "attn.wk", (dm, dm), "xavier"),
@@ -139,15 +66,15 @@ def _param_specs(config: BlockConfig):
                 (p + "attn.wo", (dm, dm), "xavier"),
             ]
         else:
-            d = config.head_dim
-            for g in range(config.groups):
+            d = cfg.head_dim
+            for g in range(cfg.groups):
                 specs += [
                     (p + f"attn.wq{g}", (dm, d), "xavier"),
                     (p + f"attn.wk{g}", (dm, d), "xavier"),
                     (p + f"attn.wv{g}", (dm, d), "xavier"),
-                    (p + f"attn.filters{g}", (config.convs, d, d), "xavier"),
+                    (p + f"attn.filters{g}", (cfg.convs, d, d), "xavier"),
                 ]
-            specs.append((p + "attn.wo", (config.groups * config.convs * d, dm), "xavier"))
+            specs.append((p + "attn.wo", (cfg.groups * cfg.convs * d, dm), "xavier"))
         specs += [
             (p + "ln1.gamma", (dm,), "ones"),
             (p + "ln1.beta", (dm,), "zeros"),
@@ -161,9 +88,9 @@ def _param_specs(config: BlockConfig):
     return specs
 
 
-def init_params(config: BlockConfig, seed: int) -> dict:
+def init_params(cfg: RunConfig, seed: int) -> dict:
     params = {}
-    for name, shape, kind in _param_specs(config):
+    for name, shape, kind in _param_specs(cfg):
         rng = derived_rng(seed, zlib.crc32(name.encode()))
         if kind == "xavier":
             if len(shape) == 3:
@@ -174,12 +101,12 @@ def init_params(config: BlockConfig, seed: int) -> dict:
         elif kind == "embed":
             # the forward pass scales embeddings by sqrt(d_model), so rows
             # come out at unit scale next to the O(1) positional encodings
-            arr = rand_init(shape, "normal", rng, sigma=1.0 / math.sqrt(config.d_model))
+            arr = rand_init(shape, "normal", rng, sigma=1.0 / math.sqrt(cfg.d_model))
         elif kind == "ones":
             arr = np.ones(shape)
         else:
             arr = np.zeros(shape)
-        params[name] = arr.astype(config.dtype)
+        params[name] = arr.astype(cfg.dtype)
     return params
 
 
@@ -198,7 +125,7 @@ def _merge_heads(x, b, h):
     return x.reshape(b, h, n, d).transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
 
-def forward(params, ids, config: BlockConfig, decoder=False, train=False,
+def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
             drop_rng=None, pad=None):
     """Run the model; returns (logits, cache) with cache holding the tape.
 
@@ -212,23 +139,23 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
         if pad is not None:
             pad = np.asarray(pad)[None]
     b, n = ids.shape
-    if n > config.n_max:
-        raise ValueError(f"sequence length {n} exceeds n_max {config.n_max}")
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
+    if n > cfg.seq_len:
+        raise ValueError(f"sequence length {n} exceeds seq_len {cfg.seq_len}")
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(
-            f"token id out of range [0, {config.vocab_size}): "
+            f"token id out of range [0, {cfg.vocab_size}): "
             f"min {ids.min()}, max {ids.max()}"
         )
-    use_dropout = train and config.dropout > 0.0
+    use_dropout = train and cfg.dropout > 0.0
     if use_dropout and drop_rng is None:
         raise ValueError("training with dropout requires a dropout rng")
 
-    cache = {"config": config, "ids": ids, "single": single, "decoder": decoder,
+    cache = {"cfg": cfg, "ids": ids, "single": single, "decoder": decoder,
              "layers": []}
 
     emb, emb_node = grad.embed_fwd(params["embed"], ids)
-    emb_scale = math.sqrt(config.d_model)
-    pos = sinusoidal_positions(config.n_max, config.d_model)[:n].astype(config.dtype)
+    emb_scale = math.sqrt(cfg.d_model)
+    pos = sinusoidal_positions(cfg.seq_len, cfg.d_model)[:n].astype(cfg.dtype)
     x = emb * emb_scale + pos
     cache["embed_node"] = emb_node
     cache["emb_scale"] = emb_scale
@@ -237,14 +164,14 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
     if pad is not None:
         keep = (~np.asarray(pad, dtype=bool)).astype(x.dtype)
 
-    for i in range(config.layers):
+    for i in range(cfg.layers):
         p = f"l{i}."
         lc = {"prefix": p}
-        if config.attention == "token":
+        if cfg.attention == "token":
             q, lc["nq"] = grad.linear_fwd(x, params[p + "attn.wq"])
             k, lc["nk"] = grad.linear_fwd(x, params[p + "attn.wk"])
             v, lc["nv"] = grad.linear_fwd(x, params[p + "attn.wv"])
-            h = config.heads
+            h = cfg.heads
             qh, kh, vh = _split_heads(q, h), _split_heads(k, h), _split_heads(v, h)
             key_pad = None if pad is None else np.repeat(pad, h, axis=0)
             o, lc["nattn"] = grad.token_attention_fwd(qh, kh, vh, causal=decoder,
@@ -253,7 +180,7 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
             a, lc["no"] = grad.linear_fwd(merged, params[p + "attn.wo"])
         else:
             outs, groups = [], []
-            for g in range(config.groups):
+            for g in range(cfg.groups):
                 gc = {}
                 q, gc["nq"] = grad.linear_fwd(x, params[p + f"attn.wq{g}"])
                 k, gc["nk"] = grad.linear_fwd(x, params[p + f"attn.wk{g}"])
@@ -266,14 +193,14 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
                     o, gc["nattn"] = grad.masked_attention_multi_fwd(q, k, v, ws)
                 else:
                     o, gc["nattn"] = grad.dim_attention_multi_fwd(
-                        q, k, v, ws, mode=config.norm_mode)
+                        q, k, v, ws, mode=cfg.norm_mode)
                 outs.append(o)
                 groups.append(gc)
             concat = np.concatenate(outs, axis=2) if len(outs) > 1 else outs[0]
             a, lc["no"] = grad.linear_fwd(concat, params[p + "attn.wo"])
             lc["groups"] = groups
         if use_dropout:
-            a, lc["ndrop1"] = grad.dropout_fwd(a, config.dropout, drop_rng)
+            a, lc["ndrop1"] = grad.dropout_fwd(a, cfg.dropout, drop_rng)
         x1, lc["nln1"] = grad.layer_norm_fwd(x + a, params[p + "ln1.gamma"],
                                              params[p + "ln1.beta"])
 
@@ -281,12 +208,13 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
         r, lc["nrelu"] = grad.relu_fwd(h1)
         f, lc["nff2"] = grad.linear_fwd(r, params[p + "ffn.w2"], params[p + "ffn.b2"])
         if use_dropout:
-            f, lc["ndrop2"] = grad.dropout_fwd(f, config.dropout, drop_rng)
+            f, lc["ndrop2"] = grad.dropout_fwd(f, cfg.dropout, drop_rng)
         x, lc["nln2"] = grad.layer_norm_fwd(x1 + f, params[p + "ln2.gamma"],
                                             params[p + "ln2.beta"])
         cache["layers"].append(lc)
 
-    logits = np.einsum("bnd,vd->bnv", x, params["embed"])
+    # the tied head as one 2-D product, which reaches BLAS
+    logits = (x.reshape(b * n, -1) @ params["embed"].T).reshape(b, n, -1)
     cache["x_final"] = x
     cache["head"] = params["embed"]
     if single:
@@ -294,15 +222,15 @@ def forward(params, ids, config: BlockConfig, decoder=False, train=False,
     return logits, cache
 
 
-def encoder_forward(ids, params, config: BlockConfig):
+def encoder_forward(ids, params, cfg: RunConfig):
     """Logits for a sequence (or batch) with bidirectional attention."""
-    logits, _ = forward(params, ids, config, decoder=False)
+    logits, _ = forward(params, ids, cfg, decoder=False)
     return logits
 
 
-def decoder_forward(ids, params, config: BlockConfig):
+def decoder_forward(ids, params, cfg: RunConfig):
     """Causal logits: row i depends only on tokens at positions <= i."""
-    logits, _ = forward(params, ids, config, decoder=True)
+    logits, _ = forward(params, ids, cfg, decoder=True)
     return logits
 
 
@@ -312,7 +240,7 @@ def decoder_forward(ids, params, config: BlockConfig):
 
 def backward_from_cache(cache, dlogits) -> dict:
     """Accumulate parameter gradients for a forward pass, given d(loss)/d(logits)."""
-    config = cache["config"]
+    cfg = cache["cfg"]
     if cache["single"]:
         dlogits = dlogits[None]
     grads = {}
@@ -323,9 +251,10 @@ def backward_from_cache(cache, dlogits) -> dict:
         else:
             grads[name] = g
 
-    head = cache["head"]
-    dx = np.einsum("bnv,vd->bnd", dlogits, head)
-    dhead = np.einsum("bnv,bnd->vd", dlogits, cache["x_final"])
+    head, x_final = cache["head"], cache["x_final"]
+    flat = dlogits.reshape(-1, head.shape[0])
+    dx = (flat @ head).reshape(x_final.shape)
+    dhead = flat.T @ x_final.reshape(-1, head.shape[1])
     acc("embed", dhead)
 
     for lc in reversed(cache["layers"]):
@@ -357,9 +286,9 @@ def backward_from_cache(cache, dlogits) -> dict:
         go = grad.linear_bwd(lc["no"], da)
         acc(p + "attn.wo", go["w"])
         dconcat = go["x"]
-        if config.attention == "token":
+        if cfg.attention == "token":
             b = cache["ids"].shape[0]
-            h = config.heads
+            h = cfg.heads
             dmerged = _split_heads(dconcat, h)
             ga = grad.token_attention_bwd(lc["nattn"], dmerged)
             for t in ("q", "k", "v"):
@@ -369,7 +298,7 @@ def backward_from_cache(cache, dlogits) -> dict:
         else:
             # forward zeroed q and k at padded positions, so their
             # gradients there are already zero
-            width = config.convs * config.head_dim
+            width = cfg.convs * cfg.head_dim
             for g, gc in enumerate(lc["groups"]):
                 du = dconcat[:, :, g * width:(g + 1) * width]
                 ga = (grad.masked_attention_multi_bwd if cache["decoder"]
@@ -391,9 +320,9 @@ def mlm_loss(logits, targets, mask_positions) -> float:
     return loss
 
 
-def loss_and_grads(params, ids, targets, loss_mask, config: BlockConfig,
+def loss_and_grads(params, ids, targets, loss_mask, cfg: RunConfig,
                    decoder=False, train=False, drop_rng=None, pad=None):
-    logits, cache = forward(params, ids, config, decoder=decoder, train=train,
+    logits, cache = forward(params, ids, cfg, decoder=decoder, train=train,
                             drop_rng=drop_rng, pad=pad)
     loss, loss_node = grad.cross_entropy_masked_fwd(logits, targets, loss_mask)
     dlogits = grad.cross_entropy_masked_bwd(loss_node, 1.0)["logits"]
@@ -425,11 +354,11 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
     return total
 
 
-def adam_update(params: dict, grads: dict, state: AdamState, tc: TrainConfig):
+def adam_update(params: dict, grads: dict, state: AdamState, cfg: RunConfig):
     state.t += 1
-    lr = lr_schedule(tc.lr, state.t, tc.warmup)
-    bc1 = 1.0 - tc.beta1 ** state.t
-    bc2 = 1.0 - tc.beta2 ** state.t
+    lr = lr_schedule(cfg.lr, state.t, cfg.warmup)
+    bc1 = 1.0 - cfg.beta1 ** state.t
+    bc2 = 1.0 - cfg.beta2 ** state.t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -439,23 +368,23 @@ def adam_update(params: dict, grads: dict, state: AdamState, tc: TrainConfig):
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= tc.beta1
-        m += (1.0 - tc.beta1) * g
-        v *= tc.beta2
-        v += (1.0 - tc.beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + tc.eps)
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
-def train_step(batch, params, state: AdamState, bc: BlockConfig, tc: TrainConfig,
-               step: int, decoder=False) -> float:
+def train_step(batch, params, state: AdamState, cfg: RunConfig, step: int,
+               decoder=False) -> float:
     """One optimization step; deterministic given (seed, step).  Returns loss."""
     ids, targets, loss_mask, pad = batch
-    drop_rng = derived_rng(tc.seed, _STREAM_DROPOUT, step) if bc.dropout > 0 else None
-    loss, grads = loss_and_grads(params, ids, targets, loss_mask, bc,
+    drop_rng = derived_rng(cfg.seed, _STREAM_DROPOUT, step) if cfg.dropout > 0 else None
+    loss, grads = loss_and_grads(params, ids, targets, loss_mask, cfg,
                                  decoder=decoder, train=True, drop_rng=drop_rng,
                                  pad=pad)
     if not math.isfinite(loss):
         raise FloatingPointError(f"non-finite training loss {loss!r} at step {step}")
-    clip_global_norm(grads, tc.clip)
-    adam_update(params, grads, state, tc)
+    clip_global_norm(grads, cfg.clip)
+    adam_update(params, grads, state, cfg)
     return loss

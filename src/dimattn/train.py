@@ -5,12 +5,16 @@ from the run seed plus step counters, metric rows are accumulated and
 written once with fixed formatting, and checkpoints serialize with sorted
 tensor names.  Two runs with the same config and seed produce byte-identical
 metrics CSV and checkpoint files.
+
+The run's `RunConfig` gets its `vocab_size` from the corpus; that config,
+echoed into `run.log`, is also the checkpoint's manifest, which `eval`
+rebuilds and checks through the same dataclass.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -30,21 +34,21 @@ def _load_windows(cfg: RunConfig):
     return vocab, train_split, valid_split
 
 
-def _eval_nll(params, bc, cfg: RunConfig, valid_split, decoder: bool) -> float:
+def _eval_nll(params, cfg: RunConfig, valid_split, decoder: bool) -> float:
     win, pad = valid_split
     num_batches = min(cfg.eval_batches,
                       (win.shape[0] + cfg.batch_size - 1) // cfg.batch_size)
     total, count = 0.0, 0
     for step in range(num_batches):
         if cfg.task == "mlm":
-            batch = data.mlm_batch(win, pad, bc.vocab_size, cfg.seed, step,
+            batch = data.mlm_batch(win, pad, cfg.vocab_size, cfg.seed, step,
                                    cfg.batch_size, eval_mode=True)
         else:
             batch = data.clm_batch(win, pad, cfg.seed, step, cfg.batch_size,
                                    eval_mode=True)
         if not batch.mask.any():
             continue
-        logits, _ = model.forward(params, batch.inputs, bc, decoder=decoder,
+        logits, _ = model.forward(params, batch.inputs, cfg, decoder=decoder,
                                   pad=batch.pad)
         loss, _ = cross_entropy_masked_fwd(logits, batch.targets, batch.mask)
         n = int(batch.mask.sum())
@@ -59,17 +63,15 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
                  log=print) -> dict:
     """Train per the config; returns {'final_valid_nll', 'metrics_path', ...}."""
     vocab, train_split, valid_split = _load_windows(cfg)
-    bc = cfg.block_config(vocab.size)
-    tc = cfg.train_config()
+    cfg = cfg.block_config(vocab.size)
     decoder = cfg.task == "clm"
-    params = model.init_params(bc, tc.seed)
+    params = model.init_params(cfg, cfg.seed)
     state = model.AdamState()
     os.makedirs(ckpt_dir, exist_ok=True)
     if metrics_path is None:
         metrics_path = os.path.join(ckpt_dir, "metrics.csv")
 
-    log_lines = [f"{line}" for line in cfg.echo_lines()]
-    log_lines.append(f"vocab_size={vocab.size}")
+    log_lines = cfg.echo_lines()
     log_lines.append(f"train_windows={train_split[0].shape[0]}")
     log_lines.append(f"valid_windows={valid_split[0].shape[0]}")
     for line in log_lines:
@@ -77,20 +79,20 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
 
     win, pad = train_split
     rows = []
-    for step in range(tc.steps):
+    for step in range(cfg.steps):
         if cfg.task == "mlm":
-            batch = data.mlm_batch(win, pad, bc.vocab_size, tc.seed, step,
-                                   tc.batch_size)
+            batch = data.mlm_batch(win, pad, cfg.vocab_size, cfg.seed, step,
+                                   cfg.batch_size)
         else:
-            batch = data.clm_batch(win, pad, tc.seed, step, tc.batch_size)
+            batch = data.clm_batch(win, pad, cfg.seed, step, cfg.batch_size)
         loss = model.train_step(
             (batch.inputs, batch.targets, batch.mask, batch.pad),
-            params, state, bc, tc, step, decoder=decoder)
+            params, state, cfg, step, decoder=decoder)
         rows.append(f"{step},train,{loss:.12g}")
-        if (step + 1) % tc.eval_interval == 0 or step + 1 == tc.steps:
-            valid_nll = _eval_nll(params, bc, cfg, valid_split, decoder)
+        if (step + 1) % cfg.eval_interval == 0 or step + 1 == cfg.steps:
+            valid_nll = _eval_nll(params, cfg, valid_split, decoder)
             rows.append(f"{step},valid,{valid_nll:.12g}")
-            log(f"step {step + 1}/{tc.steps} train_nll={loss:.4f} "
+            log(f"step {step + 1}/{cfg.steps} train_nll={loss:.4f} "
                 f"valid_nll={valid_nll:.4f}")
 
     with open(metrics_path, "w", encoding="utf-8", newline="\n") as f:
@@ -107,19 +109,18 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
         "checkpoint_path": ckpt_path,
         "vocab_size": vocab.size,
         "params": params,
-        "block_config": bc,
     }
 
 
-def _check_param_shapes(params: dict, bc: model.BlockConfig):
+def _check_param_shapes(params: dict, cfg: RunConfig):
     """Every tensor the config implies, with its shape, and nothing else."""
-    want = {name: tuple(shape) for name, shape, _ in model._param_specs(bc)}
+    want = {name: tuple(shape) for name, shape, _ in model._param_specs(cfg)}
     got = {name: arr.shape for name, arr in params.items()}
     for name in sorted(set(want) | set(got)):
         if want.get(name) != got.get(name):
             raise ValueError(
                 f"checkpoint does not fit the config and corpus (vocab_size "
-                f"{bc.vocab_size}): tensor {name!r} has shape {got.get(name)} "
+                f"{cfg.vocab_size}): tensor {name!r} has shape {got.get(name)} "
                 f"in the file, {want.get(name)} expected")
 
 
@@ -133,10 +134,10 @@ def evaluate_checkpoint(ckpt_path: str, override_data: str | None = None) -> dic
         raise ValueError(f"checkpoint config has unknown keys {unknown}")
     cfg = RunConfig(**cfg_dict)
     if override_data:
-        cfg.data = override_data
+        cfg = replace(cfg, data=override_data)
     vocab, _, valid_split = _load_windows(cfg)
-    bc = cfg.block_config(vocab.size)
-    _check_param_shapes(params, bc)
-    params = {k: v.astype(bc.dtype) for k, v in params.items()}
-    nll = _eval_nll(params, bc, cfg, valid_split, decoder=cfg.task == "clm")
+    cfg = cfg.block_config(vocab.size)
+    _check_param_shapes(params, cfg)
+    params = {k: v.astype(cfg.dtype) for k, v in params.items()}
+    nll = _eval_nll(params, cfg, valid_split, decoder=cfg.task == "clm")
     return {"valid_nll": nll, "vocab_size": vocab.size, "task": cfg.task}

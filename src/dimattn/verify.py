@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis, attention, data, grad, masked, model
+from .config import RunConfig
 from .opcount import counting
 from .tensor import make_rng, matmul, rand_init
 
@@ -234,16 +235,16 @@ def suite_causality(seed=0):
             vocab = int(rng.integers(6, 12))
             convs = int(rng.integers(1, 3))
             dm = int(rng.integers(1, 5)) * convs * 2
-            bc = model.BlockConfig(
+            cfg = RunConfig(
                 vocab_size=vocab, d_model=dm, layers=int(rng.integers(1, 3)),
                 attention="dim", groups=1, convs=convs,
-                head_dim=dm // convs, ffn_width=2 * dm, n_max=n, dropout=0.0)
-            params = model.init_params(bc, seed + case)
+                head_dim=dm // convs, ffn_width=2 * dm, seq_len=n, dropout=0.0)
+            params = model.init_params(cfg, seed + case)
             ids = rng.integers(0, vocab, n)
             ids2 = ids.copy()
             ids2[p + 1:] = (ids2[p + 1:] + 1) % vocab
-            la = model.decoder_forward(ids, params, bc)
-            lb = model.decoder_forward(ids2, params, bc)
+            la = model.decoder_forward(ids, params, cfg)
+            lb = model.decoder_forward(ids2, params, cfg)
             worst_model = max(worst_model, float(np.abs(la[: p + 1] - lb[: p + 1]).max()))
     ok = naive_exact and worst_stream <= 1e-12 and worst_model <= 1e-12
     return ok, (f"naive exact: {naive_exact}, streaming prefix drift "
@@ -339,20 +340,20 @@ def suite_gradient_ops(seed=0):
                 f"shared-input sum rule {worst_dup:.1e}")
 
 
-def _tiny_model_fd(bc, seed, decoder=False, pad=None):
+def _tiny_model_fd(cfg, seed, decoder=False, pad=None):
     """Worst relative error of model.loss_and_grads against central
     differences over every parameter entry, on a batch of two length-5 rows."""
-    params = model.init_params(bc, seed)
+    params = model.init_params(cfg, seed)
     rng = make_rng(seed + 1)
-    ids = rng.integers(0, bc.vocab_size, (2, 5))
-    targets = rng.integers(0, bc.vocab_size, (2, 5))
+    ids = rng.integers(0, cfg.vocab_size, (2, 5))
+    targets = rng.integers(0, cfg.vocab_size, (2, 5))
     mask = rng.random((2, 5)) < 0.5
     mask[0, 0] = True
     if pad is not None:
         mask &= ~pad
 
     def loss_and_grads():
-        return model.loss_and_grads(params, ids, targets, mask, bc,
+        return model.loss_and_grads(params, ids, targets, mask, cfg,
                                     decoder=decoder, pad=pad)
 
     _, grads = loss_and_grads()
@@ -378,24 +379,24 @@ def suite_gradient_end_to_end(seed=0):
     """Whole-model FD: dim with one and two groups, token with two heads, and
     both kinds on a batch whose second row is padded from position 3; each as
     encoder and as decoder."""
-    shared = dict(vocab_size=9, layers=1, ffn_width=8, n_max=5, dropout=0.0)
-    dim = model.BlockConfig(d_model=6, convs=2, head_dim=3, **shared)
-    token = model.BlockConfig(d_model=6, attention="token", heads=2, **shared)
+    shared = dict(vocab_size=9, layers=1, ffn_width=8, seq_len=5, dropout=0.0)
+    dim = RunConfig(d_model=6, convs=2, head_dim=3, **shared)
+    token = RunConfig(d_model=6, attention="token", heads=2, **shared)
     pad = np.zeros((2, 5), dtype=bool)
     pad[1, 3:] = True
     cases = [
         ("dim", dim, None),
-        ("dim groups=2", model.BlockConfig(d_model=8, groups=2, convs=2, head_dim=2,
-                                           **shared), None),
+        ("dim groups=2", RunConfig(d_model=8, groups=2, convs=2, head_dim=2, **shared),
+         None),
         ("token heads=2", token, None),
         ("dim padded", dim, pad),
         ("token padded", token, pad),
     ]
     worst = {}
-    for i, (label, bc, p) in enumerate(cases):
+    for i, (label, cfg, p) in enumerate(cases):
         for decoder in (False, True):
             key = f"{label} {'decoder' if decoder else 'encoder'}"
-            worst[key] = _tiny_model_fd(bc, seed + 7 * decoder + 13 * i, decoder, p)
+            worst[key] = _tiny_model_fd(cfg, seed + 7 * decoder + 13 * i, decoder, p)
     ok = max(worst.values()) <= 1e-3
     return ok, ", ".join(f"{k} {v:.1e}" for k, v in worst.items()) + " (<= 1e-3)"
 
@@ -508,11 +509,10 @@ def suite_windowing(seed=0):
 
 
 def suite_determinism(seed=0):
-    bc = model.BlockConfig(vocab_size=11, d_model=8, layers=1, attention="dim",
-                           groups=1, convs=2, head_dim=4, ffn_width=16,
-                           n_max=6, dropout=0.1)
-    tc = model.TrainConfig(seed=seed, batch_size=2, steps=5, lr=1e-3, warmup=2,
-                           eval_interval=5)
+    cfg = RunConfig(vocab_size=11, d_model=8, layers=1, attention="dim", groups=1,
+                    convs=2, head_dim=4, ffn_width=16, seq_len=6, dropout=0.1,
+                    seed=seed, batch_size=2, steps=5, lr=1e-3, warmup=2,
+                    eval_interval=5)
     rng = make_rng(seed)
     ids = rng.integers(0, 11, (2, 6))
     targets = rng.integers(0, 11, (2, 6))
@@ -520,9 +520,9 @@ def suite_determinism(seed=0):
     batch = (ids, targets, mask, None)
 
     def run():
-        params = model.init_params(bc, tc.seed)
+        params = model.init_params(cfg, cfg.seed)
         state = model.AdamState()
-        return [model.train_step(batch, params, state, bc, tc, s) for s in range(5)]
+        return [model.train_step(batch, params, state, cfg, s) for s in range(5)]
 
     a, b = run(), run()
     ok = a == b

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dimattn import analysis, grad, masked, model
+from dimattn.config import RunConfig
 from dimattn.opcount import counting
 
 
@@ -90,21 +91,21 @@ class TestTrainingTally:
 
     def forward_counts(self, bc, rng, decoder):
         params = model.init_params(bc, 0)
-        ids = rng.integers(0, bc.vocab_size, (3, bc.n_max))
+        ids = rng.integers(0, bc.vocab_size, (3, bc.seq_len))
         with counting() as tally:
             model.forward(params, ids, bc, decoder=decoder)
         return tally.by_component
 
     def test_dim_encoder(self, rng):
-        bc = model.BlockConfig(vocab_size=11, d_model=12, layers=1, groups=1,
-                               convs=3, head_dim=4, ffn_width=8, n_max=7)
+        bc = RunConfig(vocab_size=11, d_model=12, layers=1, groups=1,
+                       convs=3, head_dim=4, ffn_width=8, seq_len=7)
         per_seq = analysis.flops_dim_attention(7, 4, 1, 3)
         assert self.forward_counts(bc, rng, decoder=False) == components(
             per_seq, {"scores": 3, "filter_gate": 3, "filter_mix": 3})
 
     def test_dim_decoder(self, rng):
-        bc = model.BlockConfig(vocab_size=11, d_model=12, layers=1, groups=1,
-                               convs=3, head_dim=4, ffn_width=8, n_max=7)
+        bc = RunConfig(vocab_size=11, d_model=12, layers=1, groups=1,
+                       convs=3, head_dim=4, ffn_width=8, seq_len=7)
         per_seq = analysis.flops_masked(7, 4, streaming=True)
         assert self.forward_counts(bc, rng, decoder=True) == components(
             per_seq, {"cum_outer": 3, "masked_mix": 3 * 3})

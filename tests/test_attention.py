@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dimattn import analysis, attention, grad, model
+from dimattn.config import RunConfig
 from dimattn.opcount import counting
 
 # Shared fixture from the dimension-wise walkthrough:
@@ -80,8 +81,8 @@ class TestMultiHeadBaseline:
     """The model's token sublayer: heads split, attended and concatenated."""
 
     def test_single_head_identity_projections(self, rng):
-        bc = model.BlockConfig(vocab_size=11, d_model=4, layers=1, attention="token",
-                               heads=1, ffn_width=8, n_max=5, dropout=0.0)
+        bc = RunConfig(vocab_size=11, d_model=4, layers=1, attention="token",
+                       heads=1, ffn_width=8, seq_len=5, dropout=0.0)
         params = model.init_params(bc, 0)
         for name in ("wq", "wk", "wv", "wo"):
             params["l0.attn." + name] = np.eye(4)
@@ -89,8 +90,8 @@ class TestMultiHeadBaseline:
         assert np.allclose(heads, loop_token_attention(x, x, x), atol=1e-12)
 
     def test_zero_output_projection(self, rng):
-        bc = model.BlockConfig(vocab_size=11, d_model=4, layers=1, attention="token",
-                               heads=2, ffn_width=8, n_max=5, dropout=0.0)
+        bc = RunConfig(vocab_size=11, d_model=4, layers=1, attention="token",
+                       heads=2, ffn_width=8, seq_len=5, dropout=0.0)
         params = model.init_params(bc, 1)
         params["l0.attn.wo"] = np.zeros((4, 4))
         ids = rng.integers(0, 11, 5)
@@ -102,8 +103,8 @@ class TestMultiHeadBaseline:
             assert np.array_equal(logits, base), name
 
     def test_two_heads_match_loop_oracle(self, rng):
-        bc = model.BlockConfig(vocab_size=11, d_model=4, layers=1, attention="token",
-                               heads=2, ffn_width=8, n_max=3, dropout=0.0)
+        bc = RunConfig(vocab_size=11, d_model=4, layers=1, attention="token",
+                       heads=2, ffn_width=8, seq_len=3, dropout=0.0)
         params = model.init_params(bc, 2)
         x, heads = token_layer(bc, params, rng.integers(0, 11, 3))
         wq, wk, wv = (params["l0.attn." + n] for n in ("wq", "wk", "wv"))
@@ -114,7 +115,7 @@ class TestMultiHeadBaseline:
 
     def test_divisibility_error(self):
         with pytest.raises(ValueError, match="heads"):
-            model.BlockConfig(vocab_size=11, d_model=5, attention="token", heads=2)
+            RunConfig(vocab_size=11, d_model=5, attention="token", heads=2)
 
 
 class TestDimScore:
@@ -273,6 +274,21 @@ class TestFactoredPath:
             lit = attention.dim_attention_materialized(q, k, v, w, mode)
             fac = dim_attention(q, k, v, w, mode)
             assert np.abs(lit - fac).max() <= 1e-10
+
+    def test_wide_score_rows_leave_no_subnormals(self, rng):
+        q, k, v = (rng.standard_normal((64, 32)) * 5 for _ in range(3))
+        s = q.T @ k
+        assert (s.max(axis=1) - s.min(axis=1)).max() > 800
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        raw = e / e.sum(axis=1, keepdims=True)
+        tiny = np.finfo(raw.dtype).tiny
+        assert ((raw > 0) & (raw < tiny)).any()  # the unflushed softmax has some
+        p = grad.softmax_fwd(s)[0]
+        assert not ((p > 0) & (p < tiny)).any()
+        w = rng.standard_normal((32, 32))
+        lit = attention.dim_attention_materialized(q, k, v, w, "softmax_rows_over_k")
+        fac = dim_attention(q, k, v, w, "softmax_rows_over_k")
+        assert np.abs(lit - fac).max() <= 1e-10
 
     def test_linear_cost_in_n(self, rng):
         d = 5

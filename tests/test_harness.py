@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dimattn import checkpoint, cli, config, data, model, train
+from dimattn import checkpoint, cli, config, data, train
 from dimattn.tensor import make_rng
 
 
@@ -140,18 +140,18 @@ class TestRunConfig:
         with pytest.raises(config.ConfigError, match="key=value"):
             config.parse_config("steps 50\n")
 
-    def test_block_and_train_fields_reachable(self):
-        own = {f.name for f in dataclasses.fields(config.RunConfig)}
-        for cls in (model.BlockConfig, model.TrainConfig):
-            for f in dataclasses.fields(cls):
-                if f.name not in ("vocab_size", "n_max"):
-                    assert f.name in own, f"{cls.__name__}.{f.name}"
+    def test_block_config_sets_only_vocab_size(self):
         cfg = config.parse_config("seq_len = 7\nheads = 2\nd_model = 6\nattention = token\n"
                                   "seed = 3\nclip = 0.5\n")
+        assert cfg.vocab_size == 0
         bc = cfg.block_config(vocab_size=13)
-        assert (bc.vocab_size, bc.n_max, bc.heads, bc.d_model) == (13, 7, 2, 6)
-        tc = cfg.train_config()
-        assert (tc.seed, tc.clip) == (3, 0.5)
+        assert bc.vocab_size == 13
+        assert dataclasses.replace(bc, vocab_size=0) == cfg
+
+    def test_vocab_size_is_not_a_key(self):
+        with pytest.raises(config.ConfigError, match="unknown key"):
+            config.parse_config("vocab_size = 40\n")
+        assert len(config.KEYS) == 28
 
     def test_echo_covers_every_field(self):
         cfg = config.RunConfig()
@@ -166,8 +166,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
 def test_shipped_config_loads(path):
     cfg = config.load_config(path)
-    assert cfg.block_config(vocab_size=40).vocab_size == 40
-    assert cfg.train_config().steps == cfg.steps
+    bc = cfg.block_config(vocab_size=40)
+    assert (bc.vocab_size, bc.steps) == (40, cfg.steps)
 
 
 def test_package_exports_resolve():
@@ -212,32 +212,50 @@ class TestEvalRejectsMismatch:
         assert "valid nll" not in out
         assert "warp_factor" in err
 
+    @pytest.mark.parametrize("key,value", [("task", "bogus"), ("valid_fraction", 1.5),
+                                           ("layers", "2")])
+    def test_bad_manifest_value(self, tiny_run, tmp_path, capsys, key, value):
+        params, cfg = checkpoint.load_checkpoint(tiny_run)
+        path = tmp_path / "odd.ckpt"
+        checkpoint.save_checkpoint(path, params, {**cfg, key: value})
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert key in err
+
+
+# bad values; all but the tokenizer and the corpora are config values
+BAD_VALUES = [
+    ("mlm", "precision = f16"),
+    ("mlm", "norm_mode = bogus"),
+    ("clm", "norm_mode = bogus"),
+    ("mlm", "vocab_cap = -1"),
+    ("mlm", "valid_fraction = 1.5"),
+    ("mlm", "valid_fraction = 0"),
+    ("mlm", "eval_batches = 0"),
+    ("mlm", "attention = foo"),
+    ("mlm", "tokenizer = bpe"),
+    ("mlm", "dropout = 1.5"),
+    ("mlm", "lr = -1"),
+    ("mlm", "seq_len = 0"),
+    ("mlm", "head_dim = -2"),
+    ("mlm", "attention = token\nheads = 0"),
+    ("mlm", "groups = 0"),
+    ("mlm", "d_model = 0"),
+    ("mlm", "layers = -1"),
+    ("mlm", "data = {empty}"),
+    ("clm", "data = {one_window}"),
+]
+CONFIG_VALUES = [(task, line) for task, line in BAD_VALUES
+                 if not line.startswith(("tokenizer", "data"))]
+
 
 class TestBadConfigValues:
     """Each value is rejected with exit 2 before a step runs: no NLL is
     printed and no checkpoint is written."""
 
-    @pytest.mark.parametrize("task,line", [
-        ("mlm", "precision = f16"),
-        ("mlm", "norm_mode = bogus"),
-        ("clm", "norm_mode = bogus"),
-        ("mlm", "vocab_cap = -1"),
-        ("mlm", "valid_fraction = 1.5"),
-        ("mlm", "valid_fraction = 0"),
-        ("mlm", "eval_batches = 0"),
-        ("mlm", "attention = foo"),
-        ("mlm", "tokenizer = bpe"),
-        ("mlm", "dropout = 1.5"),
-        ("mlm", "lr = -1"),
-        ("mlm", "seq_len = 0"),
-        ("mlm", "head_dim = -2"),
-        ("mlm", "attention = token\nheads = 0"),
-        ("mlm", "groups = 0"),
-        ("mlm", "d_model = 0"),
-        ("mlm", "layers = -1"),
-        ("mlm", "data = {empty}"),
-        ("clm", "data = {one_window}"),
-    ])
+    @pytest.mark.parametrize("task,line", BAD_VALUES)
     def test_exits_2(self, task, line, tmp_path, corpus_path, capsys):
         (tmp_path / "empty.txt").write_text("", encoding="utf-8")
         (tmp_path / "one.txt").write_text("abcabc\n", encoding="utf-8")
@@ -251,6 +269,11 @@ class TestBadConfigValues:
         assert "nll" not in out
         assert not (tmp_path / "run" / "final.ckpt").exists()
 
+    @pytest.mark.parametrize("task,line", CONFIG_VALUES)
+    def test_rejected_when_built(self, task, line):
+        with pytest.raises(config.ConfigError):
+            config.parse_config(f"task = {task}\n{TINY_CONFIG}{line}\n")
+
     def test_eval_on_one_window_corpus_exits_2(self, tiny_run, tmp_path, capsys):
         short = tmp_path / "one.txt"
         short.write_text("abcabc\n", encoding="utf-8")
@@ -259,8 +282,12 @@ class TestBadConfigValues:
         assert "valid nll" not in out
         assert "empty held-out split" in err
 
-    def test_unscored_eval_raises(self, corpus_path, tmp_path):
-        cfg = config.parse_config(f"data = {corpus_path}\n{TINY_CONFIG}eval_batches = 0\n")
+    def test_unscored_eval_raises(self, tmp_path):
+        # the held-out windows hold only end-of-line tokens, which masking
+        # never selects
+        corpus = tmp_path / "tail.txt"
+        corpus.write_text("abcd" * 400 + "\n" * 400, encoding="utf-8")
+        cfg = config.parse_config(f"data = {corpus}\n{TINY_CONFIG}")
         with pytest.raises(ValueError, match="no held-out token"):
             train.run_training(cfg, str(tmp_path / "run"), log=lambda line: None)
 
@@ -289,6 +316,14 @@ class TestCli:
     def test_bench_unknown_variant_exits_2(self, capsys):
         assert cli.main(["bench", "--variants", "warp_drive", "--N", "64",
                          "--d", "8"]) == 2
+
+    def test_bad_seed_override_exits_2(self, tmp_path, corpus_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"data = {corpus_path}\n{TINY_CONFIG}", encoding="utf-8")
+        assert cli.main(["train-mlm", "--config", str(cfg), "--seed", "-1",
+                         "--ckpt-dir", str(tmp_path / "run")]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from dimattn import attention, checkpoint, data, model
+from dimattn.config import RunConfig
 from dimattn.tensor import make_rng
 
 
 def tiny_config(**over):
     base = dict(vocab_size=11, d_model=8, layers=1, attention="dim", groups=1,
-                convs=2, head_dim=4, ffn_width=16, n_max=6, dropout=0.0)
+                convs=2, head_dim=4, ffn_width=16, seq_len=6, dropout=0.0)
     base.update(over)
-    return model.BlockConfig(**base)
+    return RunConfig(**base)
 
 
 class TestForward:
@@ -21,13 +22,13 @@ class TestForward:
         ids = rng.integers(0, 11, 4)
         logits = model.encoder_forward(ids, params, bc)
         x = params["embed"][ids] * math.sqrt(bc.d_model) \
-            + model.sinusoidal_positions(bc.n_max, bc.d_model)[:4]
+            + model.sinusoidal_positions(bc.seq_len, bc.d_model)[:4]
         assert np.allclose(logits, x @ params["embed"].T, atol=1e-12)
 
     def test_compositional_oracle(self, rng):
         # one layer, identity projections: the encoder must equal the same
         # pipeline hand-composed around the materialized-tensor oracle
-        bc = tiny_config(d_model=4, head_dim=4, convs=1, ffn_width=8, n_max=2)
+        bc = tiny_config(d_model=4, head_dim=4, convs=1, ffn_width=8, seq_len=2)
         params = model.init_params(bc, 1)
         params["l0.attn.wq0"] = np.eye(4)
         params["l0.attn.wk0"] = np.eye(4)
@@ -42,7 +43,7 @@ class TestForward:
             return gamma * (x - mu) / np.sqrt(var + eps) + beta
 
         x0 = params["embed"][ids] * 2.0 \
-            + model.sinusoidal_positions(bc.n_max, bc.d_model)[:2]
+            + model.sinusoidal_positions(bc.seq_len, bc.d_model)[:2]
         a = attention.dim_attention_materialized(
             x0, x0, x0, params["l0.attn.filters0"][0], bc.norm_mode)
         x1 = layer_norm(x0 + a, params["l0.ln1.gamma"], params["l0.ln1.beta"])
@@ -116,7 +117,7 @@ class TestDecoder:
             return gamma * (x - mu) / np.sqrt(var + eps) + beta
 
         x0 = params["embed"][ids] * math.sqrt(8) \
-            + model.sinusoidal_positions(bc.n_max, 8)[:5]
+            + model.sinusoidal_positions(bc.seq_len, 8)[:5]
         q = x0 @ params["l0.attn.wq0"]
         k = x0 @ params["l0.attn.wk0"]
         v = x0 @ params["l0.attn.wv0"]
@@ -183,56 +184,52 @@ class TestTraining:
         return ids, targets, mask, None
 
     def test_zero_lr_keeps_params(self, rng):
-        bc = tiny_config()
-        tc = model.TrainConfig(seed=0, batch_size=2, steps=1, lr=0.0, warmup=10,
-                               eval_interval=1)
+        bc = tiny_config(seed=0, batch_size=2, steps=1, lr=0.0, warmup=10,
+                         eval_interval=1)
         params = model.init_params(bc, 0)
         before = {k: v.copy() for k, v in params.items()}
-        model.train_step(self._batch(rng, bc), params, model.AdamState(), bc, tc, 0)
+        model.train_step(self._batch(rng, bc), params, model.AdamState(), bc, 0)
         assert all(np.array_equal(before[k], params[k]) for k in params)
 
     def test_single_batch_overfit(self, corpus_path):
         vocab, ids = data.build_corpus(corpus_path, "char")
         win, pad = data.windows(ids[:32], 32)
         batch = data.mlm_batch(win, pad, vocab.size, 0, 0, 1)
-        bc = model.BlockConfig(vocab_size=vocab.size, d_model=32, layers=1,
-                               attention="dim", groups=1, convs=2, head_dim=16,
-                               ffn_width=64, n_max=32, dropout=0.0)
-        tc = model.TrainConfig(seed=0, batch_size=1, steps=200, lr=3e-3,
-                               warmup=20, eval_interval=50)
+        bc = RunConfig(vocab_size=vocab.size, d_model=32, layers=1,
+                       attention="dim", groups=1, convs=2, head_dim=16,
+                       ffn_width=64, seq_len=32, dropout=0.0, seed=0,
+                       batch_size=1, steps=200, lr=3e-3, warmup=20, eval_interval=50)
         params = model.init_params(bc, 0)
         state = model.AdamState()
         loss = None
         for step in range(200):
             loss = model.train_step(
                 (batch.inputs, batch.targets, batch.mask, batch.pad),
-                params, state, bc, tc, step)
+                params, state, bc, step)
         assert loss < 0.1
 
     def test_same_seed_same_trajectory(self, rng):
-        bc = tiny_config(dropout=0.1)
-        tc = model.TrainConfig(seed=3, batch_size=2, steps=5, lr=1e-3, warmup=3,
-                               eval_interval=5)
+        bc = tiny_config(dropout=0.1, seed=3, batch_size=2, steps=5, lr=1e-3,
+                         warmup=3, eval_interval=5)
         batch = self._batch(rng, bc)
 
         def run():
-            params = model.init_params(bc, tc.seed)
+            params = model.init_params(bc, bc.seed)
             state = model.AdamState()
-            return [model.train_step(batch, params, state, bc, tc, s)
+            return [model.train_step(batch, params, state, bc, s)
                     for s in range(5)]
 
         assert run() == run()
 
     def test_non_finite_loss_aborts(self, rng):
-        bc = tiny_config()
+        bc = tiny_config(seed=0, batch_size=2, steps=1, lr=1e-3, warmup=1,
+                         eval_interval=1)
         params = model.init_params(bc, 0)
         params["embed"][:] = 1e200
-        tc = model.TrainConfig(seed=0, batch_size=2, steps=1, lr=1e-3, warmup=1,
-                               eval_interval=1)
         with pytest.raises(FloatingPointError, match="step 0"):
             with np.errstate(invalid="ignore", over="ignore"):
                 model.train_step(self._batch(rng, bc), params, model.AdamState(),
-                                 bc, tc, 0)
+                                 bc, 0)
 
     def test_random_labels_keep_loss_at_chance(self):
         # nothing to learn from uniform noise: after warmup the masked NLL
@@ -240,18 +237,17 @@ class TestTraining:
         vocab_size = 20
         stream = make_rng(77).integers(5, vocab_size, 6400)
         win, pad = data.windows(stream, 16)
-        bc = model.BlockConfig(vocab_size=vocab_size, d_model=16, layers=1,
-                               attention="dim", groups=1, convs=2, head_dim=8,
-                               ffn_width=32, n_max=16, dropout=0.0)
-        tc = model.TrainConfig(seed=1, batch_size=4, steps=120, lr=1e-3,
-                               warmup=30, eval_interval=40)
+        bc = RunConfig(vocab_size=vocab_size, d_model=16, layers=1,
+                       attention="dim", groups=1, convs=2, head_dim=8,
+                       ffn_width=32, seq_len=16, dropout=0.0, seed=1,
+                       batch_size=4, steps=120, lr=1e-3, warmup=30, eval_interval=40)
         params = model.init_params(bc, 1)
         state = model.AdamState()
         tail = []
         for step in range(120):
-            b = data.mlm_batch(win, pad, vocab_size, tc.seed, step, tc.batch_size)
+            b = data.mlm_batch(win, pad, vocab_size, bc.seed, step, bc.batch_size)
             loss = model.train_step((b.inputs, b.targets, b.mask, b.pad),
-                                    params, state, bc, tc, step)
+                                    params, state, bc, step)
             if step >= 60:
                 tail.append(loss)
         assert np.mean(tail) >= 0.9 * math.log(vocab_size)
@@ -272,7 +268,7 @@ class TestAdam:
 
     def test_bad_betas_rejected(self):
         with pytest.raises(ValueError, match="betas"):
-            model.TrainConfig(beta1=1.0)
+            RunConfig(beta1=1.0)
 
 
 class TestCheckpoint:

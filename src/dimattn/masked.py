@@ -12,9 +12,12 @@ tensor is a running prefix sum and can be evaluated in O(N d^2) instead of
 the O(N^2 d^2) the literal sum costs.
 
 This module holds the literal four-index-loop forms, the correctness
-oracles, plus the prefix-sum score tensor as a checked identity.  The fast
-causal kernel is `grad.masked_attention_multi_fwd`.  The output contraction
-applies a shared d x d filter exactly as in the encoder:
+oracles, plus the whole-sequence prefix-sum score tensor as a checked
+identity.  The fast causal kernel is `grad.masked_attention_multi_fwd`, a
+chunk-wise scan that carries the d x d state from one chunk of positions
+to the next; its tape holds the chunk-start states, which equal slices of
+`masked_score_streaming` bitwise.  The output contraction applies a shared
+d x d filter exactly as in the encoder:
 
     O[i, j] = sum_m W[j, m] * S3[j, m, i] * V[i, m].
 """
@@ -70,7 +73,8 @@ def masked_score_streaming(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Prefix-sum evaluation of the masked score tensor; O(N d^2) total.
 
     Slice k is the running sum of the per-token outer products q_n k_n^T
-    for n <= k, the state the causal kernel carries.
+    for n <= k, the state the causal kernel carries; the kernel sums in the
+    same order, so its states equal these slices bitwise.
     """
     _check_pair(q, k)
     cum = np.cumsum(q[:, :, None] * k[:, None, :], axis=0)
@@ -121,9 +125,9 @@ def masked_output(q, k, v, w):
 def masked_output_vectorized_naive(q, k, v, w):
     """Literal masked sum evaluated with library kernels, still O(N^2 d^2).
 
-    Used only for benchmarking, where comparing a C-speed quadratic kernel
-    against the C-speed linear one is the fair contest; the loop oracle above
-    stays the correctness reference.
+    The benchmark's quadratic contender against the linear kernel, and the
+    reference for inputs that span several chunks of the kernel's scan,
+    where the loop oracle above is too slow.
     """
     _check_pair(q, k)
     n, d = q.shape

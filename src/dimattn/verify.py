@@ -161,7 +161,8 @@ def suite_dim_score_permutation(seed=0):
 
 
 def suite_masked_equivalence(seed=0):
-    """100 seeded cases, N <= 32, d <= 8: streaming equals the loop oracle."""
+    """100 seeded cases, N <= 32, d <= 8: streaming equals the loop oracle;
+    10 more, N up to three scan chunks, equal the vectorized literal sum."""
     rng = _rng(seed)
     worst_scores = 0.0
     worst_out = 0.0
@@ -178,8 +179,16 @@ def suite_masked_equivalence(seed=0):
         o_naive = masked.masked_output(q, k, v, w)
         o_stream = grad.masked_attention_multi_fwd(q, k, v, w[None])[0]
         worst_out = max(worst_out, float(np.abs(o_naive - o_stream).max()))
+    for _ in range(10):
+        n = int(rng.integers(grad._CHUNK - 2, 3 * grad._CHUNK + 1))
+        d = int(rng.integers(1, 9))
+        q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+        w = rng.standard_normal((d, d))
+        o_naive = masked.masked_output_vectorized_naive(q, k, v, w)
+        o_stream = grad.masked_attention_multi_fwd(q, k, v, w[None])[0]
+        worst_out = max(worst_out, float(np.abs(o_naive - o_stream).max()))
     ok = worst_scores <= 1e-10 and worst_out <= 1e-10
-    return ok, (f"100 cases, score tensor diff {worst_scores:.2e}, "
+    return ok, (f"110 cases, score tensor diff {worst_scores:.2e}, "
                 f"output diff {worst_out:.2e} (<= 1e-10)")
 
 
@@ -342,12 +351,12 @@ def suite_gradient_ops(seed=0):
 
 def _tiny_model_fd(cfg, seed, decoder=False, pad=None):
     """Worst relative error of model.loss_and_grads against central
-    differences over every parameter entry, on a batch of two length-5 rows."""
+    differences over every parameter entry, on a batch of two seq_len rows."""
     params = model.init_params(cfg, seed)
     rng = make_rng(seed + 1)
-    ids = rng.integers(0, cfg.vocab_size, (2, 5))
-    targets = rng.integers(0, cfg.vocab_size, (2, 5))
-    mask = rng.random((2, 5)) < 0.5
+    ids = rng.integers(0, cfg.vocab_size, (2, cfg.seq_len))
+    targets = rng.integers(0, cfg.vocab_size, (2, cfg.seq_len))
+    mask = rng.random((2, cfg.seq_len)) < 0.5
     mask[0, 0] = True
     if pad is not None:
         mask &= ~pad
@@ -378,7 +387,8 @@ def _tiny_model_fd(cfg, seed, decoder=False, pad=None):
 def suite_gradient_end_to_end(seed=0):
     """Whole-model FD: dim with one and two groups, token with two heads, and
     both kinds on a batch whose second row is padded from position 3; each as
-    encoder and as decoder."""
+    encoder and as decoder.  Then a dim decoder whose rows cross a chunk of
+    the causal scan."""
     shared = dict(vocab_size=9, layers=1, ffn_width=8, seq_len=5, dropout=0.0)
     dim = RunConfig(d_model=6, convs=2, head_dim=3, **shared)
     token = RunConfig(d_model=6, attention="token", heads=2, **shared)
@@ -397,6 +407,9 @@ def suite_gradient_end_to_end(seed=0):
         for decoder in (False, True):
             key = f"{label} {'decoder' if decoder else 'encoder'}"
             worst[key] = _tiny_model_fd(cfg, seed + 7 * decoder + 13 * i, decoder, p)
+    long_dim = RunConfig(d_model=6, convs=2, head_dim=3,
+                         **dict(shared, seq_len=grad._CHUNK + 3))
+    worst["dim N=C+3 decoder"] = _tiny_model_fd(long_dim, seed + 71, decoder=True)
     ok = max(worst.values()) <= 1e-3
     return ok, ", ".join(f"{k} {v:.1e}" for k, v in worst.items()) + " (<= 1e-3)"
 

@@ -70,6 +70,14 @@ class TestAnalyticCounts:
             grad.masked_attention_multi_fwd(q, k, v, w[None])
         assert tally.by_component == components(analysis.flops_masked(n, d, True))
 
+    def test_masked_counters_across_chunks(self, rng):
+        b, n, d, c = 2, 2 * grad._CHUNK + 3, 3, 2
+        q, k, v = (rng.standard_normal((b, n, d)) for _ in range(3))
+        with counting() as tally:
+            grad.masked_attention_multi_fwd(q, k, v, rng.standard_normal((c, d, d)))
+        assert tally.by_component == components(
+            analysis.flops_masked(n, d, True), {"cum_outer": b, "masked_mix": b * c})
+
     def test_projection_ratio_at_matched_widths(self):
         # d_model 512: token 8 heads of width 64 vs dim 8 groups, 1 conv
         token = analysis.flops_token_attention(100, 64, 8, include_projections=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dimattn import grad
+from dimattn import grad, masked
 from dimattn.grad import NORM_MODES
 from dimattn.tensor import make_rng
 
@@ -128,6 +128,55 @@ class TestAttentionRules:
         out, node = grad.masked_attention_multi_fwd(q, k, v, ws)
         gs = grad.backward(node, np.zeros_like(out))
         assert all(not g.any() for g in gs.values())
+
+
+class TestChunkedScan:
+    """The causal kernel scans chunks of grad._CHUNK positions and carries
+    the d x d state, and its gradient, from one chunk to the next."""
+
+    C = grad._CHUNK
+
+    def test_fd_across_chunk_boundary(self):
+        r = make_rng(37)
+        n = self.C + 3
+        inputs = {"q": r.standard_normal((2, n, 2)),
+                  "k": r.standard_normal((2, n, 2)),
+                  "v": r.standard_normal((2, n, 2)),
+                  "ws": r.standard_normal((2, 2, 2))}
+        assert grad.fd_check("masked_attention_multi", inputs) <= 1e-4
+
+    def test_tape_holds_chunk_start_states(self):
+        r = make_rng(41)
+        n, d = 2 * self.C + 3, 3
+        q, k, v = (r.standard_normal((2, n, d)) for _ in range(3))
+        _, node = grad.masked_attention_multi_fwd(q, k, v, r.standard_normal((2, d, d)))
+        starts = node.saved["starts"]
+        assert starts.shape == (2, 3, d, d)
+        assert not any(a.shape == (2, n, d, d) for a in node.saved.values()
+                       if isinstance(a, np.ndarray))
+        for b in range(2):
+            s3 = masked.masked_score_streaming(q[b], k[b])
+            assert not starts[b, 0].any()
+            for t in (1, 2):
+                assert np.array_equal(starts[b, t], s3[:, :, t * self.C - 1])
+
+    def test_f32_stays_f32(self):
+        r = make_rng(43)
+        n, d = self.C + 3, 3
+        q, k, v = (r.standard_normal((2, n, d)) for _ in range(3))
+        ws = r.standard_normal((2, d, d))
+        u = r.standard_normal((2, n, 2 * d))
+        out64, node64 = grad.masked_attention_multi_fwd(q, k, v, ws)
+        grads64 = grad.backward(node64, u)
+        f32 = [a.astype(np.float32) for a in (q, k, v, ws)]
+        out, node = grad.masked_attention_multi_fwd(*f32)
+        grads = grad.backward(node, u.astype(np.float32))
+        assert out.dtype == np.float32
+        assert node.saved["starts"].dtype == np.float32
+        assert np.abs(out - out64).max() <= 1e-4 * np.abs(out64).max()
+        for name, g in grads.items():
+            assert g.dtype == np.float32, name
+            assert np.abs(g - grads64[name]).max() <= 1e-4 * np.abs(grads64[name]).max()
 
 
 class TestOtherRules:

@@ -123,6 +123,22 @@ class TestMaskedOutput:
         assert np.abs(a - b).max() <= 1e-10
 
 
+class TestAcrossChunks:
+    """The kernel's scan carries its state across chunks of grad._CHUNK."""
+
+    @pytest.mark.parametrize("n", [1, grad._CHUNK - 1, grad._CHUNK,
+                                   grad._CHUNK + 1, 2 * grad._CHUNK + 3])
+    def test_matches_literal_sum(self, rng, n):
+        b, d, c = 2, 3, 2
+        q, k, v = (rng.standard_normal((b, n, d)) for _ in range(3))
+        ws = rng.standard_normal((c, d, d))
+        out = grad.masked_attention_multi_fwd(q, k, v, ws)[0]
+        for i in range(b):
+            for f in range(c):
+                ref = masked.masked_output_vectorized_naive(q[i], k[i], v[i], ws[f])
+                assert np.abs(out[i, :, f * d:(f + 1) * d] - ref).max() <= 1e-10
+
+
 class TestCausality:
     def test_suffix_perturbation_naive_exact(self, rng):
         for _ in range(10):
@@ -149,6 +165,20 @@ class TestCausality:
             a = masked_attention(q, k, v, w)
             b = masked_attention(q2, k, v, w)
             assert np.abs(a[: p + 1] - b[: p + 1]).max() <= 1e-12
+
+    def test_perturbation_one_before_chunk_boundary(self, rng):
+        n, d, p = 2 * grad._CHUNK, 3, grad._CHUNK - 1
+        q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+        w = rng.standard_normal((d, d))
+        a = masked_attention(q, k, v, w)
+        q2, k2 = q.copy(), k.copy()
+        q2[p:] += 10.0
+        assert np.abs(a[:p] - masked_attention(q2, k, v, w)[:p]).max() <= 1e-12
+        # a key at the chunk's last position reaches every later row, in
+        # this chunk and through the carried state in the next
+        k2[p] += 10.0
+        changed = np.abs(masked_attention(q, k2, v, w) - a).max(axis=1)
+        assert changed[:p].max() <= 1e-12 and (changed[p:] > 1e-6).all()
 
 
 class TestCostSeparation:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dimattn import attention, checkpoint, data, model
+from dimattn import attention, checkpoint, data, grad, model
 from dimattn.config import RunConfig
 from dimattn.tensor import make_rng
 
@@ -92,6 +92,18 @@ class TestDecoder:
         a = model.decoder_forward(ids, params, bc)
         b = model.decoder_forward(ids2, params, bc)
         assert np.abs(a[0] - b[0]).max() <= 1e-12
+
+    def test_f32_decoder_logits(self, rng):
+        n = grad._CHUNK + 3
+        bc = tiny_config(seq_len=n, precision="f32")
+        params = model.init_params(bc, 7)
+        ids = rng.integers(0, 11, (2, n))
+        logits = model.decoder_forward(ids, params, bc)
+        assert logits.dtype == np.float32
+        bc64 = tiny_config(seq_len=n)
+        ref = model.decoder_forward(
+            ids, {k: a.astype(np.float64) for k, a in params.items()}, bc64)
+        assert np.abs(logits - ref).max() <= 1e-4 * np.abs(ref).max()
 
     def test_token_kind_decoder_is_causal_too(self, rng):
         bc = tiny_config(attention="token", heads=2)

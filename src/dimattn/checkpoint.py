@@ -72,24 +72,50 @@ def save_checkpoint(path, params: dict, config: dict):
             f.write(raw)
 
 
+def _entry_fields(entry):
+    """(name, shape, dtype, offset, nbytes) of one manifest tensor entry."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"malformed tensor entry {entry!r}")
+    missing = [k for k in ("name", "shape", "precision", "offset", "nbytes")
+               if k not in entry]
+    if missing:
+        raise ValueError(f"tensor entry {entry.get('name')!r} lacks {missing}")
+    if entry["precision"] not in _DTYPES:
+        raise ValueError(f"tensor {entry['name']!r} has unknown precision "
+                         f"{entry['precision']!r}, expected one of {sorted(_DTYPES)}")
+    ints = [entry["offset"], entry["nbytes"]]
+    if not isinstance(entry["shape"], list) or not all(
+            isinstance(n, int) for n in ints + entry["shape"]):
+        raise ValueError(f"tensor {entry['name']!r} has a non-integer offset, "
+                         f"size or shape")
+    return (entry["name"], entry["shape"], _DTYPES[entry["precision"]],
+            entry["offset"], entry["nbytes"])
+
+
 def load_checkpoint(path):
-    """Returns (params dict, config dict); raises on a malformed file."""
+    """Returns (params dict, config dict); raises ValueError on a malformed file."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic {blob[:6]!r}")
-    (mlen,) = struct.unpack_from("<Q", blob, len(MAGIC))
     start = len(MAGIC) + 8
+    if len(blob) < start:
+        raise ValueError(f"truncated checkpoint: {len(blob)} bytes, the header "
+                         f"alone takes {start}")
+    (mlen,) = struct.unpack_from("<Q", blob, len(MAGIC))
     manifest = json.loads(blob[start: start + mlen].decode("utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError("checkpoint manifest is not a JSON object")
     if manifest.get("version") != VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest.get('version')}")
+    for key, kind in (("config", dict), ("tensors", list)):
+        if not isinstance(manifest.get(key), kind):
+            raise ValueError(f"checkpoint manifest has no {key} {kind.__name__}")
     params = {}
     for entry in manifest["tensors"]:
-        dt = _DTYPES[entry["precision"]]
-        arr = np.frombuffer(
-            blob, dtype=dt, count=entry["nbytes"] // np.dtype(dt).itemsize,
-            offset=entry["offset"],
-        ).reshape(entry["shape"])
+        name, shape, dt, offset, nbytes = _entry_fields(entry)
+        arr = np.frombuffer(blob, dtype=dt, count=nbytes // np.dtype(dt).itemsize,
+                            offset=offset).reshape(shape)
         # copy: a view of the bytes blob is read-only
-        params[entry["name"]] = arr.copy()
+        params[name] = arr.copy()
     return params, manifest["config"]

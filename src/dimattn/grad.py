@@ -12,7 +12,8 @@ them (opcount conventions, multiplied by batch and filter count).
 attention.py and masked.py keep the literal oracles they are checked
 against.  Attention ops accept either a single sequence [N, d] or a batch
 [B, N, d]; parameter gradients are summed over the batch.  The causal one
-is a chunk-wise scan whose tape holds only each chunk's starting state.
+is a chunk-wise scan over position-major states whose tape holds only each
+chunk's starting state.
 """
 
 from __future__ import annotations
@@ -258,18 +259,23 @@ def dim_attention_multi_bwd(node, u):
 
 
 # positions per chunk of the causal scan; at d=32 on a 2-vCPU Xeon, chunks
-# of 32 and 128 ran slower
+# of 128 ran slower and chunks of 32 no faster
 _CHUNK = 64
 
 
 def _chunk_prefix(q, k, start, s0):
-    """Prefix states [B, d_j, C, d_m] of the chunk at s0, continuing `start`;
-    bitwise equal to a whole-sequence cumulative sum."""
-    cum = (q[:, s0:s0 + _CHUNK].transpose(0, 2, 1)[:, :, :, None]
-           * k[:, None, s0:s0 + _CHUNK, :])
+    """Prefix states [B, C, d_j, d_m] of the chunk at s0, continuing `start`.
+
+    Position-major: the scan adds each position's contiguous d x d state
+    onto the next, bitwise equal to a whole-sequence cumulative sum, where
+    np.cumsum along the strided middle axis of [B, d_j, C, d_m] took about
+    twice as long."""
+    cum = q[:, s0:s0 + _CHUNK, :, None] * k[:, s0:s0 + _CHUNK, None, :]
     if s0:
-        cum[:, :, 0] += start
-    return np.cumsum(cum, axis=2, out=cum)
+        cum[:, 0] += start
+    for i in range(1, cum.shape[1]):
+        cum[:, i] += cum[:, i - 1]
+    return cum
 
 
 def masked_attention_multi_fwd(q, k, v, ws):
@@ -292,9 +298,11 @@ def masked_attention_multi_fwd(q, k, v, ws):
         s0, s1 = t * _CHUNK, (t + 1) * _CHUNK
         cum = _chunk_prefix(qb, kb, starts[:, t], s0)
         if t + 1 < starts.shape[1]:
-            starts[:, t + 1] = cum[:, :, -1]
-        cum *= vb[:, None, s0:s1]
-        out[:, s0:s1] = (cum @ ws.transpose(1, 2, 0)).transpose(0, 2, 3, 1)
+            starts[:, t + 1] = cum[:, -1]
+        cum *= vb[:, s0:s1, None]
+        # [B, d_j, C, d_m] view @ [d_j, d_m, c]: one GEMM per (batch, j)
+        out[:, s0:s1] = (cum.transpose(0, 2, 1, 3)
+                         @ ws.transpose(1, 2, 0)).transpose(0, 2, 3, 1)
     out = out.reshape(b, n, c * d)
     if squeezed:
         out = out[0]
@@ -317,19 +325,22 @@ def masked_attention_multi_bwd(node, u):
         s0, s1 = t * _CHUNK, (t + 1) * _CHUNK
         cum = _chunk_prefix(q, k, starts[:, t], s0)
         uc = u4[:, :, s0:s1]
-        vc = v[:, None, s0:s1]
-        y = uc @ ws.transpose(1, 0, 2)                  # sum_f u_f W_f
-        dv[:, s0:s1] = np.einsum("bjim,bjim->bim", y, cum)
+        vc = v[:, s0:s1, None]
+        # sum_f u_f W_f, written through a [B, d_j, C, d_m] view of y
+        y = np.empty(cum.shape, np.result_type(ub, ws))
+        np.matmul(uc, ws.transpose(1, 0, 2), out=y.transpose(0, 2, 1, 3))
+        dv[:, s0:s1] = np.einsum("bijm,bijm->bim", y, cum)
         cum *= vc
-        dws += (uc.transpose(0, 1, 3, 2) @ cum).sum(axis=0).transpose(1, 0, 2)
+        dws += (uc.transpose(0, 1, 3, 2)
+                @ cum.transpose(0, 2, 1, 3)).sum(axis=0).transpose(1, 0, 2)
         y *= vc                                         # d(state_i)
-        y[:, :, -1] += dg
-        # d(outer_n) collects every position i >= n: a reversed cumulative sum
-        douter = np.cumsum(y[:, :, ::-1], axis=2)[:, :, ::-1]
-        dg = douter[:, :, 0]
-        douter = douter.transpose(0, 2, 1, 3)
-        dq[:, s0:s1] = (douter @ k[:, s0:s1, :, None])[..., 0]
-        dk[:, s0:s1] = (q[:, s0:s1, None, :] @ douter)[:, :, 0]
+        y[:, -1] += dg
+        # d(outer_n) collects every position i >= n: a reversed prefix sum
+        for i in range(y.shape[1] - 2, -1, -1):
+            y[:, i] += y[:, i + 1]
+        dg = y[:, 0]
+        dq[:, s0:s1] = (y @ k[:, s0:s1, :, None])[..., 0]
+        dk[:, s0:s1] = (q[:, s0:s1, None, :] @ y)[:, :, 0]
     if s["squeezed"]:
         dq, dk, dv = dq[0], dk[0], dv[0]
     return {"q": dq, "k": dk, "v": dv, "ws": dws}

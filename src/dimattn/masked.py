@@ -15,9 +15,11 @@ This module holds the literal four-index-loop forms, the correctness
 oracles, plus the whole-sequence prefix-sum score tensor as a checked
 identity.  The fast causal kernel is `grad.masked_attention_multi_fwd`, a
 chunk-wise scan that carries the d x d state from one chunk of positions
-to the next; its tape holds the chunk-start states, which equal slices of
-`masked_score_streaming` bitwise.  The output contraction applies a shared
-d x d filter exactly as in the encoder:
+to the next.  It stores a chunk's states position-major, one contiguous
+d x d slice per position, and forms the prefix sum by adding each slice
+onto the next, so its states equal the slices of `masked_score_streaming`
+bitwise; its tape holds only the chunk-start states.  The output
+contraction applies a shared d x d filter exactly as in the encoder:
 
     O[i, j] = sum_m W[j, m] * S3[j, m, i] * V[i, m].
 """

@@ -59,6 +59,16 @@ def _eval_nll(params, cfg: RunConfig, valid_split, decoder: bool) -> float:
     return total / count
 
 
+def _environment_lines() -> list:
+    """numpy and BLAS versions and the BLAS thread pins, for `run.log`."""
+    from .cli import THREAD_VARS
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    lines = [f"numpy={np.__version__}",
+             f"blas={blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"]
+    return lines + [f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARS]
+
+
 def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
                  log=print) -> dict:
     """Train per the config; returns {'final_valid_nll', 'metrics_path', ...}."""
@@ -101,7 +111,7 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
     ckpt_path = os.path.join(ckpt_dir, "final.ckpt")
     save_checkpoint(ckpt_path, params, cfg.as_dict())
     with open(os.path.join(ckpt_dir, "run.log"), "w", encoding="utf-8") as f:
-        f.write("\n".join(log_lines) + "\n")
+        f.write("\n".join(log_lines + _environment_lines()) + "\n")
         f.write(f"final_valid_nll={valid_nll:.12g}\n")
     return {
         "final_valid_nll": valid_nll,

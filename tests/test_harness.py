@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +226,63 @@ class TestEvalRejectsMismatch:
         out, err = capsys.readouterr()
         assert "valid nll" not in out
         assert key in err
+
+
+def _rewrite_manifest(src, dst, edit):
+    """Copy checkpoint src to dst with edit(manifest) applied to its JSON,
+    padded with spaces to its old length so that the offsets still hold."""
+    blob = src.read_bytes()
+    start = len(checkpoint.MAGIC) + 8
+    (mlen,) = struct.unpack_from("<Q", blob, len(checkpoint.MAGIC))
+    manifest = json.loads(blob[start:start + mlen])
+    edit(manifest)
+    text = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+    assert len(text) <= mlen
+    dst.write_bytes(blob[:start] + text.ljust(mlen) + blob[start + mlen:])
+
+
+class TestEvalRejectsMalformedCheckpoint:
+    """A file that is not a whole checkpoint exits 2 and prints no NLL."""
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m.pop("tensors"), "no tensors list"),
+        (lambda m: m.pop("config"), "no config dict"),
+        (lambda m: m["tensors"][0].update(precision="f16"), "unknown precision 'f16'"),
+        (lambda m: m["tensors"][0].pop("nbytes"), "lacks ['nbytes']"),
+        (lambda m: m["tensors"][0].update(nbytes="x"), "non-integer offset"),
+    ], ids=["no-tensors", "no-config", "precision-f16", "entry-without-nbytes",
+            "nbytes-not-int"])
+    def test_bad_manifest(self, tiny_run, tmp_path, capsys, edit, message):
+        path = tmp_path / "bad.ckpt"
+        _rewrite_manifest(tiny_run, path, lambda m: None)
+        assert cli.main(["eval", "--ckpt", str(path)]) == 0
+        _rewrite_manifest(tiny_run, path, edit)
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert message in err
+
+    def test_eight_byte_file(self, tmp_path, capsys):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(checkpoint.MAGIC + b"\x00\x00")
+        assert cli.main(["eval", "--ckpt", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert "truncated checkpoint" in err
+
+
+class TestRunLog:
+    def test_environment_recorded(self, tiny_run):
+        lines = (tiny_run.parent / "run.log").read_text().splitlines()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        env = [f"numpy={np.__version__}", f"blas={blas['name']} {blas['version']}"]
+        env += [f"{var}={os.environ.get(var, 'unset')}" for var in cli.THREAD_VARS]
+        # after the config echo, before the final NLL
+        i = lines.index(env[0])
+        assert lines[i - 1].startswith("valid_windows=")
+        assert lines[i:] == env + [lines[-1]]
+        assert lines[-1].startswith("final_valid_nll=")
 
 
 # bad values; all but the tokenizer and the corpora are config values

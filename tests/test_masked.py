@@ -123,11 +123,27 @@ class TestMaskedOutput:
         assert np.abs(a - b).max() <= 1e-10
 
 
+def _dense_backward(q, k, v, ws, u):
+    """Gradients of sum(u * out) for one sequence, built from every state
+    G_i of the literal prefix sum rather than from the kernel's scan."""
+    n, d = q.shape
+    g = masked.masked_score_streaming(q, k).transpose(2, 0, 1)  # G_i[j, m]
+    uf = u.reshape(n, -1, d)                                     # u_if[j]
+    dv = np.einsum("fjm,ijm,ifj->im", ws, g, uf)
+    dws = np.einsum("ifj,im,ijm->fjm", uf, v, g)
+    dg = np.einsum("ifj,im,fjm->ijm", uf, v, ws)
+    tail = np.cumsum(dg[::-1], axis=0)[::-1]                     # sum over i >= n
+    dq = np.einsum("njm,nm->nj", tail, k)
+    dk = np.einsum("njm,nj->nm", tail, q)
+    return dq, dk, dv, dws
+
+
 class TestAcrossChunks:
     """The kernel's scan carries its state across chunks of grad._CHUNK."""
 
-    @pytest.mark.parametrize("n", [1, grad._CHUNK - 1, grad._CHUNK,
-                                   grad._CHUNK + 1, 2 * grad._CHUNK + 3])
+    LENGTHS = [1, grad._CHUNK - 1, grad._CHUNK, grad._CHUNK + 1, 2 * grad._CHUNK + 3]
+
+    @pytest.mark.parametrize("n", LENGTHS)
     def test_matches_literal_sum(self, rng, n):
         b, d, c = 2, 3, 2
         q, k, v = (rng.standard_normal((b, n, d)) for _ in range(3))
@@ -137,6 +153,21 @@ class TestAcrossChunks:
             for f in range(c):
                 ref = masked.masked_output_vectorized_naive(q[i], k[i], v[i], ws[f])
                 assert np.abs(out[i, :, f * d:(f + 1) * d] - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_backward_matches_dense_reference(self, rng, n):
+        b, d, c = 2, 5, 2
+        q, k, v = (rng.standard_normal((b, n, d)) for _ in range(3))
+        ws = rng.standard_normal((c, d, d))
+        u = rng.standard_normal((b, n, c * d))
+        grads = grad.masked_attention_multi_bwd(
+            grad.masked_attention_multi_fwd(q, k, v, ws)[1], u)
+        refs = [_dense_backward(q[i], k[i], v[i], ws, u[i]) for i in range(b)]
+        want = {name: np.stack([r[j] for r in refs])
+                for j, name in enumerate(("q", "k", "v"))}
+        want["ws"] = sum(r[3] for r in refs)
+        for name, ref in want.items():
+            assert np.abs(grads[name] - ref).max() <= 1e-10 * np.abs(ref).max(), name
 
 
 class TestCausality:

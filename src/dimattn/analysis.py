@@ -152,10 +152,12 @@ _TOKEN_ROW_BLOCK = 32
 
 
 def token_attention_rows(q, k, v, row_block: int = _TOKEN_ROW_BLOCK) -> np.ndarray:
-    """Non-causal `grad.token_attention_fwd` evaluated on blocks of query rows."""
+    """Non-causal `grad.token_attention_fwd` of one sequence [N, d],
+    evaluated on blocks of query rows."""
     out = np.empty_like(v)
     for lo in range(0, q.shape[0], row_block):
-        out[lo:lo + row_block] = grad.token_attention_fwd(q[lo:lo + row_block], k, v)[0]
+        out[lo:lo + row_block] = grad.token_attention_fwd(
+            q[None, lo:lo + row_block], k[None], v[None])[0][0]
     return out
 
 
@@ -168,13 +170,14 @@ def _bench_one(variant: str, n: int, d: int, rng) -> tuple:
         fn = lambda: token_attention_rows(q, k, v)
         flops = flops_token_attention(n, d).total
     elif variant == "dim_encoder":
-        fn = lambda: grad.dim_attention_multi_fwd(q, k, v, w[None], "softmax_rows_over_k")
+        fn = lambda: grad.dim_attention_multi_fwd(q[None], k[None], v[None], w[None],
+                                                  "softmax_rows_over_k")
         flops = flops_dim_attention(n, d).total
     elif variant == "masked_naive":
         fn = lambda: masked.masked_output_vectorized_naive(q, k, v, w)
         flops = flops_masked(n, d, streaming=False).total
     elif variant == "masked_streaming":
-        fn = lambda: grad.masked_attention_multi_fwd(q, k, v, w[None])
+        fn = lambda: grad.masked_attention_multi_fwd(q[None], k[None], v[None], w[None])
         flops = flops_masked(n, d, streaming=True).total
     else:
         raise ValueError(f"unknown bench variant {variant!r}")

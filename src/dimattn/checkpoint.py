@@ -1,8 +1,9 @@
 """Binary checkpoint container: magic, JSON manifest, raw tensor payloads.
 
 Layout:  b"TCKPT1" | u64 little-endian manifest length | manifest JSON |
-payloads.  The manifest records version, the run configuration, and for
-every tensor its name, shape, precision and absolute byte offset.  Payloads
+payloads.  The manifest records version, the run configuration (for a
+training run, with the corpus vocabulary under "vocab"), and for every
+tensor its name, shape, precision and absolute byte offset.  Payloads
 are little-endian raw bytes in row-major order; save/load round-trips are
 bit-exact, and the manifest JSON is serialized with sorted keys so identical
 inputs produce identical files.
@@ -16,7 +17,7 @@ import struct
 import numpy as np
 
 MAGIC = b"TCKPT1"
-VERSION = 1
+VERSION = 2
 
 _DTYPES = {"f32": "<f4", "f64": "<f8"}
 

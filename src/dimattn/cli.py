@@ -80,12 +80,12 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     from . import analysis
     variants = [v for v in args.variants.split(",") if v]
-    for v in variants:
-        if v not in analysis.BENCH_VARIANTS:
-            print(f"unknown bench variant {v!r}", file=sys.stderr)
-            return 2
-    result = analysis.bench_sweep(variants, _int_list(args.N), _int_list(args.d),
-                                  repeats=args.repeats, seed=args.seed)
+    try:
+        result = analysis.bench_sweep(variants, _int_list(args.N), _int_list(args.d),
+                                      repeats=args.repeats, seed=args.seed)
+    except ValueError as e:
+        print(f"cannot run bench: {e}", file=sys.stderr)
+        return 2
     csv = result.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -97,10 +97,14 @@ def _cmd_bench(args) -> int:
 
 def _cmd_flops(args) -> int:
     from . import analysis
-    token = analysis.flops_token_attention(args.N, args.d, args.heads,
+    try:
+        token = analysis.flops_token_attention(args.N, args.d, args.heads,
+                                               include_projections=args.projections)
+        dim = analysis.flops_dim_attention(args.N, args.d, args.groups, args.convs,
                                            include_projections=args.projections)
-    dim = analysis.flops_dim_attention(args.N, args.d, args.groups, args.convs,
-                                       include_projections=args.projections)
+    except ValueError as e:
+        print(f"cannot count flops: {e}", file=sys.stderr)
+        return 2
     lines = ["variant,N,d,heads,groups,convs,component,mults,adds,total"]
     for rep, h, g, c in ((token, args.heads, "", ""),
                          (dim, "", args.groups, args.convs)):

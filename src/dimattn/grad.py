@@ -1,19 +1,20 @@
 """Reverse-mode rules for every op the training loop composes.
 
 No graph autodiff: the op set is small and closed, so each op is a
-(forward, backward) pair.  Forward returns the output plus a TapeNode
-holding whatever the backward rule needs; backward maps an upstream
-cotangent to per-input gradients.  `fd_check` closes the loop with central
-finite differences against the scalarizing loss sum(output).
+plain (`<op>_fwd`, `<op>_bwd`) pair that callers invoke directly.  Forward
+returns the output plus a TapeNode holding whatever the backward rule
+needs; backward maps an upstream cotangent to per-input gradients.
+`fd_check` closes the loop with central finite differences against the
+scalarizing loss sum(output).
 
 The attention forwards here are the only fast implementation of each op:
 training runs them, `dimattn bench` times them and the FLOPs tally counts
 them (opcount conventions, multiplied by batch and filter count).
 attention.py and masked.py keep the literal oracles they are checked
-against.  Attention ops accept either a single sequence [N, d] or a batch
-[B, N, d]; parameter gradients are summed over the batch.  The causal one
-is a chunk-wise scan over position-major states whose tape holds only each
-chunk's starting state.
+against.  Attention ops take batches [B, N, d] only (a caller holding one
+sequence adds the batch axis); parameter gradients are summed over the
+batch.  The causal one is a chunk-wise scan over position-major states
+whose tape holds only each chunk's starting state.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ from .opcount import TALLY
 
 @dataclass
 class TapeNode:
-    op: str
     saved: dict
-    out_shape: tuple
 
 
-def _node(op, out, **saved):
-    return TapeNode(op=op, saved=saved, out_shape=tuple(np.shape(out)))
+def _node(**saved):
+    return TapeNode(saved=saved)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +45,7 @@ def linear_fwd(x, w, b=None):
     out = x @ w
     if b is not None:
         out = out + b
-    return out, _node("linear", out, x=x, w=w, has_bias=b is not None)
+    return out, _node(x=x, w=w, has_bias=b is not None)
 
 
 def linear_bwd(node, u):
@@ -61,7 +60,7 @@ def linear_bwd(node, u):
 
 def relu_fwd(x):
     out = np.maximum(x, 0.0)
-    return out, _node("relu", out, mask=x > 0.0)
+    return out, _node(mask=x > 0.0)
 
 
 def relu_bwd(node, u):
@@ -70,7 +69,7 @@ def relu_bwd(node, u):
 
 def embed_fwd(table, ids):
     out = table[ids]
-    return out, _node("embed", out, ids=ids, vocab=table.shape[0])
+    return out, _node(ids=ids, vocab=table.shape[0])
 
 
 def embed_bwd(node, u):
@@ -87,7 +86,7 @@ def dropout_fwd(x, rate, rng):
     keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     out = x * keep * scale
-    return out, _node("dropout", out, keep=keep, scale=scale)
+    return out, _node(keep=keep, scale=scale)
 
 
 def dropout_bwd(node, u):
@@ -100,7 +99,7 @@ def layer_norm_fwd(x, gamma, beta, eps=1e-6):
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv_std
     out = gamma * xhat + beta
-    return out, _node("layer_norm", out, xhat=xhat, inv_std=inv_std, gamma=gamma)
+    return out, _node(xhat=xhat, inv_std=inv_std, gamma=gamma)
 
 
 def layer_norm_bwd(node, u):
@@ -126,7 +125,7 @@ def softmax_fwd(x, axis=-1):
     # a subnormal probability moves no result at this precision, but every
     # product that reads it runs many times slower
     p[p < np.finfo(p.dtype).tiny] = 0.0
-    return p, _node("softmax", p, p=p, axis=axis)
+    return p, _node(p=p, axis=axis)
 
 
 def softmax_bwd(node, u):
@@ -142,13 +141,6 @@ def softmax_bwd(node, u):
 NORM_MODES = ("none", "scale_inv_sqrt_N", "softmax_rows_over_k", "softmax_cols_over_j")
 
 _SOFTMAX_AXIS = {"softmax_rows_over_k": -1, "softmax_cols_over_j": -2}
-
-
-def _batched(*arrays):
-    """Promote [N, d] inputs to [1, N, d]; report whether promotion happened."""
-    if arrays[0].ndim == 2:
-        return [a[None] for a in arrays], True
-    return list(arrays), False
 
 
 def _norm_fwd(s, mode, n):
@@ -172,72 +164,59 @@ def _norm_bwd(dfs, mode, softmax, n):
 
 
 def token_attention_fwd(q, k, v, causal=False, key_pad=None):
-    """Softmax attention over keys; key_pad marks keys excluded from every query.
+    """Softmax attention over keys for q, k, v [B, N, d]; key_pad [B, N]
+    marks keys excluded from every query.
 
     Without `causal` the query rows are independent, so q may be any block
-    of rows [Nq, d] of the full query matrix against all N keys.
+    of rows [B, Nq, d] of the full query matrix against all N keys.
     """
-    (qb, kb, vb), squeezed = _batched(q, k, v)
-    b, n, d = qb.shape
+    b, n, d = q.shape
     if TALLY.active:
-        TALLY.matmul("scores", n, d, kb.shape[1], batch=b)
-        TALLY.matmul("attn_v", n, kb.shape[1], d, batch=b)
+        TALLY.matmul("scores", n, d, k.shape[1], batch=b)
+        TALLY.matmul("attn_v", n, k.shape[1], d, batch=b)
     scale = 1.0 / math.sqrt(d)
-    scores = qb @ kb.transpose(0, 2, 1)
+    scores = q @ k.transpose(0, 2, 1)
     scores *= scale
     if causal:
         idx = np.arange(n)
         scores = np.where(idx[None, :, None] >= idx[None, None, :], scores, -np.inf)
     if key_pad is not None:
-        pad = np.asarray(key_pad, dtype=bool)
-        if pad.ndim == 1:
-            pad = pad[None]
-        scores = np.where(pad[:, None, :], -np.inf, scores)
+        scores = np.where(np.asarray(key_pad, dtype=bool)[:, None, :], -np.inf, scores)
     p, softmax = softmax_fwd(scores)
-    out = p @ vb
-    if squeezed:
-        out = out[0]
-    return out, _node("token_attention", out, p=p, softmax=softmax, q=qb, k=kb,
-                      v=vb, scale=scale, squeezed=squeezed)
+    out = p @ v
+    return out, _node(p=p, softmax=softmax, q=q, k=k, v=v, scale=scale)
 
 
 def token_attention_bwd(node, u):
     s = node.saved
-    ub = u[None] if s["squeezed"] else u
     p, q, k, v, scale = s["p"], s["q"], s["k"], s["v"], s["scale"]
-    dv = p.transpose(0, 2, 1) @ ub
-    dp = ub @ v.transpose(0, 2, 1)
+    dv = p.transpose(0, 2, 1) @ u
+    dp = u @ v.transpose(0, 2, 1)
     ds = softmax_bwd(s["softmax"], dp)["x"]
     dq = (ds @ k) * scale
     dk = (ds.transpose(0, 2, 1) @ q) * scale
-    if s["squeezed"]:
-        dq, dk, dv = dq[0], dk[0], dv[0]
     return {"q": dq, "k": dk, "v": dv}
 
 
 def dim_attention_multi_fwd(q, k, v, ws, mode="none"):
     """Factored dimension-wise attention O_f = V @ (W_f * f(S))^T, S = Q^T K.
 
-    The c filters ws [c, d, d] share one normalized score matrix; one filter
-    is ws[None].  Output layout is [..., N, c*d] with filter f occupying
-    columns [f*d, (f+1)*d).
+    q, k, v are [B, N, d]; the c filters ws [c, d, d] share one normalized
+    score matrix; one filter is ws[None].  Output layout is [B, N, c*d] with
+    filter f occupying columns [f*d, (f+1)*d).
     """
-    (qb, kb, vb), squeezed = _batched(q, k, v)
-    b, n, d = qb.shape
+    b, n, d = q.shape
     c = ws.shape[0]
     if TALLY.active:
         TALLY.matmul("scores", d, n, d, batch=b)
         TALLY.elemwise_mul("filter_gate", b * c * d * d)
         TALLY.matmul("filter_mix", n, d, d, batch=b * c)
-    s = qb.transpose(0, 2, 1) @ kb
+    s = q.transpose(0, 2, 1) @ k
     fs, softmax = _norm_fwd(s, mode, n)
     a = ws[None, :, :, :] * fs[:, None, :, :]
     # columns (f, j) of the output: V @ A_f^T for every filter in one product
-    out = vb @ a.reshape(b, c * d, d).transpose(0, 2, 1)
-    if squeezed:
-        out = out[0]
-    return out, _node("dim_attention_multi", out, q=qb, k=kb, v=vb, ws=ws,
-                      a=a, fs=fs, softmax=softmax, mode=mode, squeezed=squeezed)
+    out = v @ a.reshape(b, c * d, d).transpose(0, 2, 1)
+    return out, _node(q=q, k=k, v=v, ws=ws, a=a, fs=fs, softmax=softmax, mode=mode)
 
 
 def dim_attention_multi_bwd(node, u):
@@ -245,16 +224,13 @@ def dim_attention_multi_bwd(node, u):
     q, k, v, ws, a = s["q"], s["k"], s["v"], s["ws"], s["a"]
     b, n, d = q.shape
     c = ws.shape[0]
-    ub = u[None] if s["squeezed"] else u
-    dv = ub @ a.reshape(b, c * d, d)
-    da = (ub.transpose(0, 2, 1) @ v).reshape(b, c, d, d)
+    dv = u @ a.reshape(b, c * d, d)
+    da = (u.transpose(0, 2, 1) @ v).reshape(b, c, d, d)
     dws = np.einsum("bjm,bcjm->cjm", s["fs"], da)
     dfs = np.einsum("cjm,bcjm->bjm", ws, da)
     ds = _norm_bwd(dfs, s["mode"], s["softmax"], n)
     dq = k @ ds.transpose(0, 2, 1)
     dk = q @ ds
-    if s["squeezed"]:
-        dq, dk, dv = dq[0], dk[0], dv[0]
     return {"q": dq, "k": dk, "v": dv, "ws": dws}
 
 
@@ -284,30 +260,26 @@ def masked_attention_multi_fwd(q, k, v, ws):
     The running state G_i = sum_{n<=i} q_n k_n^T is the cumulative sum of
     per-token outer products; row i of filter f is (W_f * G_i) @ V[i, :].
     Chunks of _CHUNK positions carry the state from one to the next and are
-    contracted with every filter in one product.  One filter is ws[None].
+    contracted with every filter in one product.  q, k, v are [B, N, d];
+    one filter is ws[None].
     """
-    (qb, kb, vb), squeezed = _batched(q, k, v)
-    b, n, d = qb.shape
+    b, n, d = q.shape
     c = ws.shape[0]
     if TALLY.active:
         TALLY.add("cum_outer", b * n * d * d, b * (n - 1) * d * d)
         TALLY.add("masked_mix", 2 * b * c * n * d * d, b * c * n * d * (d - 1))
-    starts = np.zeros((b, -(-n // _CHUNK), d, d), np.result_type(qb, kb, vb, ws))
+    starts = np.zeros((b, -(-n // _CHUNK), d, d), np.result_type(q, k, v, ws))
     out = np.empty((b, n, c, d), starts.dtype)
     for t in range(starts.shape[1]):
         s0, s1 = t * _CHUNK, (t + 1) * _CHUNK
-        cum = _chunk_prefix(qb, kb, starts[:, t], s0)
+        cum = _chunk_prefix(q, k, starts[:, t], s0)
         if t + 1 < starts.shape[1]:
             starts[:, t + 1] = cum[:, -1]
-        cum *= vb[:, s0:s1, None]
+        cum *= v[:, s0:s1, None]
         # [B, d_j, C, d_m] view @ [d_j, d_m, c]: one GEMM per (batch, j)
         out[:, s0:s1] = (cum.transpose(0, 2, 1, 3)
                          @ ws.transpose(1, 2, 0)).transpose(0, 2, 3, 1)
-    out = out.reshape(b, n, c * d)
-    if squeezed:
-        out = out[0]
-    return out, _node("masked_attention_multi", out, q=qb, k=kb, v=vb, ws=ws,
-                      starts=starts, squeezed=squeezed)
+    return out.reshape(b, n, c * d), _node(q=q, k=k, v=v, ws=ws, starts=starts)
 
 
 def masked_attention_multi_bwd(node, u):
@@ -315,8 +287,7 @@ def masked_attention_multi_bwd(node, u):
     q, k, v, ws, starts = s["q"], s["k"], s["v"], s["ws"], s["starts"]
     b, n, d = q.shape
     c = ws.shape[0]
-    ub = u[None] if s["squeezed"] else u
-    u4 = ub.reshape(b, n, c, d).transpose(0, 3, 1, 2)
+    u4 = u.reshape(b, n, c, d).transpose(0, 3, 1, 2)
     dq, dk, dv = (np.empty(q.shape, starts.dtype) for _ in range(3))
     dws = np.zeros((c, d, d), starts.dtype)
     # gradient of the next chunk's start state, which seeds the reverse scan
@@ -327,7 +298,7 @@ def masked_attention_multi_bwd(node, u):
         uc = u4[:, :, s0:s1]
         vc = v[:, s0:s1, None]
         # sum_f u_f W_f, written through a [B, d_j, C, d_m] view of y
-        y = np.empty(cum.shape, np.result_type(ub, ws))
+        y = np.empty(cum.shape, np.result_type(u, ws))
         np.matmul(uc, ws.transpose(1, 0, 2), out=y.transpose(0, 2, 1, 3))
         dv[:, s0:s1] = np.einsum("bijm,bijm->bim", y, cum)
         cum *= vc
@@ -341,8 +312,6 @@ def masked_attention_multi_bwd(node, u):
         dg = y[:, 0]
         dq[:, s0:s1] = (y @ k[:, s0:s1, :, None])[..., 0]
         dk[:, s0:s1] = (q[:, s0:s1, None, :] @ y)[:, :, 0]
-    if s["squeezed"]:
-        dq, dk, dv = dq[0], dk[0], dv[0]
     return {"q": dq, "k": dk, "v": dv, "ws": dws}
 
 
@@ -366,8 +335,7 @@ def cross_entropy_masked_fwd(logits, targets, mask):
     logp = shifted - logz
     picked = np.take_along_axis(logp, safe_targets[..., None], axis=-1)[..., 0]
     loss = -float(picked[mask].sum()) / count
-    return loss, _node("cross_entropy_masked", loss, logp=logp, targets=safe_targets,
-                       mask=mask, count=count)
+    return loss, _node(logp=logp, targets=safe_targets, mask=mask, count=count)
 
 
 def cross_entropy_masked_bwd(node, u):
@@ -380,52 +348,14 @@ def cross_entropy_masked_bwd(node, u):
 
 
 # ---------------------------------------------------------------------------
-# dispatch and the finite-difference oracle
+# the finite-difference oracle
 # ---------------------------------------------------------------------------
-
-FORWARDS = {
-    "linear": linear_fwd,
-    "relu": relu_fwd,
-    "embed": embed_fwd,
-    "dropout": dropout_fwd,
-    "layer_norm": layer_norm_fwd,
-    "softmax": softmax_fwd,
-    "token_attention": token_attention_fwd,
-    "dim_attention_multi": dim_attention_multi_fwd,
-    "masked_attention_multi": masked_attention_multi_fwd,
-    "cross_entropy_masked": cross_entropy_masked_fwd,
-}
-
-BACKWARDS = {
-    "linear": linear_bwd,
-    "relu": relu_bwd,
-    "embed": embed_bwd,
-    "dropout": dropout_bwd,
-    "layer_norm": layer_norm_bwd,
-    "softmax": softmax_bwd,
-    "token_attention": token_attention_bwd,
-    "dim_attention_multi": dim_attention_multi_bwd,
-    "masked_attention_multi": masked_attention_multi_bwd,
-    "cross_entropy_masked": cross_entropy_masked_bwd,
-}
-
-
-def backward(node: TapeNode, upstream) -> dict:
-    """Dispatch to the op's backward rule; upstream must match the output."""
-    if node.op not in BACKWARDS:
-        raise ValueError(f"unknown op id {node.op!r}")
-    if tuple(np.shape(upstream)) != node.out_shape:
-        raise ValueError(
-            f"upstream shape {np.shape(upstream)} does not match output "
-            f"{node.out_shape} of op {node.op!r}"
-        )
-    return BACKWARDS[node.op](node, upstream)
-
 
 def fd_check(op: str, inputs: dict, h: float = 1e-5, attrs: dict | None = None) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    The scalarizing loss is the sum of the op's outputs.  Relative error per
+    `op` names the pair `<op>_fwd`/`<op>_bwd` of this module.  The
+    scalarizing loss is the sum of the op's outputs.  Relative error per
     coordinate is |a - n| / max(|a|, |n|, 1e-8).  Inputs must be float64.
     """
     attrs = attrs or {}
@@ -433,16 +363,17 @@ def fd_check(op: str, inputs: dict, h: float = 1e-5, attrs: dict | None = None) 
         if np.asarray(arr).dtype != np.float64:
             raise ValueError(f"fd_check requires float64 inputs, {name} is "
                              f"{np.asarray(arr).dtype}")
-    if op not in FORWARDS:
+    fwd, bwd = globals().get(op + "_fwd"), globals().get(op + "_bwd")
+    if fwd is None or bwd is None:
         raise ValueError(f"unknown op id {op!r}")
 
     def loss(vals):
-        out, _ = FORWARDS[op](**vals, **attrs)
+        out, _ = fwd(**vals, **attrs)
         return float(np.sum(out))
 
-    out, node = FORWARDS[op](**inputs, **attrs)
+    out, node = fwd(**inputs, **attrs)
     upstream = np.ones_like(out) if np.ndim(out) else 1.0
-    analytic = backward(node, upstream)
+    analytic = bwd(node, upstream)
 
     worst = 0.0
     for name in inputs:

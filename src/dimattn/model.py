@@ -129,15 +129,11 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
             drop_rng=None, pad=None):
     """Run the model; returns (logits, cache) with cache holding the tape.
 
-    ids is an int array [N] or [B, N]; pad is an optional bool array of the
-    same shape marking padding positions (excluded from attention).
+    ids is an int array [B, N]; pad is an optional bool array [B, N]
+    marking padding positions (excluded from attention).  One sequence
+    is a batch of one, ids[None].
     """
     ids = np.asarray(ids)
-    single = ids.ndim == 1
-    if single:
-        ids = ids[None]
-        if pad is not None:
-            pad = np.asarray(pad)[None]
     b, n = ids.shape
     if n > cfg.seq_len:
         raise ValueError(f"sequence length {n} exceeds seq_len {cfg.seq_len}")
@@ -150,8 +146,7 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
     if use_dropout and drop_rng is None:
         raise ValueError("training with dropout requires a dropout rng")
 
-    cache = {"cfg": cfg, "ids": ids, "single": single, "decoder": decoder,
-             "layers": []}
+    cache = {"cfg": cfg, "ids": ids, "decoder": decoder, "layers": []}
 
     emb, emb_node = grad.embed_fwd(params["embed"], ids)
     emb_scale = math.sqrt(cfg.d_model)
@@ -217,19 +212,18 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
     logits = (x.reshape(b * n, -1) @ params["embed"].T).reshape(b, n, -1)
     cache["x_final"] = x
     cache["head"] = params["embed"]
-    if single:
-        return logits[0], cache
     return logits, cache
 
 
 def encoder_forward(ids, params, cfg: RunConfig):
-    """Logits for a sequence (or batch) with bidirectional attention."""
+    """Logits [B, N, V] for ids [B, N] with bidirectional attention."""
     logits, _ = forward(params, ids, cfg, decoder=False)
     return logits
 
 
 def decoder_forward(ids, params, cfg: RunConfig):
-    """Causal logits: row i depends only on tokens at positions <= i."""
+    """Causal logits [B, N, V] for ids [B, N]: position i depends only on
+    tokens at positions <= i."""
     logits, _ = forward(params, ids, cfg, decoder=True)
     return logits
 
@@ -241,8 +235,6 @@ def decoder_forward(ids, params, cfg: RunConfig):
 def backward_from_cache(cache, dlogits) -> dict:
     """Accumulate parameter gradients for a forward pass, given d(loss)/d(logits)."""
     cfg = cache["cfg"]
-    if cache["single"]:
-        dlogits = dlogits[None]
     grads = {}
 
     def acc(name, g):

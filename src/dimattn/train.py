@@ -8,7 +8,9 @@ metrics CSV and checkpoint files.
 
 The run's `RunConfig` gets its `vocab_size` from the corpus; that config,
 echoed into `run.log`, is also the checkpoint's manifest, which `eval`
-rebuilds and checks through the same dataclass.
+rebuilds and checks through the same dataclass.  The manifest also keeps
+the corpus vocabulary, so `eval` refuses a corpus whose tokens differ even
+when their number matches.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
         f.write("step,split,nll\n")
         f.write("\n".join(rows) + "\n")
     ckpt_path = os.path.join(ckpt_dir, "final.ckpt")
-    save_checkpoint(ckpt_path, params, cfg.as_dict())
+    save_checkpoint(ckpt_path, params, dict(cfg.as_dict(), vocab=vocab.tokens))
     with open(os.path.join(ckpt_dir, "run.log"), "w", encoding="utf-8") as f:
         f.write("\n".join(log_lines + _environment_lines()) + "\n")
         f.write(f"final_valid_nll={valid_nll:.12g}\n")
@@ -139,6 +141,9 @@ def evaluate_checkpoint(ckpt_path: str, override_data: str | None = None) -> dic
     from .checkpoint import load_checkpoint
 
     params, cfg_dict = load_checkpoint(ckpt_path)
+    tokens = cfg_dict.pop("vocab", None)
+    if not isinstance(tokens, list):
+        raise ValueError("checkpoint config has no vocab list")
     unknown = sorted(set(cfg_dict) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ValueError(f"checkpoint config has unknown keys {unknown}")
@@ -148,6 +153,10 @@ def evaluate_checkpoint(ckpt_path: str, override_data: str | None = None) -> dic
     vocab, _, valid_split = _load_windows(cfg)
     cfg = cfg.block_config(vocab.size)
     _check_param_shapes(params, cfg)
+    if vocab.tokens != tokens:
+        other = sum(ours != theirs for ours, theirs in zip(vocab.tokens, tokens))
+        raise ValueError(f"the corpus vocabulary differs from the checkpoint's: "
+                         f"{other} of {vocab.size} ids name another token")
     params = {k: v.astype(cfg.dtype) for k, v in params.items()}
     nll = _eval_nll(params, cfg, valid_split, decoder=cfg.task == "clm")
     return {"valid_nll": nll, "vocab_size": vocab.size, "task": cfg.task}

@@ -90,7 +90,7 @@ def suite_factored_equivalence(seed=0):
         w = rng.standard_normal((d, d))
         mode = attention.NORM_MODES[case % len(attention.NORM_MODES)]
         lit = attention.dim_attention_materialized(q, k, v, w, mode)
-        fac = grad.dim_attention_multi_fwd(q, k, v, w[None], mode)[0]
+        fac = grad.dim_attention_multi_fwd(q[None], k[None], v[None], w[None], mode)[0][0]
         worst = max(worst, float(np.abs(lit - fac).max()))
     ok = worst <= 1e-10
     return ok, f"200 cases, materialized vs factored max diff {worst:.2e} (<= 1e-10)"
@@ -177,7 +177,7 @@ def suite_masked_equivalence(seed=0):
         s_stream = masked.masked_score_streaming(q, k)
         worst_scores = max(worst_scores, float(np.abs(s_naive - s_stream).max()))
         o_naive = masked.masked_output(q, k, v, w)
-        o_stream = grad.masked_attention_multi_fwd(q, k, v, w[None])[0]
+        o_stream = grad.masked_attention_multi_fwd(q[None], k[None], v[None], w[None])[0][0]
         worst_out = max(worst_out, float(np.abs(o_naive - o_stream).max()))
     for _ in range(10):
         n = int(rng.integers(grad._CHUNK - 2, 3 * grad._CHUNK + 1))
@@ -185,7 +185,7 @@ def suite_masked_equivalence(seed=0):
         q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
         w = rng.standard_normal((d, d))
         o_naive = masked.masked_output_vectorized_naive(q, k, v, w)
-        o_stream = grad.masked_attention_multi_fwd(q, k, v, w[None])[0]
+        o_stream = grad.masked_attention_multi_fwd(q[None], k[None], v[None], w[None])[0][0]
         worst_out = max(worst_out, float(np.abs(o_naive - o_stream).max()))
     ok = worst_scores <= 1e-10 and worst_out <= 1e-10
     return ok, (f"110 cases, score tensor diff {worst_scores:.2e}, "
@@ -236,8 +236,8 @@ def suite_causality(seed=0):
         a = masked.masked_output(q, k, v, w)
         b = masked.masked_output(q2, k2, v2, w)
         naive_exact &= np.array_equal(a[: p + 1], b[: p + 1])
-        a = grad.masked_attention_multi_fwd(q, k, v, w[None])[0]
-        b = grad.masked_attention_multi_fwd(q2, k2, v2, w[None])[0]
+        a = grad.masked_attention_multi_fwd(q[None], k[None], v[None], w[None])[0][0]
+        b = grad.masked_attention_multi_fwd(q2[None], k2[None], v2[None], w[None])[0][0]
         worst_stream = max(worst_stream, float(np.abs(a[: p + 1] - b[: p + 1]).max()))
 
         if case < 10:  # full decoder stacks are heavier; ten configs suffice
@@ -252,8 +252,8 @@ def suite_causality(seed=0):
             ids = rng.integers(0, vocab, n)
             ids2 = ids.copy()
             ids2[p + 1:] = (ids2[p + 1:] + 1) % vocab
-            la = model.decoder_forward(ids, params, cfg)
-            lb = model.decoder_forward(ids2, params, cfg)
+            la = model.decoder_forward(ids[None], params, cfg)[0]
+            lb = model.decoder_forward(ids2[None], params, cfg)[0]
             worst_model = max(worst_model, float(np.abs(la[: p + 1] - lb[: p + 1]).max()))
     ok = naive_exact and worst_stream <= 1e-12 and worst_model <= 1e-12
     return ok, (f"naive exact: {naive_exact}, streaming prefix drift "
@@ -261,8 +261,8 @@ def suite_causality(seed=0):
 
 
 def _attention_inputs(r, n, d):
-    """q/k/v as one sequence or a batch of two, and one or two filters."""
-    lead = () if r.integers(0, 2) else (2,)
+    """q/k/v as a batch of one or two, and one or two filters."""
+    lead = (1,) if r.integers(0, 2) else (2,)
     return {"q": r.standard_normal(lead + (n, d)),
             "k": r.standard_normal(lead + (n, d)),
             "v": r.standard_normal(lead + (n, d)),
@@ -279,9 +279,9 @@ _FD_OP_CASES = [
                                "beta": 0.1 * r.standard_normal(6)}, {})),
     ("embed", lambda r: ({"table": r.standard_normal((7, 4))},
                          {"ids": r.integers(0, 7, (2, 5))})),
-    ("token_attention", lambda r: ({"q": r.standard_normal((5, 3)),
-                                    "k": r.standard_normal((5, 3)),
-                                    "v": r.standard_normal((5, 3))},
+    ("token_attention", lambda r: ({"q": r.standard_normal((1, 5, 3)),
+                                    "k": r.standard_normal((1, 5, 3)),
+                                    "v": r.standard_normal((1, 5, 3))},
                                    {"causal": bool(r.integers(0, 2))})),
     ("dim_attention_multi", lambda r: (
         _attention_inputs(r, 5, 3), {"mode": attention.NORM_MODES[int(r.integers(0, 4))]})),
@@ -316,21 +316,21 @@ def suite_gradient_ops(seed=0):
     # softmax Jacobian annihilates constants: uniform input + uniform
     # upstream give an exactly-zero input gradient
     p, node = grad.softmax_fwd(np.zeros((3, 5)))
-    soft_zero = grad.backward(node, np.ones((3, 5)))["x"]
+    soft_zero = grad.softmax_bwd(node, np.ones((3, 5)))["x"]
     softmax_ok = bool(np.abs(soft_zero).max() <= 1e-15)
 
     # zero upstream -> zero gradients, exactly
     r = make_rng(seed)
-    q, k, v, w = (r.standard_normal((4, 3)) for _ in range(4))
+    q, k, v, w = (r.standard_normal((1, 4, 3)) for _ in range(4))
     w = r.standard_normal((3, 3))
     out, node = grad.dim_attention_multi_fwd(q, k, v, w[None], mode="softmax_rows_over_k")
-    zeros = grad.backward(node, np.zeros_like(out))
+    zeros = grad.dim_attention_multi_bwd(node, np.zeros_like(out))
     zero_ok = all(not g.any() for g in zeros.values())
 
     # duplicated input: d/dQ of op(Q, Q, V) equals the sum of both partials
     h = 1e-6
     out, node = grad.dim_attention_multi_fwd(q, q, v, w[None], mode="none")
-    gs = grad.backward(node, np.ones_like(out))
+    gs = grad.dim_attention_multi_bwd(node, np.ones_like(out))
     shared = gs["q"] + gs["k"]
     worst_dup = 0.0
     for idx in np.ndindex(q.shape):
@@ -428,7 +428,7 @@ def suite_flops_consistency(seed=0):
             problems.append(f"{label}: counters {got} != analytic {want}")
 
     n, d = 10, 4
-    q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+    q, k, v = (rng.standard_normal((1, n, d)) for _ in range(3))
     w = rng.standard_normal((d, d))
     with counting() as tally:
         grad.token_attention_fwd(q, k, v)
@@ -450,7 +450,7 @@ def suite_flops_consistency(seed=0):
     compare("dim groups x filters", tally, analysis.flops_dim_attention(n, d, h, c))
 
     with counting() as tally:
-        masked.masked_output(q, k, v, w)
+        masked.masked_output(q[0], k[0], v[0], w)
     compare("masked naive", tally, analysis.flops_masked(n, d, streaming=False))
     with counting() as tally:
         grad.masked_attention_multi_fwd(q, k, v, w[None])
@@ -548,7 +548,7 @@ def suite_cost_scaling(seed=0):
     d = 6
     counts = {}
     for n in (8, 16, 32):
-        q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+        q, k, v = (rng.standard_normal((1, n, d)) for _ in range(3))
         w = rng.standard_normal((d, d))
         with counting() as tally:
             grad.dim_attention_multi_fwd(q, k, v, w[None])
@@ -559,10 +559,10 @@ def suite_cost_scaling(seed=0):
 
     mults = {}
     for n in (8, 16):
-        q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+        q, k, v = (rng.standard_normal((1, n, d)) for _ in range(3))
         w = rng.standard_normal((d, d))
         with counting() as tally:
-            masked.masked_output(q, k, v, w)
+            masked.masked_output(q[0], k[0], v[0], w)
         naive_scores = tally.by_component["masked_scores_naive"][0]
         with counting() as tally:
             grad.masked_attention_multi_fwd(q, k, v, w[None])

@@ -1,11 +1,10 @@
-import os
-
 # Pin BLAS threading before numpy is first imported anywhere in the test
 # session: verification compares exact accumulation orders and the benchmark
-# criteria measure single-threaded kernel scaling.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# criteria measure single-threaded kernel scaling.  Importing dimattn.cli
+# does not import numpy.
+from dimattn import cli
+
+cli._pin_threads()
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

@@ -29,9 +29,9 @@ class TestAnalyticCounts:
         rep = analysis.flops_token_attention(100, 64, 1)
         with counting() as tally:
             r = np.random.default_rng(0)
-            grad.token_attention_fwd(r.standard_normal((100, 64)),
-                                     r.standard_normal((100, 64)),
-                                     r.standard_normal((100, 64)))
+            grad.token_attention_fwd(r.standard_normal((1, 100, 64)),
+                                     r.standard_normal((1, 100, 64)),
+                                     r.standard_normal((1, 100, 64)))
         assert (tally.mults, tally.adds) == (rep.mults, rep.adds)
         assert rep.total == 2_543_600
 
@@ -67,7 +67,7 @@ class TestAnalyticCounts:
             masked.masked_output(q, k, v, w)
         assert tally.by_component == components(analysis.flops_masked(n, d, False))
         with counting() as tally:
-            grad.masked_attention_multi_fwd(q, k, v, w[None])
+            grad.masked_attention_multi_fwd(q[None], k[None], v[None], w[None])
         assert tally.by_component == components(analysis.flops_masked(n, d, True))
 
     def test_masked_counters_across_chunks(self, rng):

@@ -28,17 +28,19 @@ def loop_token_attention(q, k, v):
 
 
 def token_attention(q, k, v, causal=False):
-    return grad.token_attention_fwd(q, k, v, causal=causal)[0]
+    """The training kernel on one sequence [N, d]."""
+    return grad.token_attention_fwd(q[None], k[None], v[None], causal=causal)[0][0]
 
 
 def dim_attention(q, k, v, w, mode="none"):
-    """The training kernel with one filter."""
-    return grad.dim_attention_multi_fwd(q, k, v, w[None], mode)[0]
+    """The training kernel on one sequence [N, d] with one filter."""
+    return grad.dim_attention_multi_fwd(q[None], k[None], v[None], w[None], mode)[0][0]
 
 
 def token_layer(bc, params, ids):
-    """Layer input and the concatenated head outputs of a one-layer model."""
-    _, cache = model.forward(params, ids, bc)
+    """Layer input and the concatenated head outputs of a one-layer model
+    run on one sequence."""
+    _, cache = model.forward(params, ids[None], bc)
     layer = cache["layers"][0]
     return layer["nq"].saved["x"][0], layer["no"].saved["x"][0]
 
@@ -94,7 +96,7 @@ class TestMultiHeadBaseline:
                        heads=2, ffn_width=8, seq_len=5, dropout=0.0)
         params = model.init_params(bc, 1)
         params["l0.attn.wo"] = np.zeros((4, 4))
-        ids = rng.integers(0, 11, 5)
+        ids = rng.integers(0, 11, (1, 5))
         base, _ = model.forward(params, ids, bc)
         for name in ("wq", "wk", "wv"):
             perturbed = dict(params)
@@ -308,7 +310,8 @@ class TestMultiConvBlock:
     def test_degenerate_matches_factored(self, rng):
         q, k, v = (rng.standard_normal((4, 3)) for _ in range(3))
         ws = rng.standard_normal((3, 3, 3))
-        out = grad.dim_attention_multi_fwd(q, k, v, ws, "softmax_rows_over_k")[0]
+        out = grad.dim_attention_multi_fwd(q[None], k[None], v[None], ws,
+                                           "softmax_rows_over_k")[0][0]
         for f in range(3):
             expected = dim_attention(q, k, v, ws[f], "softmax_rows_over_k")
             assert np.abs(out[:, 3 * f:3 * f + 3] - expected).max() <= 1e-12
@@ -317,7 +320,8 @@ class TestMultiConvBlock:
         x = rng.standard_normal((5, 2))
         w = rng.standard_normal((2, 2))
         q, k, v = (x @ rng.standard_normal((2, 2)) for _ in range(3))
-        out = grad.dim_attention_multi_fwd(q, k, v, np.stack([w] * 8), "none")[0]
+        out = grad.dim_attention_multi_fwd(q[None], k[None], v[None],
+                                           np.stack([w] * 8), "none")[0][0]
         for c in range(1, 8):
             assert np.array_equal(out[:, :2], out[:, 2 * c: 2 * c + 2])
 
@@ -329,10 +333,10 @@ class TestMultiConvBlock:
         wv = rng.standard_normal((dm, d))
         filters = [rng.standard_normal((d, d)) for _ in range(c)]
         wo = rng.standard_normal((c * d, dm))
-        out = grad.dim_attention_multi_fwd(x @ wq, x @ wk, x @ wv, np.stack(filters),
-                                           "softmax_rows_over_k")[0] @ wo
-
         q, k, v = x @ wq, x @ wk, x @ wv
+        out = grad.dim_attention_multi_fwd(q[None], k[None], v[None], np.stack(filters),
+                                           "softmax_rows_over_k")[0][0] @ wo
+
         s = np.zeros((d, d))
         for i in range(d):
             for j in range(d):

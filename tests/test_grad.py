@@ -12,18 +12,7 @@ class TestDispatch:
         x = np.abs(rng.standard_normal((3, 4))) + 0.1
         out, node = grad.relu_fwd(x)
         u = rng.standard_normal((3, 4))
-        assert np.array_equal(grad.backward(node, u)["x"], u)
-
-    def test_unknown_op_rejected(self, rng):
-        _, node = grad.relu_fwd(rng.standard_normal(3))
-        node.op = "fused_rainbow"
-        with pytest.raises(ValueError, match="unknown op"):
-            grad.backward(node, np.zeros(3))
-
-    def test_upstream_shape_checked(self, rng):
-        _, node = grad.relu_fwd(rng.standard_normal((2, 3)))
-        with pytest.raises(ValueError, match="upstream shape"):
-            grad.backward(node, np.zeros((3, 2)))
+        assert np.array_equal(grad.relu_bwd(node, u)["x"], u)
 
 
 class TestMatmulRule:
@@ -34,7 +23,7 @@ class TestMatmulRule:
         b = rng.standard_normal((4, 2))
         u = rng.standard_normal((3, 2))
         _, node = grad.linear_fwd(a, b)
-        gs = grad.backward(node, u)
+        gs = grad.linear_bwd(node, u)
         assert np.allclose(gs["x"], u @ b.T, atol=1e-15)
         assert np.allclose(gs["w"], a.T @ u, atol=1e-15)
 
@@ -55,7 +44,7 @@ class TestMatmulRule:
 class TestSoftmaxRule:
     def test_uniform_input_uniform_upstream_zero_gradient(self):
         p, node = grad.softmax_fwd(np.zeros((2, 4)))
-        g = grad.backward(node, np.ones((2, 4)))["x"]
+        g = grad.softmax_bwd(node, np.ones((2, 4)))["x"]
         assert np.abs(g).max() <= 1e-16
 
     def test_jacobian_against_upstream(self, rng):
@@ -63,7 +52,7 @@ class TestSoftmaxRule:
         x = rng.standard_normal(5)
         p, node = grad.softmax_fwd(x[None])
         u = rng.standard_normal(5)
-        g = grad.backward(node, u[None])["x"][0]
+        g = grad.softmax_bwd(node, u[None])["x"][0]
         p0 = p[0]
         jac = np.diag(p0) - np.outer(p0, p0)
         assert np.allclose(g, jac @ u, atol=1e-12)
@@ -73,18 +62,18 @@ class TestAttentionRules:
     @pytest.mark.parametrize("causal", [False, True])
     def test_token_attention_fd(self, causal):
         r = make_rng(5 + causal)
-        inputs = {"q": r.standard_normal((5, 3)),
-                  "k": r.standard_normal((5, 3)),
-                  "v": r.standard_normal((5, 3))}
+        inputs = {"q": r.standard_normal((1, 5, 3)),
+                  "k": r.standard_normal((1, 5, 3)),
+                  "v": r.standard_normal((1, 5, 3))}
         assert grad.fd_check("token_attention", inputs,
                              attrs={"causal": causal}) <= 1e-4
 
     @pytest.mark.parametrize("mode", NORM_MODES)
     def test_dim_attention_fd_all_modes(self, mode):
         r = make_rng(17)
-        inputs = {"q": r.standard_normal((5, 3)),
-                  "k": r.standard_normal((5, 3)),
-                  "v": r.standard_normal((5, 3)),
+        inputs = {"q": r.standard_normal((1, 5, 3)),
+                  "k": r.standard_normal((1, 5, 3)),
+                  "v": r.standard_normal((1, 5, 3)),
                   "ws": r.standard_normal((1, 3, 3))}
         assert grad.fd_check("dim_attention_multi", inputs, attrs={"mode": mode}) <= 1e-4
 
@@ -99,22 +88,22 @@ class TestAttentionRules:
 
     def test_masked_attention_fd(self):
         r = make_rng(31)
-        inputs = {"q": r.standard_normal((4, 2)),
-                  "k": r.standard_normal((4, 2)),
-                  "v": r.standard_normal((4, 2)),
+        inputs = {"q": r.standard_normal((1, 4, 2)),
+                  "k": r.standard_normal((1, 4, 2)),
+                  "v": r.standard_normal((1, 4, 2)),
                   "ws": r.standard_normal((1, 2, 2))}
         assert grad.fd_check("masked_attention_multi", inputs) <= 1e-4
 
     def test_shared_query_key_gradient_sums_partials(self):
         r = make_rng(3)
-        q = r.standard_normal((4, 3))
-        v = r.standard_normal((4, 3))
+        q = r.standard_normal((1, 4, 3))
+        v = r.standard_normal((1, 4, 3))
         ws = r.standard_normal((1, 3, 3))
         out, node = grad.dim_attention_multi_fwd(q, q, v, ws, mode="none")
-        gs = grad.backward(node, np.ones_like(out))
+        gs = grad.dim_attention_multi_bwd(node, np.ones_like(out))
         shared = gs["q"] + gs["k"]
         h = 1e-6
-        for idx in [(0, 0), (2, 1), (3, 2)]:
+        for idx in [(0, 0, 0), (0, 2, 1), (0, 3, 2)]:
             qp = q.copy(); qp[idx] += h
             qm = q.copy(); qm[idx] -= h
             num = (np.sum(grad.dim_attention_multi_fwd(qp, qp, v, ws, mode="none")[0])
@@ -123,10 +112,10 @@ class TestAttentionRules:
 
     def test_zero_upstream_zero_gradients(self):
         r = make_rng(9)
-        q, k, v = (r.standard_normal((4, 2)) for _ in range(3))
+        q, k, v = (r.standard_normal((1, 4, 2)) for _ in range(3))
         ws = r.standard_normal((1, 2, 2))
         out, node = grad.masked_attention_multi_fwd(q, k, v, ws)
-        gs = grad.backward(node, np.zeros_like(out))
+        gs = grad.masked_attention_multi_bwd(node, np.zeros_like(out))
         assert all(not g.any() for g in gs.values())
 
 
@@ -167,10 +156,10 @@ class TestChunkedScan:
         ws = r.standard_normal((2, d, d))
         u = r.standard_normal((2, n, 2 * d))
         out64, node64 = grad.masked_attention_multi_fwd(q, k, v, ws)
-        grads64 = grad.backward(node64, u)
+        grads64 = grad.masked_attention_multi_bwd(node64, u)
         f32 = [a.astype(np.float32) for a in (q, k, v, ws)]
         out, node = grad.masked_attention_multi_fwd(*f32)
-        grads = grad.backward(node, u.astype(np.float32))
+        grads = grad.masked_attention_multi_bwd(node, u.astype(np.float32))
         assert out.dtype == np.float32
         assert node.saved["starts"].dtype == np.float32
         assert np.abs(out - out64).max() <= 1e-4 * np.abs(out64).max()
@@ -219,7 +208,7 @@ class TestOtherRules:
         x = rng.standard_normal((8, 8))
         out, node = grad.dropout_fwd(x, 0.4, make_rng(0))
         u = rng.standard_normal((8, 8))
-        g = grad.backward(node, u)["x"]
+        g = grad.dropout_bwd(node, u)["x"]
         kept = out != 0.0
         assert np.array_equal(g != 0.0, kept)
         assert np.allclose(g[kept], u[kept] / 0.6, atol=1e-12)
@@ -238,15 +227,15 @@ class TestFdCheck:
         # the full 20-instance sweep for two representative fused ops
         for i in range(20):
             r = make_rng(100 + i)
-            inputs = {"q": r.standard_normal((5, 3)),
-                      "k": r.standard_normal((5, 3)),
-                      "v": r.standard_normal((5, 3)),
+            inputs = {"q": r.standard_normal((1, 5, 3)),
+                      "k": r.standard_normal((1, 5, 3)),
+                      "v": r.standard_normal((1, 5, 3)),
                       "ws": r.standard_normal((1, 3, 3))}
             mode = NORM_MODES[i % 4]
             assert grad.fd_check("dim_attention_multi", inputs,
                                  attrs={"mode": mode}) <= 1e-4
-            inputs = {"q": r.standard_normal((4, 2)),
-                      "k": r.standard_normal((4, 2)),
-                      "v": r.standard_normal((4, 2)),
+            inputs = {"q": r.standard_normal((1, 4, 2)),
+                      "k": r.standard_normal((1, 4, 2)),
+                      "v": r.standard_normal((1, 4, 2)),
                       "ws": r.standard_normal((1, 2, 2))}
             assert grad.fd_check("masked_attention_multi", inputs) <= 1e-4

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -173,10 +175,15 @@ def test_shipped_config_loads(path):
     assert (bc.vocab_size, bc.steps) == (40, cfg.steps)
 
 
-def test_package_exports_resolve():
-    import dimattn
-    missing = [name for name in dimattn.__all__ if not hasattr(dimattn, name)]
-    assert not missing
+def test_cli_import_leaves_numpy_unloaded():
+    # cli.main pins the BLAS threads, which holds only if numpy is not yet
+    # loaded when the console script imports the module
+    env = {k: v for k, v in os.environ.items() if k not in cli.THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, dimattn.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 TINY_CONFIG = ("seq_len = 16\nd_model = 8\nlayers = 1\nconvs = 2\nhead_dim = 4\n"
@@ -204,6 +211,35 @@ class TestEvalRejectsMismatch:
         out, err = capsys.readouterr()
         assert "valid nll" not in out
         assert "embed" in err
+
+    def test_same_size_other_vocabulary(self, tiny_run, corpus_path, tmp_path, capsys):
+        # one letter swapped for a character the corpus lacks
+        text = Path(corpus_path).read_text(encoding="utf-8")
+        letter = next(c for c in "etaoinshr" if c in text)
+        fresh = next(c for c in "QZXJKVW#@%" if c not in text)
+        other = tmp_path / "other.txt"
+        other.write_text(text.replace(letter, fresh), encoding="utf-8")
+        sizes = {data.build_corpus(p)[0].size for p in (corpus_path, other)}
+        assert len(sizes) == 1
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(tiny_run), "--data", str(other)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert "vocabulary differs" in err
+
+    def test_version_1_file(self, tiny_run, tmp_path, capsys):
+        path = tmp_path / "v1.ckpt"
+        _rewrite_manifest(tiny_run, path, lambda m: m.update(version=1))
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert "unsupported checkpoint version 1" in err
+
+    def test_same_corpus_reproduces_training_nll(self, tiny_run):
+        logged = (tiny_run.parent / "run.log").read_text().splitlines()[-1]
+        nll = train.evaluate_checkpoint(str(tiny_run))["valid_nll"]
+        assert logged == f"final_valid_nll={nll:.12g}"
 
     def test_unknown_manifest_key(self, tiny_run, tmp_path, capsys):
         params, cfg = checkpoint.load_checkpoint(tiny_run)
@@ -372,6 +408,19 @@ class TestCli:
         assert lines[0].startswith("variant,N,d,heads")
         assert any(line.startswith("token,100,64,8") for line in lines)
         assert any(line.startswith("dim,100,64,,1,8") for line in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ["flops", "--N", "0"],
+        ["flops", "--d", "-3"],
+        ["bench", "--repeats", "3"],
+        ["bench", "--N", "6x4"],
+        ["bench", "--N", "0"],
+    ], ids=["flops-N-0", "flops-d-neg", "bench-repeats-3", "bench-N-6x4", "bench-N-0"])
+    def test_bad_number_exits_2(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
 
     def test_bench_unknown_variant_exits_2(self, capsys):
         assert cli.main(["bench", "--variants", "warp_drive", "--N", "64",

@@ -94,8 +94,8 @@ class TestMaskedKrTensor:
 
 
 def masked_attention(q, k, v, w):
-    """The training kernel with one filter."""
-    return grad.masked_attention_multi_fwd(q, k, v, w[None])[0]
+    """The training kernel on one sequence [N, d] with one filter."""
+    return grad.masked_attention_multi_fwd(q[None], k[None], v[None], w[None])[0][0]
 
 
 class TestMaskedOutput:

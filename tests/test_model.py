@@ -20,7 +20,7 @@ class TestForward:
         bc = tiny_config(layers=0)
         params = model.init_params(bc, 0)
         ids = rng.integers(0, 11, 4)
-        logits = model.encoder_forward(ids, params, bc)
+        logits = model.encoder_forward(ids[None], params, bc)[0]
         x = params["embed"][ids] * math.sqrt(bc.d_model) \
             + model.sinusoidal_positions(bc.seq_len, bc.d_model)[:4]
         assert np.allclose(logits, x @ params["embed"].T, atol=1e-12)
@@ -35,7 +35,7 @@ class TestForward:
         params["l0.attn.wv0"] = np.eye(4)
         params["l0.attn.wo"] = np.eye(4)
         ids = rng.integers(0, 11, 2)
-        logits = model.encoder_forward(ids, params, bc)
+        logits = model.encoder_forward(ids[None], params, bc)[0]
 
         def layer_norm(x, gamma, beta, eps=1e-6):
             mu = x.mean(axis=-1, keepdims=True)
@@ -63,13 +63,13 @@ class TestForward:
         bc = tiny_config()
         params = model.init_params(bc, 0)
         with pytest.raises(ValueError, match="out of range"):
-            model.encoder_forward(np.array([0, 11]), params, bc)
+            model.encoder_forward(np.array([[0, 11]]), params, bc)
 
     def test_overlong_sequence_rejected(self, rng):
         bc = tiny_config()
         params = model.init_params(bc, 0)
         with pytest.raises(ValueError, match="exceeds"):
-            model.encoder_forward(np.zeros(7, dtype=int), params, bc)
+            model.encoder_forward(np.zeros((1, 7), dtype=int), params, bc)
 
 
 class TestDecoder:
@@ -79,8 +79,8 @@ class TestDecoder:
         ids = rng.integers(0, 11, 6)
         ids2 = ids.copy()
         ids2[5] = (ids2[5] + 3) % 11
-        a = model.decoder_forward(ids, params, bc)
-        b = model.decoder_forward(ids2, params, bc)
+        a = model.decoder_forward(ids[None], params, bc)[0]
+        b = model.decoder_forward(ids2[None], params, bc)[0]
         assert np.abs(a[:5] - b[:5]).max() <= 1e-12
 
     def test_position_zero_sees_only_itself(self, rng):
@@ -89,8 +89,8 @@ class TestDecoder:
         ids = rng.integers(0, 11, 6)
         ids2 = ids.copy()
         ids2[1:] = (ids2[1:] + 1) % 11
-        a = model.decoder_forward(ids, params, bc)
-        b = model.decoder_forward(ids2, params, bc)
+        a = model.decoder_forward(ids[None], params, bc)[0]
+        b = model.decoder_forward(ids2[None], params, bc)[0]
         assert np.abs(a[0] - b[0]).max() <= 1e-12
 
     def test_f32_decoder_logits(self, rng):
@@ -111,8 +111,8 @@ class TestDecoder:
         ids = rng.integers(0, 11, 6)
         ids2 = ids.copy()
         ids2[4:] = (ids2[4:] + 5) % 11
-        a = model.decoder_forward(ids, params, bc)
-        b = model.decoder_forward(ids2, params, bc)
+        a = model.decoder_forward(ids[None], params, bc)[0]
+        b = model.decoder_forward(ids2[None], params, bc)[0]
         assert np.abs(a[:4] - b[:4]).max() <= 1e-12
 
     def test_streaming_matches_naive_composition(self, rng):
@@ -121,7 +121,7 @@ class TestDecoder:
         bc = tiny_config(layers=1, convs=1)
         params = model.init_params(bc, 6)
         ids = rng.integers(0, 11, 5)
-        logits = model.decoder_forward(ids, params, bc)
+        logits = model.decoder_forward(ids[None], params, bc)[0]
 
         def layer_norm(x, gamma, beta, eps=1e-6):
             mu = x.mean(axis=-1, keepdims=True)

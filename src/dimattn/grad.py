@@ -15,6 +15,12 @@ against.  Attention ops take batches [B, N, d] only (a caller holding one
 sequence adds the batch axis); parameter gradients are summed over the
 batch.  The causal one is a chunk-wise scan over position-major states
 whose tape holds only each chunk's starting state.
+
+Memory: an op writes in place only into arrays it allocated itself, never
+into an input or an array held on a tape.  Within that rule the elementwise
+ops build their results in place (`out += b`, `dx *= inv_std`) rather than
+through chains of temporaries, with the same IEEE operations in the same
+order as the one-line formulas, so results are bitwise those formulas'.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ def linear_fwd(x, w, b=None):
     """x[..., m] @ w[m, n] (+ b), leading axes flattened for the product."""
     out = x @ w
     if b is not None:
-        out = out + b
+        out += b
     return out, _node(x=x, w=w, has_bias=b is not None)
 
 
@@ -85,33 +91,42 @@ def dropout_fwd(x, rate, rng):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
-    out = x * keep * scale
+    out = x * keep
+    out *= scale
     return out, _node(keep=keep, scale=scale)
 
 
 def dropout_bwd(node, u):
-    return {"x": u * node.saved["keep"] * node.saved["scale"]}
+    dx = u * node.saved["keep"]
+    dx *= node.saved["scale"]
+    return {"x": dx}
 
 
 def layer_norm_fwd(x, gamma, beta, eps=1e-6):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # centred once: the mean of its squares is bitwise x.var
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    out = gamma * xhat + beta
+    xhat *= inv_std
+    out = gamma * xhat
+    out += beta
     return out, _node(xhat=xhat, inv_std=inv_std, gamma=gamma)
 
 
 def layer_norm_bwd(node, u):
     xhat, inv_std, gamma = (node.saved[k] for k in ("xhat", "inv_std", "gamma"))
-    dxhat = u * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv_std * (dxhat - m1 - xhat * m2)
+    # inv_std * (dxhat - m1 - xhat * m2), built in dx with one scratch array
+    dx = u * gamma
+    m1 = dx.mean(axis=-1, keepdims=True)
+    scratch = dx * xhat
+    m2 = scratch.mean(axis=-1, keepdims=True)
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=scratch)
+    dx *= inv_std
     axes = tuple(range(u.ndim - 1))
     return {
         "x": dx,
-        "gamma": (u * xhat).sum(axis=axes),
+        "gamma": np.multiply(u, xhat, out=scratch).sum(axis=axes),
         "beta": u.sum(axis=axes),
     }
 

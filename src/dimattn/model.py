@@ -29,6 +29,7 @@ sequence), Adam and the training step its optimizer fields.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -49,6 +50,15 @@ def sinusoidal_positions(n_max: int, d_model: int) -> np.ndarray:
     pe = np.zeros((n_max, d_model))
     pe[:, 0::2] = np.sin(pos * div)
     pe[:, 1::2] = np.cos(pos * div[: d_model // 2])
+    return pe
+
+
+@functools.lru_cache(maxsize=8)
+def _position_table(n_max: int, d_model: int, dtype) -> np.ndarray:
+    """sinusoidal_positions in the model's dtype, computed once per shape;
+    read-only, since every forward pass shares it."""
+    pe = sinusoidal_positions(n_max, d_model).astype(dtype)
+    pe.flags.writeable = False
     return pe
 
 
@@ -134,6 +144,8 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
     is a batch of one, ids[None].
     """
     ids = np.asarray(ids)
+    if pad is not None and not np.any(pad):
+        pad = None  # nothing to mask: skip the q/k and score masking
     b, n = ids.shape
     if n > cfg.seq_len:
         raise ValueError(f"sequence length {n} exceeds seq_len {cfg.seq_len}")
@@ -150,8 +162,8 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
 
     emb, emb_node = grad.embed_fwd(params["embed"], ids)
     emb_scale = math.sqrt(cfg.d_model)
-    pos = sinusoidal_positions(cfg.seq_len, cfg.d_model)[:n].astype(cfg.dtype)
-    x = emb * emb_scale + pos
+    x = emb * emb_scale
+    x += _position_table(cfg.seq_len, cfg.d_model, cfg.dtype)[:n]
     cache["embed_node"] = emb_node
     cache["emb_scale"] = emb_scale
 
@@ -363,8 +375,17 @@ def adam_update(params: dict, grads: dict, state: AdamState, cfg: RunConfig):
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        scratch = (1.0 - cfg.beta2) * g
+        scratch *= g
+        v += scratch
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += cfg.eps
+        step = m / bc1
+        step *= lr
+        step /= scratch
+        p -= step
 
 
 def train_step(batch, params, state: AdamState, cfg: RunConfig, step: int,

@@ -15,6 +15,8 @@ when their number matches.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 from dataclasses import fields, replace
 
@@ -61,19 +63,50 @@ def _eval_nll(params, cfg: RunConfig, valid_split, decoder: bool) -> float:
     return total / count
 
 
+# glibc mallopt parameters, and the values the training process sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD_BYTES = 512 << 20
+_MMAP_THRESHOLD_BYTES = 256 << 20
+
+
+@functools.cache
+def _retain_heap() -> str:
+    """Keep freed memory in this process's heap, once per process; returns
+    the policy for `run.log`.
+
+    Every training or eval step frees and reallocates the same 0.5-2 MB
+    arrays.  With glibc's defaults those go back to the OS, by munmap or by
+    trimming the heap top, and the next step faults every page in again.
+    Raising both thresholds keeps them in the heap for the next step to
+    reuse.  Where there is no mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return "default (no mallopt)"
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    ok = (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
+          and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1)
+    return "retained" if ok else "default (mallopt failed)"
+
+
 def _environment_lines() -> list:
-    """numpy and BLAS versions and the BLAS thread pins, for `run.log`."""
+    """numpy and BLAS versions, the BLAS thread pins and the heap policy,
+    for `run.log`."""
     from .cli import THREAD_VARS
 
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     lines = [f"numpy={np.__version__}",
              f"blas={blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"]
-    return lines + [f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARS]
+    lines += [f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARS]
+    return lines + [f"heap={_retain_heap()}"]
 
 
 def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
                  log=print) -> dict:
     """Train per the config; returns {'final_valid_nll', 'metrics_path', ...}."""
+    _retain_heap()
     vocab, train_split, valid_split = _load_windows(cfg)
     cfg = cfg.block_config(vocab.size)
     decoder = cfg.task == "clm"
@@ -140,6 +173,7 @@ def evaluate_checkpoint(ckpt_path: str, override_data: str | None = None) -> dic
     """Reload a checkpoint and report NLL on the held-out split."""
     from .checkpoint import load_checkpoint
 
+    _retain_heap()
     params, cfg_dict = load_checkpoint(ckpt_path)
     tokens = cfg_dict.pop("vocab", None)
     if not isinstance(tokens, list):

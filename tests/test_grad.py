@@ -239,3 +239,69 @@ class TestFdCheck:
                       "v": r.standard_normal((1, 4, 2)),
                       "ws": r.standard_normal((1, 2, 2))}
             assert grad.fd_check("masked_attention_multi", inputs) <= 1e-4
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _read_only(*arrays):
+    """The arrays, made read-only: an op that writes into one raises."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class TestInPlaceOps:
+    """The elementwise ops build their results in place; each must equal
+    the one-line formula it replaced bit for bit, and write into no input
+    and no array on its tape."""
+
+    SHAPE = (3, 17, 130)
+
+    @pytest.fixture(params=[np.float64, np.float32], ids=["f64", "f32"])
+    def dtype(self, request):
+        return request.param
+
+    def _arrays(self, dtype, seed, *shapes):
+        r = make_rng(seed)
+        return [(1.5 + r.standard_normal(s)).astype(dtype) for s in shapes]
+
+    def test_linear(self, dtype):
+        x, w, b = _read_only(*self._arrays(dtype, 51, self.SHAPE, (130, 40), (40,)))
+        out, node = grad.linear_fwd(x, w, b)
+        assert _same_bits(out, x @ w + b)
+        out, node = grad.linear_fwd(x, w)
+        assert _same_bits(out, x @ w)
+
+    def test_layer_norm(self, dtype):
+        x, gamma, beta, u = _read_only(
+            *self._arrays(dtype, 53, self.SHAPE, (130,), (130,), self.SHAPE))
+        out, node = grad.layer_norm_fwd(x, gamma, beta)
+        # the formulas layer_norm_fwd and layer_norm_bwd replaced
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + 1e-6)
+        xhat = (x - mu) * inv_std
+        assert _same_bits(out, gamma * xhat + beta)
+        assert _same_bits(node.saved["xhat"], xhat)
+        assert _same_bits(node.saved["inv_std"], inv_std)
+
+        _read_only(node.saved["xhat"], node.saved["inv_std"])
+        grads = grad.layer_norm_bwd(node, u)
+        dxhat = u * gamma
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        assert _same_bits(grads["x"], inv_std * (dxhat - m1 - xhat * m2))
+        assert _same_bits(grads["gamma"], (u * xhat).sum(axis=(0, 1)))
+        assert _same_bits(grads["beta"], u.sum(axis=(0, 1)))
+
+    def test_dropout(self, dtype):
+        x, u = _read_only(*self._arrays(dtype, 55, self.SHAPE, self.SHAPE))
+        out, node = grad.dropout_fwd(x, 0.3, make_rng(0))
+        keep = make_rng(0).random(self.SHAPE) >= 0.3
+        scale = 1.0 / (1.0 - 0.3)
+        assert np.array_equal(node.saved["keep"], keep)
+        assert _same_bits(out, x * keep * scale)
+        _read_only(node.saved["keep"])
+        assert _same_bits(grad.dropout_bwd(node, u)["x"], u * keep * scale)

@@ -314,11 +314,59 @@ class TestRunLog:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         env = [f"numpy={np.__version__}", f"blas={blas['name']} {blas['version']}"]
         env += [f"{var}={os.environ.get(var, 'unset')}" for var in cli.THREAD_VARS]
+        env.append(f"heap={train._retain_heap()}")
+        assert env[-1] in ("heap=retained", "heap=default (no mallopt)",
+                           "heap=default (mallopt failed)")
         # after the config echo, before the final NLL
         i = lines.index(env[0])
         assert lines[i - 1].startswith("valid_windows=")
         assert lines[i:] == env + [lines[-1]]
         assert lines[-1].startswith("final_valid_nll=")
+
+
+# Minor page faults of each of 8 training steps, in a fresh process so the
+# heap's history is the run's own; prints null where mallopt is missing.
+_FAULT_SCRIPT = """
+import json, resource
+import numpy as np
+from dimattn import model, train
+from dimattn.config import RunConfig
+
+if train._retain_heap() != "retained":
+    print("null")
+    raise SystemExit
+faults = {}
+for attention, decoder in (("dim", False), ("dim", True), ("token", False)):
+    cfg = RunConfig(vocab_size=40, layers=1, attention=attention, seq_len=100,
+                    batch_size=8, d_model=128, warmup=4)
+    params = model.init_params(cfg, 0)
+    state = model.AdamState()
+    rng = np.random.default_rng(0)
+    counts = []
+    for step in range(8):
+        ids, targets = rng.integers(0, 40, (2, 8, 100))
+        mask = rng.random((8, 100)) < 0.15
+        mask[:, 0] = True
+        batch = (ids, targets, mask, np.zeros((8, 100), dtype=bool))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        model.train_step(batch, params, state, cfg, step, decoder=decoder)
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    faults[f"{attention} decoder={decoder}"] = counts
+print(json.dumps(faults))
+"""
+
+
+def test_training_steps_do_not_fault():
+    # after two warm-up steps a training step reuses the heap it freed
+    env = dict(os.environ, **{var: "1" for var in cli.THREAD_VARS})
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    faults = json.loads(out.splitlines()[-1])
+    if faults is None:
+        pytest.skip("no glibc mallopt: the heap keeps the allocator's defaults")
+    for name, counts in faults.items():
+        assert max(counts[2:]) <= 50, (name, counts)
 
 
 # bad values; all but the tokenizer and the corpora are config values

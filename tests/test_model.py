@@ -72,6 +72,34 @@ class TestForward:
             model.encoder_forward(np.zeros((1, 7), dtype=int), params, bc)
 
 
+class TestPositionTable:
+    """forward adds a cached, read-only sinusoidal table per (seq_len,
+    d_model, dtype)."""
+
+    def test_read_only(self):
+        table = model._position_table(16, 8, np.float64)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_sinusoids(self, dtype):
+        table = model._position_table(50, 12, dtype)
+        want = model.sinusoidal_positions(50, 12).astype(dtype)
+        assert table.dtype == want.dtype
+        assert table.tobytes() == want.tobytes()
+
+    def test_each_seq_len_gets_its_rows(self, rng):
+        # with no layers the final activations are embed * sqrt(d) + positions
+        for seq_len, n in ((100, 100), (1024, 1024), (1024, 60)):
+            bc = tiny_config(layers=0, seq_len=seq_len)
+            params = model.init_params(bc, 0)
+            ids = rng.integers(0, 11, (2, n))
+            _, cache = model.forward(params, ids, bc)
+            want = params["embed"][ids] * math.sqrt(bc.d_model) \
+                + model.sinusoidal_positions(seq_len, bc.d_model)[:n]
+            assert cache["x_final"].tobytes() == want.tobytes()
+
+
 class TestDecoder:
     def test_perturb_last_token(self, rng):
         bc = tiny_config(layers=2)
@@ -281,6 +309,40 @@ class TestAdam:
     def test_bad_betas_rejected(self):
         with pytest.raises(ValueError, match="betas"):
             RunConfig(beta1=1.0)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_update_matches_one_line_formula(self, precision):
+        # the one-line update adam_update replaced, bit for bit; the
+        # gradients are read-only, so a write into one raises
+        cfg = RunConfig(lr=0.01, warmup=2, precision=precision)
+        r = make_rng(61)
+        params = {"w": r.standard_normal((40, 30)).astype(cfg.dtype),
+                  "b": r.standard_normal(30).astype(cfg.dtype)}
+        ref = {k: p.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros_like(p) for k, p in params.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in params.items()}
+        state = model.AdamState()
+        for t in range(1, 4):
+            grads = {k: r.standard_normal(p.shape).astype(cfg.dtype)
+                     for k, p in params.items()}
+            for g in grads.values():
+                g.flags.writeable = False
+            model.adam_update(params, grads, state, cfg)
+            lr = model.lr_schedule(cfg.lr, t, cfg.warmup)
+            bc1 = 1.0 - cfg.beta1 ** t
+            bc2 = 1.0 - cfg.beta2 ** t
+            for k, g in grads.items():
+                p, m, v = ref[k], ref_m[k], ref_v[k]
+                m *= cfg.beta1
+                m += (1.0 - cfg.beta1) * g
+                v *= cfg.beta2
+                v += (1.0 - cfg.beta2) * g * g
+                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            for k in params:
+                for got, want in ((params[k], ref[k]), (state.m[k], ref_m[k]),
+                                  (state.v[k], ref_v[k])):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestCheckpoint:

@@ -63,34 +63,37 @@ def _position_table(n_max: int, d_model: int, dtype) -> np.ndarray:
 
 
 def _param_specs(cfg: RunConfig):
-    """Ordered (name, shape, init) triples; init is xavier/embed/ones/zeros."""
+    """Ordered (name, shape, init) triples.  init is "embed", "ones" or
+    "zeros", or for a weight its xavier block (fan_in, fan_out): the tensor
+    is drawn uniform within sqrt(6 / (fan_in + fan_out)), so the fused q|k|v
+    projection starts as three side-by-side [d_model, d_model] xavier
+    blocks and a filter stack [c, d, d] as c xavier [d, d] filters."""
     dm, ffn = cfg.d_model, cfg.ffn_width
     specs = [("embed", (cfg.vocab_size, dm), "embed")]
     for i in range(cfg.layers):
         p = f"l{i}."
         if cfg.attention == "token":
             specs += [
-                (p + "attn.wq", (dm, dm), "xavier"),
-                (p + "attn.wk", (dm, dm), "xavier"),
-                (p + "attn.wv", (dm, dm), "xavier"),
-                (p + "attn.wo", (dm, dm), "xavier"),
+                (p + "attn.wqkv", (dm, 3 * dm), (dm, dm)),
+                (p + "attn.wo", (dm, dm), (dm, dm)),
             ]
         else:
             d = cfg.head_dim
             for g in range(cfg.groups):
                 specs += [
-                    (p + f"attn.wq{g}", (dm, d), "xavier"),
-                    (p + f"attn.wk{g}", (dm, d), "xavier"),
-                    (p + f"attn.wv{g}", (dm, d), "xavier"),
-                    (p + f"attn.filters{g}", (cfg.convs, d, d), "xavier"),
+                    (p + f"attn.wq{g}", (dm, d), (dm, d)),
+                    (p + f"attn.wk{g}", (dm, d), (dm, d)),
+                    (p + f"attn.wv{g}", (dm, d), (dm, d)),
+                    (p + f"attn.filters{g}", (cfg.convs, d, d), (d, d)),
                 ]
-            specs.append((p + "attn.wo", (cfg.groups * cfg.convs * d, dm), "xavier"))
+            wo = (cfg.groups * cfg.convs * d, dm)
+            specs.append((p + "attn.wo", wo, wo))
         specs += [
             (p + "ln1.gamma", (dm,), "ones"),
             (p + "ln1.beta", (dm,), "zeros"),
-            (p + "ffn.w1", (dm, ffn), "xavier"),
+            (p + "ffn.w1", (dm, ffn), (dm, ffn)),
             (p + "ffn.b1", (ffn,), "zeros"),
-            (p + "ffn.w2", (ffn, dm), "xavier"),
+            (p + "ffn.w2", (ffn, dm), (ffn, dm)),
             (p + "ffn.b2", (dm,), "zeros"),
             (p + "ln2.gamma", (dm,), "ones"),
             (p + "ln2.beta", (dm,), "zeros"),
@@ -100,19 +103,16 @@ def _param_specs(cfg: RunConfig):
 
 def init_params(cfg: RunConfig, seed: int) -> dict:
     params = {}
-    for name, shape, kind in _param_specs(cfg):
+    for name, shape, init in _param_specs(cfg):
         rng = derived_rng(seed, zlib.crc32(name.encode()))
-        if kind == "xavier":
-            if len(shape) == 3:
-                arr = np.stack([rand_init(shape[1:], "xavier_uniform", rng)
-                                for _ in range(shape[0])])
-            else:
-                arr = rand_init(shape, "xavier_uniform", rng)
-        elif kind == "embed":
+        if isinstance(init, tuple):
+            bound = math.sqrt(6.0 / sum(init))
+            arr = rng.uniform(-bound, bound, size=shape)
+        elif init == "embed":
             # the forward pass scales embeddings by sqrt(d_model), so rows
             # come out at unit scale next to the O(1) positional encodings
             arr = rand_init(shape, "normal", rng, sigma=1.0 / math.sqrt(cfg.d_model))
-        elif kind == "ones":
+        elif init == "ones":
             arr = np.ones(shape)
         else:
             arr = np.zeros(shape)
@@ -175,16 +175,15 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
         p = f"l{i}."
         lc = {"prefix": p}
         if cfg.attention == "token":
-            q, lc["nq"] = grad.linear_fwd(x, params[p + "attn.wq"])
-            k, lc["nk"] = grad.linear_fwd(x, params[p + "attn.wk"])
-            v, lc["nv"] = grad.linear_fwd(x, params[p + "attn.wv"])
             h = cfg.heads
-            qh, kh, vh = _split_heads(q, h), _split_heads(k, h), _split_heads(v, h)
+            qkv, lc["nqkv"] = grad.linear_fwd(x, params[p + "attn.wqkv"])
+            # columns (q|k|v, head, j) -> [q|k|v, B*h, N, d]
+            qkv = (qkv.reshape(b, n, 3, h, -1).transpose(2, 0, 3, 1, 4)
+                   .reshape(3, b * h, n, -1))
             key_pad = None if pad is None else np.repeat(pad, h, axis=0)
-            o, lc["nattn"] = grad.token_attention_fwd(qh, kh, vh, causal=decoder,
+            o, lc["nattn"] = grad.token_attention_fwd(*qkv, causal=decoder,
                                                       key_pad=key_pad)
-            merged = _merge_heads(o, b, h)
-            a, lc["no"] = grad.linear_fwd(merged, params[p + "attn.wo"])
+            a, lc["no"] = grad.linear_fwd(_merge_heads(o, b, h), params[p + "attn.wo"])
         else:
             outs, groups = [], []
             for g in range(cfg.groups):
@@ -245,60 +244,58 @@ def decoder_forward(ids, params, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def backward_from_cache(cache, dlogits) -> dict:
-    """Accumulate parameter gradients for a forward pass, given d(loss)/d(logits)."""
+    """Parameter gradients for a forward pass, given d(loss)/d(logits)."""
     cfg = cache["cfg"]
-    grads = {}
-
-    def acc(name, g):
-        if name in grads:
-            grads[name] += g
-        else:
-            grads[name] = g
-
     head, x_final = cache["head"], cache["x_final"]
     flat = dlogits.reshape(-1, head.shape[0])
     dx = (flat @ head).reshape(x_final.shape)
-    dhead = flat.T @ x_final.reshape(-1, head.shape[1])
-    acc("embed", dhead)
+    # the tied head's term; the table term is added last
+    grads = {"embed": flat.T @ x_final.reshape(-1, head.shape[1])}
 
     for lc in reversed(cache["layers"]):
         p = lc["prefix"]
         g2 = grad.layer_norm_bwd(lc["nln2"], dx)
-        acc(p + "ln2.gamma", g2["gamma"])
-        acc(p + "ln2.beta", g2["beta"])
+        grads[p + "ln2.gamma"] = g2["gamma"]
+        grads[p + "ln2.beta"] = g2["beta"]
         dres2 = g2["x"]  # gradient of x1 + f
         df = dres2
         if "ndrop2" in lc:
             df = grad.dropout_bwd(lc["ndrop2"], df)["x"]
         gf2 = grad.linear_bwd(lc["nff2"], df)
-        acc(p + "ffn.w2", gf2["w"])
-        acc(p + "ffn.b2", gf2["b"])
+        grads[p + "ffn.w2"] = gf2["w"]
+        grads[p + "ffn.b2"] = gf2["b"]
         dr = grad.relu_bwd(lc["nrelu"], gf2["x"])["x"]
         gf1 = grad.linear_bwd(lc["nff1"], dr)
-        acc(p + "ffn.w1", gf1["w"])
-        acc(p + "ffn.b1", gf1["b"])
+        grads[p + "ffn.w1"] = gf1["w"]
+        grads[p + "ffn.b1"] = gf1["b"]
         dx1 = dres2 + gf1["x"]
 
         g1 = grad.layer_norm_bwd(lc["nln1"], dx1)
-        acc(p + "ln1.gamma", g1["gamma"])
-        acc(p + "ln1.beta", g1["beta"])
-        dres1 = g1["x"]  # gradient of x + a
-        dx = dres1.copy()
-        da = dres1
+        grads[p + "ln1.gamma"] = g1["gamma"]
+        grads[p + "ln1.beta"] = g1["beta"]
+        # gradient of x + a; the attention input terms are added to it
+        # once da, which may be this same array, has been consumed
+        dx = g1["x"]
+        da = dx
         if "ndrop1" in lc:
             da = grad.dropout_bwd(lc["ndrop1"], da)["x"]
         go = grad.linear_bwd(lc["no"], da)
-        acc(p + "attn.wo", go["w"])
+        grads[p + "attn.wo"] = go["w"]
         dconcat = go["x"]
         if cfg.attention == "token":
-            b = cache["ids"].shape[0]
+            b, n, dm = dconcat.shape
             h = cfg.heads
-            dmerged = _split_heads(dconcat, h)
-            ga = grad.token_attention_bwd(lc["nattn"], dmerged)
-            for t in ("q", "k", "v"):
-                gl = grad.linear_bwd(lc["n" + t], _merge_heads(ga[t], b, h))
-                acc(p + f"attn.w{t}", gl["w"])
-                dx += gl["x"]
+            ga = grad.token_attention_bwd(lc["nattn"], _split_heads(dconcat, h))
+            # dq|dk|dv straight into the fused projection's column layout
+            dqkv = np.empty((b, n, 3, h, dm // h), dtype=dconcat.dtype)
+            for j, t in enumerate("qkv"):
+                dqkv[:, :, j] = ga[t].reshape(b, h, n, -1).transpose(0, 2, 1, 3)
+            gl = grad.linear_bwd(lc["nqkv"], dqkv.reshape(b, n, 3 * dm))
+            grads[p + "attn.wqkv"] = gl["w"]
+            dx += gl["x"]
+            # kept alive, they would raise the peak during the next layer's
+            # attention backward
+            del ga, dqkv, gl
         else:
             # forward zeroed q and k at padded positions, so their
             # gradients there are already zero
@@ -307,14 +304,14 @@ def backward_from_cache(cache, dlogits) -> dict:
                 du = dconcat[:, :, g * width:(g + 1) * width]
                 ga = (grad.masked_attention_multi_bwd if cache["decoder"]
                       else grad.dim_attention_multi_bwd)(gc["nattn"], du)
-                acc(p + f"attn.filters{g}", ga["ws"])
+                grads[p + f"attn.filters{g}"] = ga["ws"]
                 for t in ("q", "k", "v"):
                     gl = grad.linear_bwd(gc["n" + t], ga[t])
-                    acc(p + f"attn.w{t}{g}", gl["w"])
+                    grads[p + f"attn.w{t}{g}"] = gl["w"]
                     dx += gl["x"]
 
     ge = grad.embed_bwd(cache["embed_node"], dx * cache["emb_scale"])
-    acc("embed", ge["table"])
+    grads["embed"] += ge["table"]
     return grads
 
 

@@ -161,12 +161,12 @@ def _check_param_shapes(params: dict, cfg: RunConfig):
     """Every tensor the config implies, with its shape, and nothing else."""
     want = {name: tuple(shape) for name, shape, _ in model._param_specs(cfg)}
     got = {name: arr.shape for name, arr in params.items()}
-    for name in sorted(set(want) | set(got)):
-        if want.get(name) != got.get(name):
-            raise ValueError(
-                f"checkpoint does not fit the config and corpus (vocab_size "
-                f"{cfg.vocab_size}): tensor {name!r} has shape {got.get(name)} "
-                f"in the file, {want.get(name)} expected")
+    bad = [f"tensor {name!r} has shape {got.get(name)} in the file, "
+           f"{want.get(name)} expected"
+           for name in sorted(set(want) | set(got)) if want.get(name) != got.get(name)]
+    if bad:
+        raise ValueError(f"checkpoint does not fit the config and corpus (vocab_size "
+                         f"{cfg.vocab_size}): " + "; ".join(bad))
 
 
 def evaluate_checkpoint(ckpt_path: str, override_data: str | None = None) -> dict:

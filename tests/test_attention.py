@@ -13,17 +13,19 @@ S_FIX = np.array([[1.0, 2.0], [3.0, 4.0]])
 V_FIX = np.array([[1.0, 1.0], [2.0, 2.0]])
 
 
-def loop_token_attention(q, k, v):
-    """Literal two-loop evaluation of softmax(QK^T/sqrt(d)) V."""
+def loop_token_attention(q, k, v, visible=None):
+    """Literal two-loop evaluation of softmax(QK^T/sqrt(d)) V; query i
+    attends to the keys j with visible[i, j] (all keys by default)."""
     n, d = q.shape
     out = np.zeros_like(v)
     for i in range(n):
-        scores = np.array([q[i] @ k[j] / math.sqrt(d) for j in range(n)])
+        keys = [j for j in range(n) if visible is None or visible[i, j]]
+        scores = np.array([q[i] @ k[j] / math.sqrt(d) for j in keys])
         scores -= scores.max()
         w = np.exp(scores)
         w /= w.sum()
-        for j in range(n):
-            out[i] += w[j] * v[j]
+        for wj, j in zip(w, keys):
+            out[i] += wj * v[j]
     return out
 
 
@@ -37,12 +39,12 @@ def dim_attention(q, k, v, w, mode="none"):
     return grad.dim_attention_multi_fwd(q[None], k[None], v[None], w[None], mode)[0][0]
 
 
-def token_layer(bc, params, ids):
+def token_layer(bc, params, ids, decoder=False, pad=None):
     """Layer input and the concatenated head outputs of a one-layer model
-    run on one sequence."""
-    _, cache = model.forward(params, ids[None], bc)
+    run on a batch ids [B, N]."""
+    _, cache = model.forward(params, ids, bc, decoder=decoder, pad=pad)
     layer = cache["layers"][0]
-    return layer["nq"].saved["x"][0], layer["no"].saved["x"][0]
+    return layer["nqkv"].saved["x"], layer["no"].saved["x"]
 
 
 class TestTokenAttention:
@@ -86,10 +88,10 @@ class TestMultiHeadBaseline:
         bc = RunConfig(vocab_size=11, d_model=4, layers=1, attention="token",
                        heads=1, ffn_width=8, seq_len=5, dropout=0.0)
         params = model.init_params(bc, 0)
-        for name in ("wq", "wk", "wv", "wo"):
-            params["l0.attn." + name] = np.eye(4)
-        x, heads = token_layer(bc, params, rng.integers(0, 11, 5))
-        assert np.allclose(heads, loop_token_attention(x, x, x), atol=1e-12)
+        params["l0.attn.wqkv"] = np.tile(np.eye(4), 3)
+        params["l0.attn.wo"] = np.eye(4)
+        x, heads = token_layer(bc, params, rng.integers(0, 11, (1, 5)))
+        assert np.allclose(heads[0], loop_token_attention(x[0], x[0], x[0]), atol=1e-12)
 
     def test_zero_output_projection(self, rng):
         bc = RunConfig(vocab_size=11, d_model=4, layers=1, attention="token",
@@ -98,22 +100,35 @@ class TestMultiHeadBaseline:
         params["l0.attn.wo"] = np.zeros((4, 4))
         ids = rng.integers(0, 11, (1, 5))
         base, _ = model.forward(params, ids, bc)
-        for name in ("wq", "wk", "wv"):
-            perturbed = dict(params)
-            perturbed["l0.attn." + name] = params["l0.attn." + name] + 1.0
-            logits, _ = model.forward(perturbed, ids, bc)
+        for block, name in enumerate(("q", "k", "v")):
+            wqkv = params["l0.attn.wqkv"].copy()
+            wqkv[:, 4 * block:4 * (block + 1)] += 1.0
+            logits, _ = model.forward(dict(params, **{"l0.attn.wqkv": wqkv}), ids, bc)
             assert np.array_equal(logits, base), name
 
-    def test_two_heads_match_loop_oracle(self, rng):
+    @pytest.mark.parametrize("decoder", [False, True], ids=["encoder", "decoder"])
+    @pytest.mark.parametrize("padded", [False, True], ids=["no-pad", "tail-pad"])
+    def test_two_heads_match_loop_oracle(self, rng, decoder, padded):
         bc = RunConfig(vocab_size=11, d_model=4, layers=1, attention="token",
-                       heads=2, ffn_width=8, seq_len=3, dropout=0.0)
+                       heads=2, ffn_width=8, seq_len=5, dropout=0.0)
         params = model.init_params(bc, 2)
-        x, heads = token_layer(bc, params, rng.integers(0, 11, 3))
-        wq, wk, wv = (params["l0.attn." + n] for n in ("wq", "wk", "wv"))
-        expected = np.concatenate(
-            [loop_token_attention(x @ wq[:, cols], x @ wk[:, cols], x @ wv[:, cols])
-             for cols in (slice(0, 2), slice(2, 4))], axis=1)
-        assert np.allclose(heads, expected, atol=1e-12)
+        if padded:
+            ids = rng.integers(0, 11, (2, 5))
+            pad = np.zeros((2, 5), dtype=bool)
+            pad[1, 3:] = True
+        else:
+            ids, pad = rng.integers(0, 11, (1, 5)), np.zeros((1, 5), dtype=bool)
+        x, heads = token_layer(bc, params, ids, decoder=decoder, pad=pad)
+        # q|k|v are column blocks of the fused projection, heads within each
+        wq, wk, wv = np.split(params["l0.attn.wqkv"], 3, axis=1)
+        order = np.tril(np.ones((5, 5), dtype=bool)) if decoder else np.ones((5, 5), bool)
+        for xb, heads_b, pad_b in zip(x, heads, pad):
+            visible = order & ~pad_b[None, :]
+            expected = np.concatenate(
+                [loop_token_attention(xb @ wq[:, cols], xb @ wk[:, cols],
+                                      xb @ wv[:, cols], visible)
+                 for cols in (slice(0, 2), slice(2, 4))], axis=1)
+            assert np.allclose(heads_b, expected, atol=1e-12)
 
     def test_divisibility_error(self):
         with pytest.raises(ValueError, match="heads"):

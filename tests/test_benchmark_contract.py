@@ -45,4 +45,7 @@ def test_tracer_attributes_two_steps(name, corpus_path, tmp_path):
         for direction in ("fwd", "bwd"):
             assert summary["layers"][f"grad.{layer}.{direction}"]["calls"] > 0, layer
     assert not [span for span in t.calls if span.startswith("grad.linear.other")]
+    # one fused q|k|v projection per token layer, 3 per group for dim
+    per_layer = 1 if cfg.attention == "token" else 3 * cfg.groups
+    assert summary["layers"]["grad.linear.attn_in.fwd"]["calls"] == per_layer * cfg.layers
     assert summary["tape_mb"][attention] > 0

@@ -236,6 +236,25 @@ class TestEvalRejectsMismatch:
         assert "valid nll" not in out
         assert "unsupported checkpoint version 1" in err
 
+    def test_split_token_projection(self, corpus_path, tmp_path, capsys):
+        # a token checkpoint from before the fused q|k|v projection
+        cfg = tmp_path / "token.cfg"
+        cfg.write_text(f"data = {corpus_path}\n{TINY_CONFIG}attention = token\nheads = 2\n",
+                       encoding="utf-8")
+        assert cli.main(["train-mlm", "--config", str(cfg),
+                         "--ckpt-dir", str(tmp_path / "run")]) == 0
+        params, manifest = checkpoint.load_checkpoint(tmp_path / "run" / "final.ckpt")
+        wqkv = params.pop("l0.attn.wqkv")
+        for name, block in zip(("wq", "wk", "wv"), np.split(wqkv, 3, axis=1)):
+            params["l0.attn." + name] = block
+        path = tmp_path / "split.ckpt"
+        checkpoint.save_checkpoint(path, params, manifest)
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert "'l0.attn.wq'" in err
+
     def test_same_corpus_reproduces_training_nll(self, tiny_run):
         logged = (tiny_run.parent / "run.log").read_text().splitlines()[-1]
         nll = train.evaluate_checkpoint(str(tiny_run))["valid_nll"]

@@ -161,6 +161,11 @@ def _cmd_eval(args) -> int:
 def main(argv=None) -> int:
     _pin_threads()
     args = build_parser().parse_args(argv)
+    if args.command != "bench":
+        # training steps, verify's among them, reuse the heap they freed;
+        # bench times its kernels under the allocator's defaults
+        from .train import _retain_heap
+        _retain_heap()
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "bench":

@@ -16,6 +16,7 @@ seed plus a step counter, so batch order can never change results.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,16 @@ class Vocab:
         return self.index.get(token, UNK_ID)
 
 
-def _tokenize_lines(text: str, tokenizer: str):
-    """Yield per-line token lists; the caller inserts EOS between lines."""
+def _token_stream(text: str, tokenizer: str):
+    """The corpus as one array of tokens in order, with each newline kept
+    as its own token; returns (stream, newline).  "char" gives code points,
+    "whitespace_word" the maximal runs of non-whitespace, as str.split()
+    cuts each line."""
     if tokenizer == "char":
-        return [list(line) for line in text.split("\n")]
+        return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32), ord("\n")
     if tokenizer == "whitespace_word":
-        return [line.split() for line in text.split("\n")]
+        # \s is the whitespace str.split() splits on
+        return np.array(re.findall(r"\n|[^\s]+", text), dtype=object), "\n"
     raise ValueError(f"unknown tokenizer {tokenizer!r}")
 
 
@@ -65,23 +70,25 @@ def build_corpus(path, tokenizer: str = "char", vocab_cap: int = 0):
     """
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    lines = _tokenize_lines(text, tokenizer)
-    if not any(lines):
+    stream, newline = _token_stream(text, tokenizer)
+    eos = stream == newline
+    if eos.all():
         raise ValueError(f"empty corpus: {path}")
-    counts = {}
-    for line in lines:
-        for tok in line:
-            counts[tok] = counts.get(tok, 0) + 1
-    ordered = sorted(counts, key=lambda t: (-counts[t], t))
+    # unique tokens in ascending order; a stable sort on the count keeps
+    # that order among ties
+    uniq, inverse, counts = np.unique(stream[~eos], return_inverse=True,
+                                      return_counts=True)
+    ordered = np.argsort(-counts, kind="stable")
     if vocab_cap:
         ordered = ordered[:vocab_cap]
-    vocab = Vocab(list(RESERVED) + ordered)
-    ids = []
-    for i, line in enumerate(lines):
-        if i:
-            ids.append(EOS_ID)
-        ids.extend(vocab.id_of(t) for t in line)
-    return vocab, np.asarray(ids, dtype=np.int64)
+    table = np.full(uniq.size, UNK_ID, dtype=np.int64)
+    table[ordered] = np.arange(len(RESERVED), len(RESERVED) + ordered.size)
+    ids = np.full(stream.size, EOS_ID, dtype=np.int64)
+    ids[~eos] = table[inverse]
+    tokens = uniq[ordered].tolist()
+    if tokenizer == "char":
+        tokens = [chr(c) for c in tokens]
+    return Vocab(list(RESERVED) + tokens), ids
 
 
 def windows(ids: np.ndarray, n: int):

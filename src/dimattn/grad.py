@@ -47,20 +47,38 @@ def _node(**saved):
 # ---------------------------------------------------------------------------
 
 def linear_fwd(x, w, b=None):
-    """x[..., m] @ w[m, n] (+ b), leading axes flattened for the product."""
+    """x[..., m] @ w[m, n] (+ b).  A stacked x runs as numpy's stacked
+    product; only linear_bwd's dW flattens the leading axes."""
     out = x @ w
     if b is not None:
         out += b
     return out, _node(x=x, w=w, has_bias=b is not None)
 
 
-def linear_bwd(node, u):
+def scatter_rows(a, rows):
+    """The [M, w] rows of `a` at the M positions the bool `rows` [B, N]
+    marks, in a new [B, N, w] array that is zero elsewhere."""
+    out = np.zeros(rows.shape + a.shape[-1:], a.dtype)
+    out[rows] = a
+    return out
+
+
+def linear_bwd(node, u, rows=None):
+    """Gradients of linear_fwd; dW is one product over the flattened rows.
+
+    With `rows`, x and u hold only the [M, ·] rows that the bool [B, N]
+    marks.  dW is then still the product over all B*N rows, with the other
+    rows zero in both operands: a product over the M rows alone sums in
+    another order, so its bits would differ from those of the full batch
+    whose upstream is zero off `rows`.
+    """
     x, w = node.saved["x"], node.saved["w"]
-    x2 = x.reshape(-1, x.shape[-1])
-    u2 = u.reshape(-1, u.shape[-1])
-    grads = {"x": u @ w.T, "w": x2.T @ u2}
+    grads = {"x": u @ w.T}
     if node.saved["has_bias"]:
-        grads["b"] = u2.sum(axis=0)
+        grads["b"] = u.reshape(-1, u.shape[-1]).sum(axis=0)
+    if rows is not None:
+        x, u = scatter_rows(x, rows), scatter_rows(u, rows)
+    grads["w"] = x.reshape(-1, x.shape[-1]).T @ u.reshape(-1, u.shape[-1])
     return grads
 
 
@@ -86,10 +104,16 @@ def embed_bwd(node, u):
     return {"table": dtable}
 
 
-def dropout_fwd(x, rate, rng):
+def dropout_fwd(x, rate, rng, rows=None):
+    """Inverted dropout.  With `rows`, x holds the [M, w] rows that the
+    bool [B, N] marks; the mask is drawn for all of [B, N, w] and then
+    gathered, so the generator's stream is that of the full batch."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = rng.random(x.shape) >= rate
+    if rows is None:
+        keep = rng.random(x.shape) >= rate
+    else:
+        keep = (rng.random(rows.shape + x.shape[-1:]) >= rate)[rows]
     scale = 1.0 / (1.0 - rate)
     out = x * keep
     out *= scale

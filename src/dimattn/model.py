@@ -136,12 +136,23 @@ def _merge_heads(x, b, h):
 
 
 def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
-            drop_rng=None, pad=None):
+            drop_rng=None, pad=None, rows=None):
     """Run the model; returns (logits, cache) with cache holding the tape.
 
     ids is an int array [B, N]; pad is an optional bool array [B, N]
     marking padding positions (excluded from attention).  One sequence
     is a batch of one, ids[None].
+
+    rows is an optional bool array [B, N] marking the positions whose
+    logits are read; the logits are then [rows.sum(), V] in row-major
+    order.  Everything after the last layer's attention is row-wise, so
+    that layer gathers the rows right after its attention, whose keys and
+    values still see every position, and runs the rest on them alone.
+    The logits are bitwise those rows of the full [B, N, V] wherever BLAS
+    sums each row of a product of fewer rows in the same order, which
+    OpenBLAS does at the benchmark's shapes for the row counts `loss_rows`
+    gives; for a product of a few rows it may pick a kernel whose sums
+    differ in the last bits.
     """
     ids = np.asarray(ids)
     if pad is not None and not np.any(pad):
@@ -157,8 +168,10 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
     use_dropout = train and cfg.dropout > 0.0
     if use_dropout and drop_rng is None:
         raise ValueError("training with dropout requires a dropout rng")
-
-    cache = {"cfg": cfg, "ids": ids, "decoder": decoder, "layers": []}
+    if rows is not None:
+        rows = np.asarray(rows, dtype=bool)
+    cache = {"cfg": cfg, "ids": ids, "decoder": decoder, "layers": [],
+             "rows": rows}
 
     emb, emb_node = grad.embed_fwd(params["embed"], ids)
     emb_scale = math.sqrt(cfg.d_model)
@@ -173,7 +186,7 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
 
     for i in range(cfg.layers):
         p = f"l{i}."
-        lc = {"prefix": p}
+        lc = {"prefix": p, "rows": None}
         if cfg.attention == "token":
             h = cfg.heads
             qkv, lc["nqkv"] = grad.linear_fwd(x, params[p + "attn.wqkv"])
@@ -183,7 +196,7 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
             key_pad = None if pad is None else np.repeat(pad, h, axis=0)
             o, lc["nattn"] = grad.token_attention_fwd(*qkv, causal=decoder,
                                                       key_pad=key_pad)
-            a, lc["no"] = grad.linear_fwd(_merge_heads(o, b, h), params[p + "attn.wo"])
+            concat = _merge_heads(o, b, h)
         else:
             outs, groups = [], []
             for g in range(cfg.groups):
@@ -203,10 +216,13 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
                 outs.append(o)
                 groups.append(gc)
             concat = np.concatenate(outs, axis=2) if len(outs) > 1 else outs[0]
-            a, lc["no"] = grad.linear_fwd(concat, params[p + "attn.wo"])
             lc["groups"] = groups
+        if rows is not None and i == cfg.layers - 1:
+            x, concat = x[rows], concat[rows]
+            lc["rows"] = rows
+        a, lc["no"] = grad.linear_fwd(concat, params[p + "attn.wo"])
         if use_dropout:
-            a, lc["ndrop1"] = grad.dropout_fwd(a, cfg.dropout, drop_rng)
+            a, lc["ndrop1"] = grad.dropout_fwd(a, cfg.dropout, drop_rng, lc["rows"])
         x1, lc["nln1"] = grad.layer_norm_fwd(x + a, params[p + "ln1.gamma"],
                                              params[p + "ln1.beta"])
 
@@ -214,13 +230,16 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
         r, lc["nrelu"] = grad.relu_fwd(h1)
         f, lc["nff2"] = grad.linear_fwd(r, params[p + "ffn.w2"], params[p + "ffn.b2"])
         if use_dropout:
-            f, lc["ndrop2"] = grad.dropout_fwd(f, cfg.dropout, drop_rng)
+            f, lc["ndrop2"] = grad.dropout_fwd(f, cfg.dropout, drop_rng, lc["rows"])
         x, lc["nln2"] = grad.layer_norm_fwd(x1 + f, params[p + "ln2.gamma"],
                                             params[p + "ln2.beta"])
         cache["layers"].append(lc)
 
+    if rows is not None and not cfg.layers:
+        x = x[rows]
     # the tied head as one 2-D product, which reaches BLAS
-    logits = (x.reshape(b * n, -1) @ params["embed"].T).reshape(b, n, -1)
+    logits = (x.reshape(-1, cfg.d_model) @ params["embed"].T).reshape(
+        x.shape[:-1] + (-1,))
     cache["x_final"] = x
     cache["head"] = params["embed"]
     return logits, cache
@@ -246,14 +265,17 @@ def decoder_forward(ids, params, cfg: RunConfig):
 def backward_from_cache(cache, dlogits) -> dict:
     """Parameter gradients for a forward pass, given d(loss)/d(logits)."""
     cfg = cache["cfg"]
-    head, x_final = cache["head"], cache["x_final"]
-    flat = dlogits.reshape(-1, head.shape[0])
-    dx = (flat @ head).reshape(x_final.shape)
+    head, x_final, rows = cache["head"], cache["x_final"], cache["rows"]
+    dx = (dlogits.reshape(-1, head.shape[0]) @ head).reshape(x_final.shape)
+    if rows is not None:
+        # the head's term over every row, as linear_bwd computes dW
+        dlogits, x_final = grad.scatter_rows(dlogits, rows), grad.scatter_rows(x_final, rows)
     # the tied head's term; the table term is added last
-    grads = {"embed": flat.T @ x_final.reshape(-1, head.shape[1])}
+    grads = {"embed": dlogits.reshape(-1, head.shape[0]).T
+             @ x_final.reshape(-1, head.shape[1])}
 
     for lc in reversed(cache["layers"]):
-        p = lc["prefix"]
+        p, r = lc["prefix"], lc["rows"]
         g2 = grad.layer_norm_bwd(lc["nln2"], dx)
         grads[p + "ln2.gamma"] = g2["gamma"]
         grads[p + "ln2.beta"] = g2["beta"]
@@ -261,11 +283,11 @@ def backward_from_cache(cache, dlogits) -> dict:
         df = dres2
         if "ndrop2" in lc:
             df = grad.dropout_bwd(lc["ndrop2"], df)["x"]
-        gf2 = grad.linear_bwd(lc["nff2"], df)
+        gf2 = grad.linear_bwd(lc["nff2"], df, r)
         grads[p + "ffn.w2"] = gf2["w"]
         grads[p + "ffn.b2"] = gf2["b"]
         dr = grad.relu_bwd(lc["nrelu"], gf2["x"])["x"]
-        gf1 = grad.linear_bwd(lc["nff1"], dr)
+        gf1 = grad.linear_bwd(lc["nff1"], dr, r)
         grads[p + "ffn.w1"] = gf1["w"]
         grads[p + "ffn.b1"] = gf1["b"]
         dx1 = dres2 + gf1["x"]
@@ -279,9 +301,12 @@ def backward_from_cache(cache, dlogits) -> dict:
         da = dx
         if "ndrop1" in lc:
             da = grad.dropout_bwd(lc["ndrop1"], da)["x"]
-        go = grad.linear_bwd(lc["no"], da)
+        go = grad.linear_bwd(lc["no"], da, r)
         grads[p + "attn.wo"] = go["w"]
         dconcat = go["x"]
+        if r is not None:
+            # back to every position for the attention and the residual path
+            dx, dconcat = grad.scatter_rows(dx, r), grad.scatter_rows(dconcat, r)
         if cfg.attention == "token":
             b, n, dm = dconcat.shape
             h = cfg.heads
@@ -310,6 +335,8 @@ def backward_from_cache(cache, dlogits) -> dict:
                     grads[p + f"attn.w{t}{g}"] = gl["w"]
                     dx += gl["x"]
 
+    if rows is not None and not cache["layers"]:
+        dx = grad.scatter_rows(dx, rows)
     ge = grad.embed_bwd(cache["embed_node"], dx * cache["emb_scale"])
     grads["embed"] += ge["table"]
     return grads
@@ -321,10 +348,33 @@ def mlm_loss(logits, targets, mask_positions) -> float:
     return loss
 
 
+def loss_rows(loss_mask):
+    """The positions whose logits the encoder computes for a loss over
+    `loss_mask` [B, N]: the masked ones, then the first others up to a
+    quarter of all.
+
+    The masked-LM loss reads about 15% of the positions, a count that
+    varies from batch to batch.  Arrays of varying size left holes in the
+    heap that the next step's full-size arrays could not reuse, so steps
+    page-faulted; a fixed count gives every step blocks of the same sizes.
+    """
+    loss_mask = np.asarray(loss_mask, dtype=bool)
+    extra = loss_mask.size // 4 - np.count_nonzero(loss_mask)
+    other = ~loss_mask
+    return loss_mask | (other & (np.cumsum(other).reshape(other.shape) <= extra))
+
+
 def loss_and_grads(params, ids, targets, loss_mask, cfg: RunConfig,
                    decoder=False, train=False, drop_rng=None, pad=None):
+    """Masked-LM or causal loss and every parameter gradient.  The encoder
+    computes logits at `loss_rows` only; the causal loss reads every
+    position but the last, so the decoder computes them all."""
+    rows = None
+    if not decoder:
+        rows = loss_rows(loss_mask)
+        targets, loss_mask = np.asarray(targets)[rows], np.asarray(loss_mask)[rows]
     logits, cache = forward(params, ids, cfg, decoder=decoder, train=train,
-                            drop_rng=drop_rng, pad=pad)
+                            drop_rng=drop_rng, pad=pad, rows=rows)
     loss, loss_node = grad.cross_entropy_masked_fwd(logits, targets, loss_mask)
     dlogits = grad.cross_entropy_masked_bwd(loss_node, 1.0)["logits"]
     return loss, backward_from_cache(cache, dlogits)

@@ -52,9 +52,13 @@ def _eval_nll(params, cfg: RunConfig, valid_split, decoder: bool) -> float:
                                    eval_mode=True)
         if not batch.mask.any():
             continue
+        targets, mask, rows = batch.targets, batch.mask, None
+        if not decoder:
+            rows = model.loss_rows(batch.mask)
+            targets, mask = targets[rows], mask[rows]
         logits, _ = model.forward(params, batch.inputs, cfg, decoder=decoder,
-                                  pad=batch.pad)
-        loss, _ = cross_entropy_masked_fwd(logits, batch.targets, batch.mask)
+                                  pad=batch.pad, rows=rows)
+        loss, _ = cross_entropy_masked_fwd(logits, targets, mask)
         n = int(batch.mask.sum())
         total += loss * n
         count += n

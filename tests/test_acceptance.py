@@ -71,10 +71,15 @@ def test_criterion_8_wall_clock_separation():
     token_ratios = analysis.doubling_ratios(result, "token_encoder")
     dim_ok = all(1.5 <= r <= 3.0 for r in dim_ratios)
     token_ok = all(3.0 <= r <= 5.5 for r in token_ratios)
+    # the median seconds at each N name the grid point a failing ratio moved
+    medians = "; ".join(
+        f"{variant} median s " + ", ".join(f"N={n}: {t:.4g}"
+                                           for n, t in sorted(result.times(variant).items()))
+        for variant in ("dim_encoder", "token_encoder"))
     _report(8, dim_ok and token_ok and elapsed < 300.0,
             f"dim doubling ratios {[f'{r:.2f}' for r in dim_ratios]} in [1.5, 3.0]; "
             f"token ratios {[f'{r:.2f}' for r in token_ratios]} in [3.0, 5.5]; "
-            f"bench took {elapsed:.0f}s (< 5 min)")
+            f"{medians}; bench took {elapsed:.0f}s (< 5 min)")
 
 
 def test_criterion_9_flops_ordering():

@@ -305,3 +305,37 @@ class TestInPlaceOps:
         assert _same_bits(out, x * keep * scale)
         _read_only(node.saved["keep"])
         assert _same_bits(grad.dropout_bwd(node, u)["x"], u * keep * scale)
+
+
+class TestGatheredRows:
+    """linear_bwd and dropout_fwd on the rows a bool [B, N] marks equal the
+    full-batch ops, whose upstream is zero off those rows, bit for bit."""
+
+    def _rows(self, r):
+        rows = r.random((4, 100)) < 0.15
+        rows[0, :2] = True
+        return rows
+
+    def test_linear_bwd(self):
+        # at these shapes a dW over the selected rows alone has other bits
+        r = make_rng(71)
+        x, w, b = (r.standard_normal(s) for s in ((4, 100, 64), (64, 48), (48,)))
+        rows = self._rows(r)
+        u = np.where(rows[..., None], r.standard_normal((4, 100, 48)), 0.0)
+        out, node = grad.linear_fwd(x, w, b)
+        want = grad.linear_bwd(node, u)
+        got_out, node = grad.linear_fwd(x[rows], w, b)
+        got = grad.linear_bwd(node, u[rows], rows)
+        assert _same_bits(got_out, out[rows])
+        assert _same_bits(got["x"], want["x"][rows])
+        assert _same_bits(got["w"], want["w"])
+        assert _same_bits(got["b"], want["b"])
+
+    def test_dropout_draws_the_full_shape(self):
+        r = make_rng(73)
+        x = r.standard_normal((4, 100, 64))
+        rows = self._rows(r)
+        out, node = grad.dropout_fwd(x, 0.3, make_rng(0))
+        got, got_node = grad.dropout_fwd(x[rows], 0.3, make_rng(0), rows)
+        assert _same_bits(got, out[rows])
+        assert np.array_equal(got_node.saved["keep"], node.saved["keep"][rows])

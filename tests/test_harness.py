@@ -54,6 +54,54 @@ class TestBuildCorpus:
         with pytest.raises(OSError):
             data.build_corpus(tmp_path / "nope.txt", "char")
 
+    @staticmethod
+    def _loop_oracle(path, tokenizer, vocab_cap):
+        """The per-token loop build_corpus replaced: (tokens, ids)."""
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        split = list if tokenizer == "char" else str.split
+        lines = [split(line) for line in text.split("\n")]
+        counts = {}
+        for line in lines:
+            for tok in line:
+                counts[tok] = counts.get(tok, 0) + 1
+        ordered = sorted(counts, key=lambda t: (-counts[t], t))
+        if vocab_cap:
+            ordered = ordered[:vocab_cap]
+        tokens = list(data.RESERVED) + ordered
+        index = {t: i for i, t in enumerate(tokens)}
+        ids = []
+        for i, line in enumerate(lines):
+            if i:
+                ids.append(data.EOS_ID)
+            ids.extend(index.get(t, data.UNK_ID) for t in line)
+        return tokens, ids
+
+    @pytest.mark.parametrize("tokenizer", ["char", "whitespace_word"])
+    @pytest.mark.parametrize("vocab_cap", [0, 3])
+    @pytest.mark.parametrize("text", [
+        "the cat\nsat on  the mat\n\nthe end\n",
+        "zeta alpha\talpha\r\nbeta\x1c gamma  ",  # no trailing newline
+        "ünï cödé ünï\n€ € \U0001d11e\nx",
+    ])
+    def test_matches_loop_oracle(self, tmp_path, tokenizer, vocab_cap, text):
+        path = tmp_path / "t.txt"
+        path.write_text(text, encoding="utf-8")
+        vocab, ids = data.build_corpus(path, tokenizer, vocab_cap)
+        tokens, want = self._loop_oracle(path, tokenizer, vocab_cap)
+        assert vocab.tokens == tokens
+        assert ids.dtype == np.int64 and ids.tolist() == want
+        if vocab_cap:
+            assert data.UNK_ID in want
+
+    @pytest.mark.parametrize("vocab_cap", [0, 20])
+    def test_synthetic_corpus_matches_loop_oracle(self, corpus_path, vocab_cap):
+        for tokenizer in ("char", "whitespace_word"):
+            vocab, ids = data.build_corpus(corpus_path, tokenizer, vocab_cap)
+            tokens, want = self._loop_oracle(corpus_path, tokenizer, vocab_cap)
+            assert vocab.tokens == tokens
+            assert ids.tolist() == want
+
 
 class TestWindows:
     def test_lossless_reconstruction(self, rng):
@@ -184,6 +232,28 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, retained", [
+    (["flops", "--N", "8", "--d", "4", "--heads", "2", "--groups", "2"], True),
+    (["bench", "--variants", "bogus"], False),
+], ids=["flops", "bench"])
+def test_heap_policy_per_subcommand(monkeypatch, capsys, argv, retained):
+    calls = []
+    monkeypatch.setattr(train, "_retain_heap", lambda: calls.append(argv[0]))
+    cli.main(argv)
+    assert calls == ([argv[0]] if retained else [])
+
+
+# the verify suites that no acceptance criterion runs
+@pytest.mark.parametrize("name", [
+    "numerics_matmul", "numerics_softmax", "numerics_cum_outer", "numerics_rng",
+    "score_permutation", "masked_structure", "windowing", "determinism",
+])
+def test_verify_suite(name):
+    from dimattn import verify
+    ok, detail = dict(verify.SUITES)[name](0)
+    assert ok, detail
 
 
 TINY_CONFIG = ("seq_len = 16\nd_model = 8\nlayers = 1\nconvs = 2\nhead_dim = 4\n"

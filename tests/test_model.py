@@ -5,7 +5,7 @@ import pytest
 
 from dimattn import attention, checkpoint, data, grad, model
 from dimattn.config import RunConfig
-from dimattn.tensor import make_rng
+from dimattn.tensor import derived_rng, make_rng
 
 
 def tiny_config(**over):
@@ -182,6 +182,132 @@ class TestSublayerIsolation:
                 params[f"l{i}.attn.wo"][...] = 0.0
             logits.append(model.forward(params, ids, bc)[0])
         assert np.array_equal(logits[0], logits[1])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLossRows:
+    """The encoder runs its last layer's row-wise sublayers and the head on
+    the loss positions only; losses, gradients and logits must equal the
+    all-rows computation bit for bit."""
+
+    CONFIGS = {
+        "dim-g1": dict(attention="dim", groups=1),
+        "dim-g2": dict(attention="dim", groups=2),
+        "token": dict(attention="token", heads=4),
+    }
+
+    # large enough that OpenBLAS sums a dW product over the selected rows
+    # alone in another order than over all rows
+    SHAPE = (4, 100)
+
+    def _setup(self, name, layers=2, dropout=0.1):
+        bc = tiny_config(layers=layers, dropout=dropout, seq_len=100, d_model=64,
+                         head_dim=16, ffn_width=96, vocab_size=40, seed=4,
+                         **self.CONFIGS[name])
+        r = make_rng(17)
+        ids = r.integers(0, bc.vocab_size, self.SHAPE)
+        targets = r.integers(5, bc.vocab_size, self.SHAPE)
+        pad = np.zeros(self.SHAPE, dtype=bool)
+        pad[-1, 70:] = True  # a padded tail
+        mask = (r.random(self.SHAPE) < 0.15) & ~pad
+        return bc, model.init_params(bc, 4), ids, targets, mask, pad
+
+    def _all_rows(self, params, ids, targets, mask, pad, bc):
+        rng = derived_rng(bc.seed, 0xD0, 3)
+        logits, cache = model.forward(params, ids, bc, train=True, drop_rng=rng, pad=pad)
+        loss, node = grad.cross_entropy_masked_fwd(logits, targets, mask)
+        dlogits = grad.cross_entropy_masked_bwd(node, 1.0)["logits"]
+        return loss, model.backward_from_cache(cache, dlogits)
+
+    @staticmethod
+    def _logit_shapes(monkeypatch, module):
+        """Record the shape of every logits array the loss receives."""
+        shapes, loss = [], module.cross_entropy_masked_fwd
+
+        def spy(logits, *args):
+            shapes.append(logits.shape)
+            return loss(logits, *args)
+
+        monkeypatch.setattr(module, "cross_entropy_masked_fwd", spy)
+        return shapes
+
+    def _assert_same(self, monkeypatch, params, ids, targets, mask, pad, bc):
+        want_loss, want = self._all_rows(params, ids, targets, mask, pad, bc)
+        with monkeypatch.context() as patch:
+            shapes = self._logit_shapes(patch, grad)
+            loss, grads = model.loss_and_grads(
+                params, ids, targets, mask, bc, train=True,
+                drop_rng=derived_rng(bc.seed, 0xD0, 3), pad=pad)
+        assert shapes == [(model.loss_rows(mask).sum(), bc.vocab_size)]
+        assert loss == want_loss
+        # the same names in the same order: clip_global_norm sums in it
+        assert list(grads) == list(want)
+        for name in want:
+            assert _same_bits(grads[name], want[name]), name
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_loss_and_grads_equal_all_rows(self, monkeypatch, name):
+        bc, params, ids, targets, mask, pad = self._setup(name)
+        assert 1 < mask.sum() < mask.size
+        self._assert_same(monkeypatch, params, ids, targets, mask, pad, bc)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_one_row_and_every_row(self, monkeypatch, name):
+        # one row runs the all-rows path; every row gathers all of them
+        bc, params, ids, targets, _, _ = self._setup(name)
+        one = np.zeros(self.SHAPE, dtype=bool)
+        one[2, 5] = True
+        for mask in (one, np.ones(self.SHAPE, dtype=bool)):
+            self._assert_same(monkeypatch, params, ids, targets, mask, None, bc)
+
+    def test_no_layers(self, monkeypatch):
+        bc, params, ids, targets, mask, pad = self._setup("dim-g1", layers=0)
+        self._assert_same(monkeypatch, params, ids, targets, mask, pad, bc)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_logits_are_rows_of_full_logits(self, name):
+        bc, params, ids, _, mask, pad = self._setup(name)
+        full, _ = model.forward(params, ids, bc, pad=pad)
+        for rows in (mask, model.loss_rows(mask), np.ones_like(mask)):
+            logits, _ = model.forward(params, ids, bc, pad=pad, rows=rows)
+            assert _same_bits(logits, full[rows])
+
+    def test_loss_rows(self):
+        mask = np.zeros((4, 10), dtype=bool)
+        mask[1, 3] = mask[3, 0] = True
+        rows = model.loss_rows(mask)
+        # the masked positions, then the first others up to a quarter
+        assert np.flatnonzero(rows).tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 13, 30]
+        many = np.arange(40).reshape(4, 10) % 3 == 0
+        assert np.array_equal(model.loss_rows(many), many)
+
+    @pytest.mark.parametrize("attention", ["dim", "token"])
+    def test_eval_nll_equals_all_rows(self, monkeypatch, corpus_path, attention):
+        from dimattn import train
+        bc = RunConfig(data=corpus_path, attention=attention, heads=4, d_model=32,
+                       head_dim=8, convs=2, ffn_width=64, layers=2, seq_len=40,
+                       batch_size=4, eval_batches=3, valid_fraction=0.05)
+        vocab, _, valid_split = train._load_windows(bc)
+        bc = bc.block_config(vocab.size)
+        params = model.init_params(bc, 2)
+        win, pad = valid_split
+        total, count = 0.0, 0
+        for step in range(bc.eval_batches):
+            batch = data.mlm_batch(win, pad, bc.vocab_size, bc.seed, step,
+                                   bc.batch_size, eval_mode=True)
+            logits, _ = model.forward(params, batch.inputs, bc, pad=batch.pad)
+            loss, _ = grad.cross_entropy_masked_fwd(logits, batch.targets, batch.mask)
+            n = int(batch.mask.sum())
+            total += loss * n
+            count += n
+        shapes = self._logit_shapes(monkeypatch, train)
+        assert train._eval_nll(params, bc, valid_split, decoder=False) == total / count
+        assert len(shapes) == bc.eval_batches
+        assert all(len(shape) == 2 for shape in shapes)  # scored rows only
 
 
 class TestMlmLoss:

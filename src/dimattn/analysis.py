@@ -1,10 +1,11 @@
 """Analytic FLOPs accounting and wall-clock scaling sweeps.
 
-Counting convention (the same one the kernel tally uses, see opcount):
-a length-L dot product is L multiplies and L-1 adds; elementwise products
-count one multiply per entry; softmax exponentials/divisions and scalar
-scaling are excluded.  Under this convention every analytic component below
-reproduces the instrumented kernel counters exactly, integer for integer.
+Each analytic report is an `opcount.OpTally` filled with the calls the
+kernel hooks make, under the same counting convention: a length-L dot
+product is L multiplies and L-1 adds; elementwise products count one
+multiply per entry; softmax exponentials/divisions and scalar scaling are
+excluded.  Every component below reproduces the instrumented kernel
+counters exactly, integer for integer.
 
 Scaling identities used by the verification suites (exact, not asymptotic):
 
@@ -31,50 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grad, masked
+from .opcount import OpTally
 from .tensor import make_rng
 
 
-@dataclass(frozen=True)
-class Counts:
-    mults: int = 0
-    adds: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.mults + self.adds
-
-    def __add__(self, other):
-        return Counts(self.mults + other.mults, self.adds + other.adds)
-
-    def times(self, k: int):
-        return Counts(self.mults * k, self.adds * k)
-
-
-def matmul_counts(m: int, k: int, n: int) -> Counts:
-    """(m x k) @ (k x n): m*n dot products of length k."""
-    return Counts(m * n * k, m * n * (k - 1))
-
-
-@dataclass
-class FlopsReport:
-    variant: str
-    components: dict = field(default_factory=dict)
-
-    @property
-    def mults(self) -> int:
-        return sum(c.mults for c in self.components.values())
-
-    @property
-    def adds(self) -> int:
-        return sum(c.adds for c in self.components.values())
-
-    @property
-    def total(self) -> int:
-        return self.mults + self.adds
-
-
 def flops_token_attention(n: int, d: int, h: int = 1,
-                          include_projections: bool = False) -> FlopsReport:
+                          include_projections: bool = False) -> OpTally:
     """Token-wise attention cost: h heads of scores Q K^T and the P V mix.
 
     With include_projections, the three input projections (d_model x d per
@@ -82,23 +45,20 @@ def flops_token_attention(n: int, d: int, h: int = 1,
     """
     if n < 1 or d < 1 or h < 1:
         raise ValueError("N, d and h must be positive")
-    comps = {
-        "scores": matmul_counts(n, d, n).times(h),
-        "attn_v": matmul_counts(n, n, d).times(h),
-    }
+    d_model = h * d
+    rep = OpTally()
     if include_projections:
-        d_model = h * d
-        proj = matmul_counts(n, d_model, d).times(h)
-        comps = {
-            "proj_q": proj, "proj_k": proj, "proj_v": proj,
-            **comps,
-            "proj_out": matmul_counts(n, h * d, d_model),
-        }
-    return FlopsReport("token", comps)
+        for name in ("proj_q", "proj_k", "proj_v"):
+            rep.matmul(name, n, d_model, d, batch=h)
+    rep.matmul("scores", n, d, n, batch=h)
+    rep.matmul("attn_v", n, n, d, batch=h)
+    if include_projections:
+        rep.matmul("proj_out", n, d_model, d_model)
+    return rep
 
 
 def flops_dim_attention(n: int, d: int, g: int = 1, c: int = 1,
-                        include_projections: bool = False) -> FlopsReport:
+                        include_projections: bool = False) -> OpTally:
     """Dimension-wise attention cost: per group one Q^T K, per filter the
     elementwise gate W * f(S) and the mix V @ (.)^T.
 
@@ -107,36 +67,30 @@ def flops_dim_attention(n: int, d: int, g: int = 1, c: int = 1,
     """
     if n < 1 or d < 1 or g < 1 or c < 1:
         raise ValueError("N, d, g and c must be positive")
-    comps = {
-        "scores": matmul_counts(d, n, d).times(g),
-        "filter_gate": Counts(d * d, 0).times(g * c),
-        "filter_mix": matmul_counts(n, d, d).times(g * c),
-    }
+    d_model = g * c * d
+    rep = OpTally()
     if include_projections:
-        d_model = g * c * d
-        proj = matmul_counts(n, d_model, d).times(g)
-        comps = {
-            "proj_q": proj, "proj_k": proj, "proj_v": proj,
-            **comps,
-            "proj_out": matmul_counts(n, g * c * d, d_model),
-        }
-    return FlopsReport("dim", comps)
+        for name in ("proj_q", "proj_k", "proj_v"):
+            rep.matmul(name, n, d_model, d, batch=g)
+    rep.matmul("scores", d, n, d, batch=g)
+    rep.elemwise_mul("filter_gate", g * c * d * d)
+    rep.matmul("filter_mix", n, d, d, batch=g * c)
+    if include_projections:
+        rep.matmul("proj_out", n, d_model, d_model)
+    return rep
 
 
-def flops_masked(n: int, d: int, streaming: bool) -> FlopsReport:
+def flops_masked(n: int, d: int, streaming: bool) -> OpTally:
     """Causal dimension-wise cost for one filter, naive vs prefix-sum form."""
+    rep = OpTally()
     if streaming:
-        comps = {
-            "cum_outer": Counts(n * d * d, (n - 1) * d * d),
-            "masked_mix": Counts(2 * n * d * d, n * d * (d - 1)),
-        }
-        return FlopsReport("masked_streaming", comps)
-    comps = {
-        "masked_scores_naive": Counts(2 * d * d * n * n, d * d * n * (n - 1)),
-        "masked_kr": Counts(n * d * d, 0),
-        "masked_conv": Counts(n * d * d, n * d * (d - 1)),
-    }
-    return FlopsReport("masked_naive", comps)
+        rep.add("cum_outer", n * d * d, (n - 1) * d * d)
+        rep.add("masked_mix", 2 * n * d * d, n * d * (d - 1))
+    else:
+        rep.add("masked_scores_naive", 2 * d * d * n * n, d * d * n * (n - 1))
+        rep.elemwise_mul("masked_kr", n * d * d)
+        rep.add("masked_conv", n * d * d, n * d * (d - 1))
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .grad import NORM_MODES, _norm_fwd  # noqa: F401  (NORM_MODES re-exported)
-from .tensor import matmul
 
 
 def normalize_scores(s: np.ndarray, mode: str, seq_len: int) -> np.ndarray:
@@ -42,7 +41,7 @@ def dim_score(q: np.ndarray, k: np.ndarray) -> np.ndarray:
         raise ValueError(f"Q/K shapes differ: {q.shape} vs {k.shape}")
     if q.ndim != 2:
         raise ValueError(f"expected N x d matrices, got order {q.ndim}")
-    return matmul(np.ascontiguousarray(q.T), k, "scores")
+    return q.T @ k
 
 
 def covariance_identity_check(h: np.ndarray, wq: np.ndarray, wk: np.ndarray) -> float:

@@ -72,6 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_csv(csv: str, path) -> None:
+    """Write to `path`, or to stdout when it is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(csv)
+    else:
+        sys.stdout.write(csv)
+
+
 def _cmd_verify(args) -> int:
     from . import verify
     return verify.run_all(seed=args.seed)
@@ -86,12 +95,7 @@ def _cmd_bench(args) -> int:
     except ValueError as e:
         print(f"cannot run bench: {e}", file=sys.stderr)
         return 2
-    csv = result.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(csv)
-    else:
-        sys.stdout.write(csv)
+    _write_csv(result.to_csv(), args.out)
     return 0
 
 
@@ -106,19 +110,13 @@ def _cmd_flops(args) -> int:
         print(f"cannot count flops: {e}", file=sys.stderr)
         return 2
     lines = ["variant,N,d,heads,groups,convs,component,mults,adds,total"]
-    for rep, h, g, c in ((token, args.heads, "", ""),
-                         (dim, "", args.groups, args.convs)):
-        for comp, counts in rep.components.items():
-            lines.append(f"{rep.variant},{args.N},{args.d},{h},{g},{c},"
-                         f"{comp},{counts.mults},{counts.adds},{counts.total}")
-        lines.append(f"{rep.variant},{args.N},{args.d},{h},{g},{c},"
-                     f"total,{rep.mults},{rep.adds},{rep.total}")
-    csv = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(csv)
-    else:
-        sys.stdout.write(csv)
+    for variant, rep, h, g, c in (("token", token, args.heads, "", ""),
+                                  ("dim", dim, "", args.groups, args.convs)):
+        rows = list(rep.by_component.items()) + [("total", (rep.mults, rep.adds))]
+        for comp, (mults, adds) in rows:
+            lines.append(f"{variant},{args.N},{args.d},{h},{g},{c},"
+                         f"{comp},{mults},{adds},{mults + adds}")
+    _write_csv("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -45,9 +45,6 @@ class Vocab:
     def size(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        return self.index.get(token, UNK_ID)
-
 
 def _token_stream(text: str, tokenizer: str):
     """The corpus as one array of tokens in order, with each newline kept

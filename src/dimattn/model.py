@@ -38,7 +38,7 @@ import numpy as np
 
 from . import grad
 from .config import RunConfig
-from .tensor import derived_rng, rand_init
+from .tensor import derived_rng
 
 _STREAM_DROPOUT = 0xD0
 
@@ -111,7 +111,7 @@ def init_params(cfg: RunConfig, seed: int) -> dict:
         elif init == "embed":
             # the forward pass scales embeddings by sqrt(d_model), so rows
             # come out at unit scale next to the O(1) positional encodings
-            arr = rand_init(shape, "normal", rng, sigma=1.0 / math.sqrt(cfg.d_model))
+            arr = rng.normal(0.0, 1.0 / math.sqrt(cfg.d_model), size=shape)
         elif init == "ones":
             arr = np.ones(shape)
         else:
@@ -243,19 +243,6 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
     cache["x_final"] = x
     cache["head"] = params["embed"]
     return logits, cache
-
-
-def encoder_forward(ids, params, cfg: RunConfig):
-    """Logits [B, N, V] for ids [B, N] with bidirectional attention."""
-    logits, _ = forward(params, ids, cfg, decoder=False)
-    return logits
-
-
-def decoder_forward(ids, params, cfg: RunConfig):
-    """Causal logits [B, N, V] for ids [B, N]: position i depends only on
-    tokens at positions <= i."""
-    logits, _ = forward(params, ids, cfg, decoder=True)
-    return logits
 
 
 # ---------------------------------------------------------------------------

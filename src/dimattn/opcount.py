@@ -1,10 +1,11 @@
 """Multiply/add tally for the attention kernels.
 
 The hooks sit in the `grad` forward kernels that training runs and in the
-literal oracles of `attention` and `masked`.
+literal causal oracles of `masked`; each tests `TALLY.active` before it
+counts.  The analytic reports of `analysis` are `OpTally`s filled with the
+same calls, so a report and a kernel's tally compare directly.
 
-The counters follow one fixed convention so analytic cost formulas can be
-checked against what the kernels actually do:
+The counters follow one fixed convention:
 
   * a length-L dot product costs L multiplies and L-1 adds,
   * an elementwise product over n entries costs n multiplies,
@@ -40,8 +41,6 @@ class OpTally:
         return self.mults + self.adds
 
     def add(self, component: str, mults: int, adds: int):
-        if not self.active:
-            return
         self.mults += mults
         self.adds += adds
         m, a = self.by_component.get(component, (0, 0))
@@ -49,13 +48,9 @@ class OpTally:
 
     def matmul(self, component: str, m: int, k: int, n: int, batch: int = 1):
         """Tally `batch` (m x k) @ (k x n) products: m*n dots of length k each."""
-        if not self.active:
-            return
         self.add(component, batch * m * n * k, batch * m * n * (k - 1))
 
     def elemwise_mul(self, component: str, n: int):
-        if not self.active:
-            return
         self.add(component, n, 0)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dimattn import checkpoint, cli, config, data, train
+from dimattn import checkpoint, cli, config, data, model, train, verify
 from dimattn.tensor import make_rng
 
 
@@ -245,15 +245,50 @@ def test_heap_policy_per_subcommand(monkeypatch, capsys, argv, retained):
     assert calls == ([argv[0]] if retained else [])
 
 
-# the verify suites that no acceptance criterion runs
-@pytest.mark.parametrize("name", [
-    "numerics_matmul", "numerics_softmax", "numerics_cum_outer", "numerics_rng",
-    "score_permutation", "masked_structure", "windowing", "determinism",
-])
+# the verify suites that acceptance criteria run; every other suite runs here
+CRITERIA_SUITES = {
+    "factored_equivalence", "masked_equivalence", "causality",
+    "covariance_identity", "tensor_representations", "gradient_ops",
+    "gradient_end_to_end", "flops_consistency", "cost_scaling",
+    "masking_statistics",
+}
+
+
+def test_criteria_suites_exist():
+    assert CRITERIA_SUITES <= set(dict(verify.SUITES))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in verify.SUITES
+                                  if name not in CRITERIA_SUITES])
 def test_verify_suite(name):
-    from dimattn import verify
     ok, detail = dict(verify.SUITES)[name](0)
     assert ok, detail
+
+
+def _rng_mutant(kind):
+    """`model.init_params` broken one way that `numerics_rng` must catch."""
+    real = model.init_params
+
+    def init(cfg, seed):
+        if kind == "unseeded":
+            return real(cfg, int(np.random.default_rng().integers(2**62)))
+        params = real(cfg, seed)
+        for name, _, spec in model._param_specs(cfg):
+            if kind == "double_bound" and name.endswith("attn.wo"):
+                params[name] = params[name] * 2
+            elif kind == "zero_weights" and isinstance(spec, tuple):
+                params[name] = np.zeros_like(params[name])
+            elif kind == "zero_gamma" and name.endswith(".gamma"):
+                params[name] = np.zeros_like(params[name])
+        return params
+    return init
+
+
+@pytest.mark.parametrize("kind", ["double_bound", "zero_weights", "zero_gamma", "unseeded"])
+def test_numerics_rng_catches_broken_init(monkeypatch, kind):
+    monkeypatch.setattr(model, "init_params", _rng_mutant(kind))
+    ok, detail = verify.suite_numerics_rng(0)
+    assert not ok, detail
 
 
 TINY_CONFIG = ("seq_len = 16\nd_model = 8\nlayers = 1\nconvs = 2\nhead_dim = 4\n"
@@ -446,16 +481,20 @@ print(json.dumps(faults))
 
 
 def test_training_steps_do_not_fault():
-    # after two warm-up steps a training step reuses the heap it freed
+    # after two warm-up steps a training step reuses the heap it freed; the
+    # heap layout moves with the size of the environment and with hash
+    # seeding, so the script runs as given, with one more 500-byte variable,
+    # and with PYTHONHASHSEED set
     env = dict(os.environ, **{var: "1" for var in cli.THREAD_VARS})
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    faults = json.loads(out.splitlines()[-1])
-    if faults is None:
-        pytest.skip("no glibc mallopt: the heap keeps the allocator's defaults")
-    for name, counts in faults.items():
-        assert max(counts[2:]) <= 50, (name, counts)
+    for extra in ({}, {"DIMATTN_FAULT_PAD": "x" * 500}, {"PYTHONHASHSEED": "0"}):
+        out = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], env={**env, **extra},
+                             check=True, capture_output=True, text=True).stdout
+        faults = json.loads(out.splitlines()[-1])
+        if faults is None:
+            pytest.skip("no glibc mallopt: the heap keeps the allocator's defaults")
+        for name, counts in faults.items():
+            assert max(counts[2:]) <= 50, (sorted(extra), name, counts)
 
 
 # bad values; all but the tokenizer and the corpora are config values
@@ -545,6 +584,16 @@ class TestCli:
         assert lines[0].startswith("variant,N,d,heads")
         assert any(line.startswith("token,100,64,8") for line in lines)
         assert any(line.startswith("dim,100,64,,1,8") for line in lines)
+
+    def test_flops_out_file_equals_stdout(self, tmp_path, capsys):
+        argv = ["flops", "--N", "37", "--d", "5", "--heads", "3", "--groups", "2",
+                "--convs", "3", "--projections"]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "flops.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed
 
     @pytest.mark.parametrize("argv", [
         ["flops", "--N", "0"],

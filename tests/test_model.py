@@ -20,7 +20,7 @@ class TestForward:
         bc = tiny_config(layers=0)
         params = model.init_params(bc, 0)
         ids = rng.integers(0, 11, 4)
-        logits = model.encoder_forward(ids[None], params, bc)[0]
+        logits = model.forward(params, ids[None], bc)[0][0]
         x = params["embed"][ids] * math.sqrt(bc.d_model) \
             + model.sinusoidal_positions(bc.seq_len, bc.d_model)[:4]
         assert np.allclose(logits, x @ params["embed"].T, atol=1e-12)
@@ -35,7 +35,7 @@ class TestForward:
         params["l0.attn.wv0"] = np.eye(4)
         params["l0.attn.wo"] = np.eye(4)
         ids = rng.integers(0, 11, 2)
-        logits = model.encoder_forward(ids[None], params, bc)[0]
+        logits = model.forward(params, ids[None], bc)[0][0]
 
         def layer_norm(x, gamma, beta, eps=1e-6):
             mu = x.mean(axis=-1, keepdims=True)
@@ -55,21 +55,70 @@ class TestForward:
     def test_same_seed_bit_identical(self, rng):
         bc = tiny_config()
         ids = rng.integers(0, 11, (2, 6))
-        a = model.encoder_forward(ids, model.init_params(bc, 5), bc)
-        b = model.encoder_forward(ids, model.init_params(bc, 5), bc)
+        a = model.forward(model.init_params(bc, 5), ids, bc)[0]
+        b = model.forward(model.init_params(bc, 5), ids, bc)[0]
         assert np.array_equal(a, b)
 
     def test_out_of_vocab_rejected(self, rng):
         bc = tiny_config()
         params = model.init_params(bc, 0)
         with pytest.raises(ValueError, match="out of range"):
-            model.encoder_forward(np.array([[0, 11]]), params, bc)
+            model.forward(params, np.array([[0, 11]]), bc)
 
     def test_overlong_sequence_rejected(self, rng):
         bc = tiny_config()
         params = model.init_params(bc, 0)
         with pytest.raises(ValueError, match="exceeds"):
-            model.encoder_forward(np.zeros((1, 7), dtype=int), params, bc)
+            model.forward(params, np.zeros((1, 7), dtype=int), bc)
+
+
+INIT_CONFIGS = {
+    "dim": dict(groups=2, convs=2, head_dim=4, layers=2),
+    "token": dict(attention="token", heads=2, layers=2),
+}
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("kind", INIT_CONFIGS)
+    def test_seed_determinism(self, kind):
+        bc = tiny_config(**INIT_CONFIGS[kind])
+        a, b = model.init_params(bc, 3), model.init_params(bc, 3)
+        c = model.init_params(bc, 4)
+        assert list(a) == [name for name, _, _ in model._param_specs(bc)]
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert not np.array_equal(a["embed"], c["embed"])
+        assert not np.array_equal(a["l1.attn.wo"], c["l1.attn.wo"])
+
+    @pytest.mark.parametrize("kind", INIT_CONFIGS)
+    def test_xavier_bounds(self, kind):
+        bc = tiny_config(**INIT_CONFIGS[kind])
+        params = model.init_params(bc, 0)
+        for name, shape, init in model._param_specs(bc):
+            assert params[name].shape == shape, name
+            if isinstance(init, tuple):
+                bound = math.sqrt(6.0 / sum(init))
+                assert 0.5 * bound <= np.abs(params[name]).max() <= bound, name
+
+    def test_norms_and_biases_start_fixed(self):
+        bc = tiny_config(**INIT_CONFIGS["dim"])
+        params = model.init_params(bc, 0)
+        for name, shape, init in model._param_specs(bc):
+            if init in ("ones", "zeros"):
+                assert np.array_equal(params[name], np.full(shape, float(init == "ones"))), name
+
+    def test_embedding_scale(self):
+        bc = tiny_config(vocab_size=400, d_model=32, head_dim=8)
+        emb = model.init_params(bc, 0)["embed"]
+        assert abs(emb.mean()) <= 0.01
+        assert abs(emb.std() * math.sqrt(bc.d_model) - 1.0) <= 0.05
+
+    def test_f32_is_the_f64_draw_rounded(self):
+        over = INIT_CONFIGS["dim"]
+        p64 = model.init_params(tiny_config(**over), 2)
+        p32 = model.init_params(tiny_config(precision="f32", **over), 2)
+        for k in p64:
+            assert p32[k].dtype == np.float32
+            assert np.array_equal(p32[k], p64[k].astype(np.float32)), k
 
 
 class TestPositionTable:
@@ -107,8 +156,8 @@ class TestDecoder:
         ids = rng.integers(0, 11, 6)
         ids2 = ids.copy()
         ids2[5] = (ids2[5] + 3) % 11
-        a = model.decoder_forward(ids[None], params, bc)[0]
-        b = model.decoder_forward(ids2[None], params, bc)[0]
+        a = model.forward(params, ids[None], bc, decoder=True)[0][0]
+        b = model.forward(params, ids2[None], bc, decoder=True)[0][0]
         assert np.abs(a[:5] - b[:5]).max() <= 1e-12
 
     def test_position_zero_sees_only_itself(self, rng):
@@ -117,8 +166,8 @@ class TestDecoder:
         ids = rng.integers(0, 11, 6)
         ids2 = ids.copy()
         ids2[1:] = (ids2[1:] + 1) % 11
-        a = model.decoder_forward(ids[None], params, bc)[0]
-        b = model.decoder_forward(ids2[None], params, bc)[0]
+        a = model.forward(params, ids[None], bc, decoder=True)[0][0]
+        b = model.forward(params, ids2[None], bc, decoder=True)[0][0]
         assert np.abs(a[0] - b[0]).max() <= 1e-12
 
     def test_f32_decoder_logits(self, rng):
@@ -126,11 +175,11 @@ class TestDecoder:
         bc = tiny_config(seq_len=n, precision="f32")
         params = model.init_params(bc, 7)
         ids = rng.integers(0, 11, (2, n))
-        logits = model.decoder_forward(ids, params, bc)
+        logits = model.forward(params, ids, bc, decoder=True)[0]
         assert logits.dtype == np.float32
         bc64 = tiny_config(seq_len=n)
-        ref = model.decoder_forward(
-            ids, {k: a.astype(np.float64) for k, a in params.items()}, bc64)
+        ref = model.forward({k: a.astype(np.float64) for k, a in params.items()},
+                            ids, bc64, decoder=True)[0]
         assert np.abs(logits - ref).max() <= 1e-4 * np.abs(ref).max()
 
     def test_token_kind_decoder_is_causal_too(self, rng):
@@ -139,8 +188,8 @@ class TestDecoder:
         ids = rng.integers(0, 11, 6)
         ids2 = ids.copy()
         ids2[4:] = (ids2[4:] + 5) % 11
-        a = model.decoder_forward(ids[None], params, bc)[0]
-        b = model.decoder_forward(ids2[None], params, bc)[0]
+        a = model.forward(params, ids[None], bc, decoder=True)[0][0]
+        b = model.forward(params, ids2[None], bc, decoder=True)[0][0]
         assert np.abs(a[:4] - b[:4]).max() <= 1e-12
 
     def test_streaming_matches_naive_composition(self, rng):
@@ -149,7 +198,7 @@ class TestDecoder:
         bc = tiny_config(layers=1, convs=1)
         params = model.init_params(bc, 6)
         ids = rng.integers(0, 11, 5)
-        logits = model.decoder_forward(ids[None], params, bc)[0]
+        logits = model.forward(params, ids[None], bc, decoder=True)[0][0]
 
         def layer_norm(x, gamma, beta, eps=1e-6):
             mu = x.mean(axis=-1, keepdims=True)

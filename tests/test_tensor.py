@@ -6,43 +6,7 @@ import pytest
 from dimattn import grad, masked, tensor
 
 
-def loop_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for r in range(k):
-                acc += a[i, r] * b[r, j]
-            out[i, j] = acc
-    return out
-
-
 class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(tensor.matmul(np.eye(2), a), a)
-
-    def test_zero(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(tensor.matmul(a, np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_small_case_against_loop_oracle(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        expected = loop_matmul(a, b)
-        assert np.array_equal(expected, np.array([[19.0, 22.0], [43.0, 50.0]]))
-        assert np.allclose(tensor.matmul(a, b), expected, atol=1e-12)
-
-    def test_shape_mismatch_message(self):
-        with pytest.raises(ValueError, match="inner extents"):
-            tensor.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_precision_mismatch(self):
-        with pytest.raises(ValueError, match="precision"):
-            tensor.matmul(np.ones((2, 2)), np.ones((2, 2), dtype=np.float32))
-
     def test_associativity(self, rng):
         worst = 0.0
         for _ in range(20):
@@ -121,20 +85,7 @@ class TestCumOuter:
             masked.masked_score_streaming(np.ones((3, 2)), np.ones((4, 2)))
 
 
-class TestRandInit:
-    def test_seed_determinism(self):
-        a = tensor.rand_init((5, 3), "xavier_uniform", tensor.make_rng(42))
-        b = tensor.rand_init((5, 3), "xavier_uniform", tensor.make_rng(42))
-        assert np.array_equal(a, b)
-
-    def test_xavier_bound(self):
-        arr = tensor.rand_init((4, 4), "xavier_uniform", tensor.make_rng(0))
-        assert np.abs(arr).max() <= math.sqrt(6.0 / 8.0)
-
-    def test_degenerate_normal(self):
-        arr = tensor.rand_init((3, 3), "normal", tensor.make_rng(0), sigma=0.0)
-        assert np.array_equal(arr, np.zeros((3, 3)))
-
+class TestDerivedRng:
     def test_derived_streams_are_independent_of_order(self):
         a1 = tensor.derived_rng(7, 1).standard_normal(4)
         b1 = tensor.derived_rng(7, 2).standard_normal(4)

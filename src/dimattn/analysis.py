@@ -4,8 +4,9 @@ Each analytic report is an `opcount.OpTally` filled with the calls the
 kernel hooks make, under the same counting convention: a length-L dot
 product is L multiplies and L-1 adds; elementwise products count one
 multiply per entry; softmax exponentials/divisions and scalar scaling are
-excluded.  Every component below reproduces the instrumented kernel
-counters exactly, integer for integer.
+excluded.  The token, dim and streaming causal reports equal the `grad`
+kernels' counters integer for integer; the naive causal report alone
+states the cost of the literal oracles, which carry no hooks.
 
 Scaling identities used by the verification suites (exact, not asymptotic):
 
@@ -13,7 +14,8 @@ Scaling identities used by the verification suites (exact, not asymptotic):
     doubles, and the V @ (W*f(S))^T component is purely linear in N;
   * token-wise attention is quadratic plus linear in N, so f(2N) - 2 f(N)
     isolates the quadratic part, which quadruples; the score component
-    N^2 (2d - 1) is purely quadratic already.
+    N^2 (2d - 1) is purely quadratic already;
+  * naive causal score multiplies quadruple when N doubles, streaming ones double.
 
 Benchmarks time the `grad` forward kernels that training runs (one filter
 is ws[None]) on identical seeded inputs and report the median of k >= 5
@@ -97,21 +99,19 @@ def flops_masked(n: int, d: int, streaming: bool) -> OpTally:
 # wall-clock sweeps
 # ---------------------------------------------------------------------------
 
-BENCH_VARIANTS = ("token_encoder", "dim_encoder", "masked_naive", "masked_streaming")
-
 # Rows per token-attention call: a 32 x N score block is 1 MB at N = 4096,
 # small enough to stay in a 2 MB L2 through the softmax passes over it;
 # at 128 rows it spills from N = 2048 on and the timings scale faster than N^2.
 _TOKEN_ROW_BLOCK = 32
 
 
-def token_attention_rows(q, k, v, row_block: int = _TOKEN_ROW_BLOCK) -> np.ndarray:
+def token_attention_rows(q, k, v) -> np.ndarray:
     """Non-causal `grad.token_attention_fwd` of one sequence [N, d],
-    evaluated on blocks of query rows."""
+    evaluated on blocks of _TOKEN_ROW_BLOCK query rows."""
     out = np.empty_like(v)
-    for lo in range(0, q.shape[0], row_block):
-        out[lo:lo + row_block] = grad.token_attention_fwd(
-            q[None, lo:lo + row_block], k[None], v[None])[0][0]
+    for lo in range(0, q.shape[0], _TOKEN_ROW_BLOCK):
+        hi = lo + _TOKEN_ROW_BLOCK
+        out[lo:hi] = grad.token_attention_fwd(q[None, lo:hi], k[None], v[None])[0][0]
     return out
 
 

@@ -27,6 +27,13 @@ PAD_ID, UNK_ID, MASK_ID, BOS_ID, EOS_ID = range(5)
 RESERVED = ("<pad>", "<unk>", "<mask>", "<bos>", "<eos>")
 IGNORE_ID = -1
 
+# masked-LM recipe: the share of tokens selected, and the shares of those
+# replaced by MASK and by a random token (the rest are left unchanged)
+SELECT_P, MASK_P, RANDOM_P = 0.15, 0.8, 0.1
+
+# topics of the synthetic corpus, each owning a disjoint set of consonants
+_TOPICS = 6
+
 _STREAM_BATCH = 0xBA
 _STREAM_MASK = 0x3A
 _STREAM_EVAL = 0xE7
@@ -37,7 +44,6 @@ class Vocab:
     tokens: list  # id -> token, reserved entries first
 
     def __post_init__(self):
-        self.index = {t: i for i, t in enumerate(self.tokens)}
         if self.tokens[:5] != list(RESERVED):
             raise ValueError("vocab must start with the five reserved tokens")
 
@@ -106,9 +112,7 @@ def windows(ids: np.ndarray, n: int):
     return out, pad
 
 
-def apply_mlm_mask(tokens: np.ndarray, rng: np.random.Generator,
-                   vocab_size: int, select_p: float = 0.15, mask_p: float = 0.8,
-                   random_p: float = 0.1, keep_p: float = 0.1):
+def apply_mlm_mask(tokens: np.ndarray, rng: np.random.Generator, vocab_size: int):
     """Mask one token row; returns (inputs, targets, selected flags).
 
     Targets hold the original token at selected positions and IGNORE_ID
@@ -116,18 +120,16 @@ def apply_mlm_mask(tokens: np.ndarray, rng: np.random.Generator,
     selected.  All three random draws happen for every position so the
     consumed stream length does not depend on token content.
     """
-    if abs(mask_p + random_p + keep_p - 1.0) > 1e-12:
-        raise ValueError("mask/random/keep probabilities must sum to 1")
     tokens = np.asarray(tokens)
     n = tokens.shape[0]
     sel_draw = rng.random(n)
     split_draw = rng.random(n)
     rand_words = rng.integers(len(RESERVED), vocab_size, size=n)
     eligible = tokens >= len(RESERVED)
-    selected = eligible & (sel_draw < select_p)
+    selected = eligible & (sel_draw < SELECT_P)
     inputs = tokens.copy()
-    use_mask = selected & (split_draw < mask_p)
-    use_random = selected & (split_draw >= mask_p) & (split_draw < mask_p + random_p)
+    use_mask = selected & (split_draw < MASK_P)
+    use_random = selected & (split_draw >= MASK_P) & (split_draw < MASK_P + RANDOM_P)
     inputs[use_mask] = MASK_ID
     inputs[use_random] = rand_words[use_random]
     targets = np.where(selected, tokens, IGNORE_ID)
@@ -198,7 +200,7 @@ def clm_batch(win, pad, seed, step, batch_size, eval_mode=False):
     return MaskedBatch(inputs=ids, targets=targets, mask=mask, pad=pads)
 
 
-def synth_corpus(path, n_chars: int, seed: int = 0, topics: int = 6):
+def synth_corpus(path, n_chars: int, seed: int = 0):
     """Write a deterministic synthetic topic-coded corpus of >= n_chars chars.
 
     The text is a stream of topic segments.  Each topic owns a disjoint set
@@ -212,16 +214,16 @@ def synth_corpus(path, n_chars: int, seed: int = 0, topics: int = 6):
     rng = derived_rng(seed, 0xC0)
     vowels = "aeiou"
     consonants = "bcdfghjklmnprstvwz"
-    per_topic = len(consonants) // topics
+    per_topic = len(consonants) // _TOPICS
     topic_chars = []
-    for t in range(topics):
+    for t in range(_TOPICS):
         cons = consonants[t * per_topic:(t + 1) * per_topic]
         topic_chars.append(cons + vowels)
 
     chunks = []
     size = 0
     while size < n_chars:
-        letters = topic_chars[int(rng.integers(0, topics))]
+        letters = topic_chars[int(rng.integers(0, _TOPICS))]
         sentences = 3 + int(rng.integers(0, 4))
         parts = []
         for _ in range(sentences):

@@ -3,17 +3,17 @@
 No graph autodiff: the op set is small and closed, so each op is a
 plain (`<op>_fwd`, `<op>_bwd`) pair that callers invoke directly.  Forward
 returns the output plus a TapeNode holding whatever the backward rule
-needs; backward maps an upstream cotangent to per-input gradients.
-`fd_check` closes the loop with central finite differences against the
-scalarizing loss sum(output).
+needs; backward maps an upstream cotangent to per-input gradients.  This
+module holds training ops only: `verify.fd_check` checks each pair against
+central finite differences of the scalarizing loss sum(output).
 
 The attention forwards here are the only fast implementation of each op:
 training runs them, `dimattn bench` times them and the FLOPs tally counts
-them (opcount conventions, multiplied by batch and filter count).
-attention.py and masked.py keep the literal oracles they are checked
-against.  Attention ops take batches [B, N, d] only (a caller holding one
-sequence adds the batch axis); parameter gradients are summed over the
-batch.  The causal one is a chunk-wise scan over position-major states
+them (opcount conventions, multiplied by batch and filter count); theirs
+are the only tally hooks.  attention.py and masked.py keep the literal
+oracles they are checked against.  Attention ops take batches [B, N, d]
+only (a caller holding one sequence adds the batch axis); parameter
+gradients are summed over the batch.  The causal one is a chunk-wise scan over position-major states
 whose tape holds only each chunk's starting state.
 
 Memory: an op writes in place only into arrays it allocated itself, never
@@ -126,11 +126,14 @@ def dropout_bwd(node, u):
     return {"x": dx}
 
 
-def layer_norm_fwd(x, gamma, beta, eps=1e-6):
+_LN_EPS = 1e-6  # added to the variance before the square root
+
+
+def layer_norm_fwd(x, gamma, beta):
     # centred once: the mean of its squares is bitwise x.var
     xhat = x - x.mean(axis=-1, keepdims=True)
     var = np.square(xhat).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv_std
     out = gamma * xhat
     out += beta
@@ -384,54 +387,3 @@ def cross_entropy_masked_bwd(node, u):
     np.put_along_axis(onehot, np.asarray(s["targets"])[..., None], 1.0, axis=-1)
     dlogits = (p - onehot) * s["mask"][..., None] / s["count"]
     return {"logits": dlogits * u}
-
-
-# ---------------------------------------------------------------------------
-# the finite-difference oracle
-# ---------------------------------------------------------------------------
-
-def fd_check(op: str, inputs: dict, h: float = 1e-5, attrs: dict | None = None) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    `op` names the pair `<op>_fwd`/`<op>_bwd` of this module.  The
-    scalarizing loss is the sum of the op's outputs.  Relative error per
-    coordinate is |a - n| / max(|a|, |n|, 1e-8).  Inputs must be float64.
-    """
-    attrs = attrs or {}
-    for name, arr in inputs.items():
-        if np.asarray(arr).dtype != np.float64:
-            raise ValueError(f"fd_check requires float64 inputs, {name} is "
-                             f"{np.asarray(arr).dtype}")
-    fwd, bwd = globals().get(op + "_fwd"), globals().get(op + "_bwd")
-    if fwd is None or bwd is None:
-        raise ValueError(f"unknown op id {op!r}")
-
-    def loss(vals):
-        out, _ = fwd(**vals, **attrs)
-        return float(np.sum(out))
-
-    out, node = fwd(**inputs, **attrs)
-    upstream = np.ones_like(out) if np.ndim(out) else 1.0
-    analytic = bwd(node, upstream)
-
-    worst = 0.0
-    for name in inputs:
-        base = inputs[name]
-        a_grad = analytic[name]
-        it = np.nditer(base, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            bumped = dict(inputs)
-            plus = base.copy()
-            plus[idx] += h
-            bumped[name] = plus
-            f_plus = loss(bumped)
-            minus = base.copy()
-            minus[idx] -= h
-            bumped[name] = minus
-            f_minus = loss(bumped)
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            a = float(a_grad[idx])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-    return worst

@@ -11,15 +11,15 @@ k differs from slice k-1 by exactly the outer product q_k k_k^T, the whole
 tensor is a running prefix sum and can be evaluated in O(N d^2) instead of
 the O(N^2 d^2) the literal sum costs.
 
-This module holds the literal four-index-loop forms, the correctness
-oracles, plus the whole-sequence prefix-sum score tensor as a checked
-identity.  The fast causal kernel is `grad.masked_attention_multi_fwd`, a
-chunk-wise scan that carries the d x d state from one chunk of positions
-to the next.  It stores a chunk's states position-major, one contiguous
-d x d slice per position, and forms the prefix sum by adding each slice
-onto the next, so its states equal the slices of `masked_score_streaming`
-bitwise; its tape holds only the chunk-start states.  The output
-contraction applies a shared d x d filter exactly as in the encoder:
+This module holds the literal forms, the correctness oracles; they carry
+no FLOPs hooks and nothing trains with them.  The fast causal kernel is
+`grad.masked_attention_multi_fwd`, a chunk-wise scan that carries the
+d x d state from one chunk of positions to the next.  It adds each
+position's contiguous d x d outer product onto the previous state, in
+position order as `masked_score_naive` does, so its prefix states equal
+the loop oracle's slices bitwise; its tape holds only the chunk-start
+states.  The output contraction applies a shared d x d filter exactly as
+in the encoder:
 
     O[i, j] = sum_m W[j, m] * S3[j, m, i] * V[i, m].
 """
@@ -27,8 +27,6 @@ contraction applies a shared d x d filter exactly as in the encoder:
 from __future__ import annotations
 
 import numpy as np
-
-from .opcount import TALLY
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -50,14 +48,12 @@ def masked_score_naive(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Literal four-index evaluation of the masked score tensor (d x d x N).
 
     Every term including the masked-off ones is multiplied out, which is the
-    point: this is the slow, obviously-correct oracle the streaming form is
-    checked against.
+    point: this is the slow, obviously-correct oracle the causal kernel's
+    prefix states are checked against, bit for bit.
     """
     _check_pair(q, k)
     n, d = q.shape
     m = causal_mask(n)
-    if TALLY.active:
-        TALLY.add("masked_scores_naive", 2 * d * d * n * n, d * d * n * (n - 1))
     out = np.zeros((d, d, n))
     for i in range(d):
         qi = q[:, i]
@@ -71,18 +67,6 @@ def masked_score_naive(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def masked_score_streaming(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Prefix-sum evaluation of the masked score tensor; O(N d^2) total.
-
-    Slice k is the running sum of the per-token outer products q_n k_n^T
-    for n <= k, the state the causal kernel carries; the kernel sums in the
-    same order, so its states equal these slices bitwise.
-    """
-    _check_pair(q, k)
-    cum = np.cumsum(q[:, :, None] * k[:, None, :], axis=0)
-    return np.ascontiguousarray(cum.transpose(1, 2, 0))
-
-
 def masked_kr_tensor(s3: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Broadcast product of per-position score slices with rows of V.
 
@@ -94,8 +78,6 @@ def masked_kr_tensor(s3: np.ndarray, v: np.ndarray) -> np.ndarray:
     d, d2, n = s3.shape
     if d != d2 or v.shape != (n, d):
         raise ValueError(f"extent mismatch: scores {s3.shape} vs values {v.shape}")
-    if TALLY.active:
-        TALLY.elemwise_mul("masked_kr", n * d * d)
     return s3.transpose(2, 0, 1) * v[:, None, :]
 
 
@@ -112,8 +94,6 @@ def masked_output(q, k, v, w):
     if w.shape != (d, d):
         raise ValueError(f"filter must be {d}x{d}, got {w.shape}")
     x = masked_kr_tensor(masked_score_naive(q, k), v)
-    if TALLY.active:
-        TALLY.add("masked_conv", n * d * d, n * d * (d - 1))
     out = np.zeros((n, d))
     for i in range(n):
         for j in range(d):
@@ -132,11 +112,6 @@ def masked_output_vectorized_naive(q, k, v, w):
     where the loop oracle above is too slow.
     """
     _check_pair(q, k)
-    n, d = q.shape
-    m = causal_mask(n)
-    if TALLY.active:
-        TALLY.add("masked_scores_naive", 2 * d * d * n * n, d * d * n * (n - 1))
-        TALLY.elemwise_mul("masked_kr", n * d * d)
-        TALLY.add("masked_conv", n * d * d, n * d * (d - 1))
+    m = causal_mask(q.shape[0])
     s3 = np.einsum("ni,nj,nk->ijk", q, k, m)
     return np.einsum("jm,jmi,im->ij", w, s3, v)

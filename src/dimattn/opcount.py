@@ -1,9 +1,9 @@
 """Multiply/add tally for the attention kernels.
 
-The hooks sit in the `grad` forward kernels that training runs and in the
-literal causal oracles of `masked`; each tests `TALLY.active` before it
-counts.  The analytic reports of `analysis` are `OpTally`s filled with the
-same calls, so a report and a kernel's tally compare directly.
+The hooks sit in the three `grad` attention forward kernels that training
+runs and nowhere else; each tests `TALLY.active` before it counts.  The
+analytic reports of `analysis` are `OpTally`s filled with the same calls,
+so a report and a kernel's tally compare directly.
 
 The counters follow one fixed convention:
 

@@ -38,18 +38,19 @@ def _load_windows(cfg: RunConfig):
     return vocab, train_split, valid_split
 
 
-def _eval_nll(params, cfg: RunConfig, valid_split, decoder: bool) -> float:
+def _eval_nll(params, cfg: RunConfig, valid_split) -> float:
     win, pad = valid_split
+    decoder = cfg.task == "clm"
     num_batches = min(cfg.eval_batches,
                       (win.shape[0] + cfg.batch_size - 1) // cfg.batch_size)
     total, count = 0.0, 0
     for step in range(num_batches):
-        if cfg.task == "mlm":
-            batch = data.mlm_batch(win, pad, cfg.vocab_size, cfg.seed, step,
-                                   cfg.batch_size, eval_mode=True)
-        else:
+        if decoder:
             batch = data.clm_batch(win, pad, cfg.seed, step, cfg.batch_size,
                                    eval_mode=True)
+        else:
+            batch = data.mlm_batch(win, pad, cfg.vocab_size, cfg.seed, step,
+                                   cfg.batch_size, eval_mode=True)
         if not batch.mask.any():
             continue
         targets, mask, rows = batch.targets, batch.mask, None
@@ -139,7 +140,7 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
             params, state, cfg, step, decoder=decoder)
         rows.append(f"{step},train,{loss:.12g}")
         if (step + 1) % cfg.eval_interval == 0 or step + 1 == cfg.steps:
-            valid_nll = _eval_nll(params, cfg, valid_split, decoder)
+            valid_nll = _eval_nll(params, cfg, valid_split)
             rows.append(f"{step},valid,{valid_nll:.12g}")
             log(f"step {step + 1}/{cfg.steps} train_nll={loss:.4f} "
                 f"valid_nll={valid_nll:.4f}")
@@ -196,5 +197,5 @@ def evaluate_checkpoint(ckpt_path: str, override_data: str | None = None) -> dic
         raise ValueError(f"the corpus vocabulary differs from the checkpoint's: "
                          f"{other} of {vocab.size} ids name another token")
     params = {k: v.astype(cfg.dtype) for k, v in params.items()}
-    nll = _eval_nll(params, cfg, valid_split, decoder=cfg.task == "clm")
+    nll = _eval_nll(params, cfg, valid_split)
     return {"valid_nll": nll, "vocab_size": vocab.size, "task": cfg.task}

@@ -61,9 +61,10 @@ class TestAnalyticCounts:
         n, d = 9, 3
         q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
         w = rng.standard_normal((d, d))
-        with counting() as tally:
+        with counting() as tally:  # the oracles carry no hooks
             masked.masked_output(q, k, v, w)
-        assert tally.by_component == analysis.flops_masked(n, d, False).by_component
+            masked.masked_output_vectorized_naive(q, k, v, w)
+        assert tally.by_component == {}
         with counting() as tally:
             grad.masked_attention_multi_fwd(q[None], k[None], v[None], w[None])
         assert tally.by_component == analysis.flops_masked(n, d, True).by_component

@@ -64,9 +64,11 @@ class TestTokenAttention:
                            loop_token_attention(q, k, v), atol=1e-12)
 
     def test_row_blocked_equals_full(self, rng):
-        q, k, v = (rng.standard_normal((13, 4)) for _ in range(3))
+        # three blocks of rows, the last one partial
+        q, k, v = (rng.standard_normal((2 * analysis._TOKEN_ROW_BLOCK + 5, 4))
+                   for _ in range(3))
         full = token_attention(q, k, v)
-        blocked = analysis.token_attention_rows(q, k, v, row_block=5)
+        blocked = analysis.token_attention_rows(q, k, v)
         assert np.abs(full - blocked).max() <= 1e-12
 
     def test_causal_first_row_is_value(self, rng):

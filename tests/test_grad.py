@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dimattn import grad, masked
+from dimattn import grad, masked, verify
 from dimattn.grad import NORM_MODES
 from dimattn.tensor import make_rng
 
@@ -29,15 +29,15 @@ class TestMatmulRule:
 
     def test_fd_2x2(self):
         r = make_rng(0)
-        err = grad.fd_check("linear", {"x": r.standard_normal((2, 2)),
-                                       "w": r.standard_normal((2, 2))})
+        err = verify.fd_check("linear", {"x": r.standard_normal((2, 2)),
+                                         "w": r.standard_normal((2, 2))})
         assert err <= 1e-9  # linear map: central differences are exact
 
     def test_linear_op_fd_near_exact(self):
         r = make_rng(1)
-        err = grad.fd_check("linear", {"x": r.standard_normal((3, 4)),
-                                       "w": r.standard_normal((4, 2)),
-                                       "b": r.standard_normal(2)})
+        err = verify.fd_check("linear", {"x": r.standard_normal((3, 4)),
+                                         "w": r.standard_normal((4, 2)),
+                                         "b": r.standard_normal(2)})
         assert err <= 1e-9
 
 
@@ -65,8 +65,8 @@ class TestAttentionRules:
         inputs = {"q": r.standard_normal((1, 5, 3)),
                   "k": r.standard_normal((1, 5, 3)),
                   "v": r.standard_normal((1, 5, 3))}
-        assert grad.fd_check("token_attention", inputs,
-                             attrs={"causal": causal}) <= 1e-4
+        assert verify.fd_check("token_attention", inputs,
+                               attrs={"causal": causal}) <= 1e-4
 
     @pytest.mark.parametrize("mode", NORM_MODES)
     def test_dim_attention_fd_all_modes(self, mode):
@@ -75,7 +75,7 @@ class TestAttentionRules:
                   "k": r.standard_normal((1, 5, 3)),
                   "v": r.standard_normal((1, 5, 3)),
                   "ws": r.standard_normal((1, 3, 3))}
-        assert grad.fd_check("dim_attention_multi", inputs, attrs={"mode": mode}) <= 1e-4
+        assert verify.fd_check("dim_attention_multi", inputs, attrs={"mode": mode}) <= 1e-4
 
     def test_dim_attention_batched_fd(self):
         r = make_rng(23)
@@ -83,8 +83,8 @@ class TestAttentionRules:
                   "k": r.standard_normal((2, 4, 3)),
                   "v": r.standard_normal((2, 4, 3)),
                   "ws": r.standard_normal((2, 3, 3))}
-        assert grad.fd_check("dim_attention_multi", inputs,
-                             attrs={"mode": "softmax_cols_over_j"}) <= 1e-4
+        assert verify.fd_check("dim_attention_multi", inputs,
+                               attrs={"mode": "softmax_cols_over_j"}) <= 1e-4
 
     def test_masked_attention_fd(self):
         r = make_rng(31)
@@ -92,7 +92,7 @@ class TestAttentionRules:
                   "k": r.standard_normal((1, 4, 2)),
                   "v": r.standard_normal((1, 4, 2)),
                   "ws": r.standard_normal((1, 2, 2))}
-        assert grad.fd_check("masked_attention_multi", inputs) <= 1e-4
+        assert verify.fd_check("masked_attention_multi", inputs) <= 1e-4
 
     def test_shared_query_key_gradient_sums_partials(self):
         r = make_rng(3)
@@ -132,7 +132,7 @@ class TestChunkedScan:
                   "k": r.standard_normal((2, n, 2)),
                   "v": r.standard_normal((2, n, 2)),
                   "ws": r.standard_normal((2, 2, 2))}
-        assert grad.fd_check("masked_attention_multi", inputs) <= 1e-4
+        assert verify.fd_check("masked_attention_multi", inputs) <= 1e-4
 
     def test_tape_holds_chunk_start_states(self):
         r = make_rng(41)
@@ -144,7 +144,7 @@ class TestChunkedScan:
         assert not any(a.shape == (2, n, d, d) for a in node.saved.values()
                        if isinstance(a, np.ndarray))
         for b in range(2):
-            s3 = masked.masked_score_streaming(q[b], k[b])
+            s3 = masked.masked_score_naive(q[b], k[b])
             assert not starts[b, 0].any()
             for t in (1, 2):
                 assert np.array_equal(starts[b, t], s3[:, :, t * self.C - 1])
@@ -174,28 +174,28 @@ class TestOtherRules:
         inputs = {"x": r.standard_normal((2, 3, 6)),
                   "gamma": 1.0 + 0.1 * r.standard_normal(6),
                   "beta": 0.1 * r.standard_normal(6)}
-        assert grad.fd_check("layer_norm", inputs) <= 1e-4
+        assert verify.fd_check("layer_norm", inputs) <= 1e-4
 
     def test_embed_fd(self):
         r = make_rng(13)
         ids = r.integers(0, 6, (2, 4))
-        assert grad.fd_check("embed", {"table": r.standard_normal((6, 3))},
-                             attrs={"ids": ids}) <= 1e-9
+        assert verify.fd_check("embed", {"table": r.standard_normal((6, 3))},
+                               attrs={"ids": ids}) <= 1e-9
 
     def test_relu_fd(self):
         r = make_rng(15)
         # keep coordinates away from the kink, where FD is undefined
         x = r.standard_normal((4, 4))
         x[np.abs(x) < 1e-3] = 0.5
-        assert grad.fd_check("relu", {"x": x}) <= 1e-8
+        assert verify.fd_check("relu", {"x": x}) <= 1e-8
 
     def test_cross_entropy_fd(self):
         r = make_rng(19)
         mask = r.random((2, 4)) < 0.5
         mask[0, 0] = True
-        err = grad.fd_check(
-            "cross_entropy_masked", {"logits": r.standard_normal((2, 4, 6))},
-            attrs={"targets": r.integers(0, 6, (2, 4)), "mask": mask})
+        err = verify.fd_check(
+              "cross_entropy_masked", {"logits": r.standard_normal((2, 4, 6))},
+              attrs={"targets": r.integers(0, 6, (2, 4)), "mask": mask})
         assert err <= 1e-4
 
     def test_cross_entropy_empty_mask_rejected(self, rng):
@@ -217,11 +217,11 @@ class TestOtherRules:
 class TestFdCheck:
     def test_rejects_non_f64(self):
         with pytest.raises(ValueError, match="float64"):
-            grad.fd_check("relu", {"x": np.ones((2, 2), dtype=np.float32)})
+            verify.fd_check("relu", {"x": np.ones((2, 2), dtype=np.float32)})
 
     def test_rejects_unknown_op(self):
         with pytest.raises(ValueError, match="unknown op"):
-            grad.fd_check("warp", {"x": np.ones(2)})
+            verify.fd_check("warp", {"x": np.ones(2)})
 
     def test_twenty_seeded_instances_per_op(self):
         # the full 20-instance sweep for two representative fused ops
@@ -232,13 +232,13 @@ class TestFdCheck:
                       "v": r.standard_normal((1, 5, 3)),
                       "ws": r.standard_normal((1, 3, 3))}
             mode = NORM_MODES[i % 4]
-            assert grad.fd_check("dim_attention_multi", inputs,
-                                 attrs={"mode": mode}) <= 1e-4
+            assert verify.fd_check("dim_attention_multi", inputs,
+                                   attrs={"mode": mode}) <= 1e-4
             inputs = {"q": r.standard_normal((1, 4, 2)),
                       "k": r.standard_normal((1, 4, 2)),
                       "v": r.standard_normal((1, 4, 2)),
                       "ws": r.standard_normal((1, 2, 2))}
-            assert grad.fd_check("masked_attention_multi", inputs) <= 1e-4
+            assert verify.fd_check("masked_attention_multi", inputs) <= 1e-4
 
 
 def _same_bits(a, b):

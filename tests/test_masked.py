@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dimattn import attention, grad, masked
+from dimattn import analysis, attention, grad, masked, verify
 from dimattn.opcount import counting
 
 # Hand fixture: N=2, d=1, Q=[[2],[3]], K=[[5],[7]], V=[[1],[10]]
@@ -36,28 +36,31 @@ class TestMaskedScores:
         q = rng.standard_normal((3, 2))
         assert not masked.masked_score_naive(q, np.zeros((3, 2))).any()
 
+    # "streaming" is the kernel's scan: its prefix states, chunk by chunk
     def test_streaming_matches_fixture(self):
-        s3 = masked.masked_score_streaming(Q_FIX, K_FIX)
-        assert np.array_equal(s3[0, 0], np.array([10.0, 31.0]))
+        states = verify.scan_states(Q_FIX, K_FIX)
+        assert np.array_equal(states[:, 0, 0], np.array([10.0, 31.0]))
 
     def test_streaming_equals_naive(self, rng):
-        q = rng.standard_normal((8, 3))
-        k = rng.standard_normal((8, 3))
-        diff = np.abs(masked.masked_score_naive(q, k)
-                      - masked.masked_score_streaming(q, k)).max()
-        assert diff <= 1e-10
+        # both add the outer products in position order: equal bit for bit,
+        # also where the scan carries its state across chunks
+        for n in (8, grad._CHUNK + 1, 2 * grad._CHUNK + 3):
+            q = rng.standard_normal((n, 3))
+            k = rng.standard_normal((n, 3))
+            assert np.array_equal(verify.scan_states(q, k),
+                                  masked.masked_score_naive(q, k).transpose(2, 0, 1))
 
     def test_single_token_modes_agree_exactly(self, rng):
         q = rng.standard_normal((1, 2))
         k = rng.standard_normal((1, 2))
-        assert np.array_equal(masked.masked_score_naive(q, k),
-                              masked.masked_score_streaming(q, k))
+        assert np.array_equal(verify.scan_states(q, k),
+                              masked.masked_score_naive(q, k).transpose(2, 0, 1))
 
     def test_last_slice_is_unmasked_matrix(self, rng):
         q = rng.standard_normal((7, 3))
         k = rng.standard_normal((7, 3))
-        s3 = masked.masked_score_streaming(q, k)
-        assert np.abs(s3[:, :, -1] - attention.dim_score(q, k)).max() <= 1e-10
+        states = verify.scan_states(q, k)
+        assert np.abs(states[-1] - attention.dim_score(q, k)).max() <= 1e-10
 
     def test_prefix_increment_is_one_outer_product(self, rng):
         # exact on integer-valued inputs, where f64 arithmetic is exact
@@ -79,7 +82,7 @@ class TestMaskedKrTensor:
     def test_unit_values_recover_slices(self, rng):
         q = rng.standard_normal((4, 2))
         k = rng.standard_normal((4, 2))
-        s3 = masked.masked_score_streaming(q, k)
+        s3 = masked.masked_score_naive(q, k)
         x = masked.masked_kr_tensor(s3, np.ones((4, 2)))
         for i in range(4):
             assert np.array_equal(x[i], s3[:, :, i])
@@ -127,7 +130,7 @@ def _dense_backward(q, k, v, ws, u):
     """Gradients of sum(u * out) for one sequence, built from every state
     G_i of the literal prefix sum rather than from the kernel's scan."""
     n, d = q.shape
-    g = masked.masked_score_streaming(q, k).transpose(2, 0, 1)  # G_i[j, m]
+    g = np.cumsum(q[:, :, None] * k[:, None, :], axis=0)         # G_i[j, m]
     uf = u.reshape(n, -1, d)                                     # u_if[j]
     dv = np.einsum("fjm,ijm,ifj->im", ws, g, uf)
     dws = np.einsum("ifj,im,ijm->fjm", uf, v, g)
@@ -214,17 +217,16 @@ class TestCausality:
 
 class TestCostSeparation:
     def test_multiply_counts(self, rng):
+        # the oracles carry no counter; the naive cost is the analytic one
         d = 4
         by_n = {}
         for n in (6, 12):
             q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
             w = rng.standard_normal((d, d))
-            with counting() as tally:
-                masked.masked_output(q, k, v, w)
-            naive_scores = tally.by_component["masked_scores_naive"][0]
+            naive = analysis.flops_masked(n, d, streaming=False)
             with counting() as tally:
                 masked_attention(q, k, v, w)
-            by_n[n] = (naive_scores, tally.mults)
+            by_n[n] = (naive.by_component["masked_scores_naive"][0], tally.mults)
         # quadratic score tensor: x4 on doubling; streaming total: x2
         assert by_n[12][0] == 4 * by_n[6][0]
         assert by_n[12][1] == 2 * by_n[6][1]

@@ -243,10 +243,18 @@ class TestLossRows:
     the loss positions only; losses, gradients and logits must equal the
     all-rows computation bit for bit."""
 
+    SMALL = dict(d_model=64, head_dim=16, ffn_width=96, vocab_size=40)
     CONFIGS = {
-        "dim-g1": dict(attention="dim", groups=1),
-        "dim-g2": dict(attention="dim", groups=2),
-        "token": dict(attention="token", heads=4),
+        "dim-g1": dict(attention="dim", groups=1, **SMALL),
+        "dim-g2": dict(attention="dim", groups=2, **SMALL),
+        "token": dict(attention="token", heads=4, **SMALL),
+    }
+    # the configs/tiny-*.cfg shapes at their batch of 8, with the synthetic
+    # corpus's vocabulary
+    SHIPPED = dict(d_model=128, ffn_width=256, vocab_size=30)
+    SHIPPED_CONFIGS = {
+        "tiny-dim": dict(attention="dim", groups=1, convs=8, head_dim=32, **SHIPPED),
+        "tiny-token": dict(attention="token", heads=8, **SHIPPED),
     }
 
     # large enough that OpenBLAS sums a dW product over the selected rows
@@ -254,15 +262,15 @@ class TestLossRows:
     SHAPE = (4, 100)
 
     def _setup(self, name, layers=2, dropout=0.1):
-        bc = tiny_config(layers=layers, dropout=dropout, seq_len=100, d_model=64,
-                         head_dim=16, ffn_width=96, vocab_size=40, seed=4,
-                         **self.CONFIGS[name])
+        shape = self.SHAPE if name in self.CONFIGS else (8, 100)
+        bc = tiny_config(layers=layers, dropout=dropout, seq_len=100, seed=4,
+                         **{**self.CONFIGS, **self.SHIPPED_CONFIGS}[name])
         r = make_rng(17)
-        ids = r.integers(0, bc.vocab_size, self.SHAPE)
-        targets = r.integers(5, bc.vocab_size, self.SHAPE)
-        pad = np.zeros(self.SHAPE, dtype=bool)
+        ids = r.integers(0, bc.vocab_size, shape)
+        targets = r.integers(5, bc.vocab_size, shape)
+        pad = np.zeros(shape, dtype=bool)
         pad[-1, 70:] = True  # a padded tail
-        mask = (r.random(self.SHAPE) < 0.15) & ~pad
+        mask = (r.random(shape) < 0.15) & ~pad
         return bc, model.init_params(bc, 4), ids, targets, mask, pad
 
     def _all_rows(self, params, ids, targets, mask, pad, bc):
@@ -298,7 +306,7 @@ class TestLossRows:
         for name in want:
             assert _same_bits(grads[name], want[name]), name
 
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(SHIPPED_CONFIGS))
     def test_loss_and_grads_equal_all_rows(self, monkeypatch, name):
         bc, params, ids, targets, mask, pad = self._setup(name)
         assert 1 < mask.sum() < mask.size
@@ -354,7 +362,7 @@ class TestLossRows:
             total += loss * n
             count += n
         shapes = self._logit_shapes(monkeypatch, train)
-        assert train._eval_nll(params, bc, valid_split, decoder=False) == total / count
+        assert train._eval_nll(params, bc, valid_split) == total / count
         assert len(shapes) == bc.eval_batches
         assert all(len(shape) == 2 for shape in shapes)  # scored rows only
 

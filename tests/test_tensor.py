@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dimattn import grad, masked, tensor
+from dimattn import grad, masked, tensor, verify
 
 
 class TestMatmul:
@@ -55,34 +55,31 @@ class TestSoftmaxAxis:
 
 
 class TestCumOuter:
-    """Prefix sums of per-token outer products: slice t of the masked score
-    tensor is sum_{n <= t} q_n k_n^T."""
+    """Prefix sums of per-token outer products: state t of the causal
+    kernel's scan is sum_{n <= t} q_n k_n^T."""
 
     def test_single_token(self, rng):
         q = rng.standard_normal((1, 3))
         k = rng.standard_normal((1, 3))
-        out = masked.masked_score_streaming(q, k)
-        assert np.allclose(out[:, :, 0], np.outer(q[0], k[0]))
+        assert np.array_equal(verify.scan_states(q, k)[0], np.outer(q[0], k[0]))
 
     def test_hand_fixture(self):
         q = np.array([[2.0], [3.0]])
         k = np.array([[5.0], [7.0]])
-        out = masked.masked_score_streaming(q, k)
-        assert np.array_equal(out, np.array([[[10.0, 31.0]]]))
+        assert np.array_equal(verify.scan_states(q, k), np.array([[[10.0]], [[31.0]]]))
 
     def test_zero_keys(self, rng):
         q = rng.standard_normal((4, 2))
-        assert not masked.masked_score_streaming(q, np.zeros((4, 2))).any()
+        assert not verify.scan_states(q, np.zeros((4, 2))).any()
 
     def test_last_slice_is_full_product(self, rng):
         q = rng.standard_normal((9, 4))
         k = rng.standard_normal((9, 4))
-        out = masked.masked_score_streaming(q, k)
-        assert np.abs(out[:, :, -1] - q.T @ k).max() <= 1e-10
+        assert np.abs(verify.scan_states(q, k)[-1] - q.T @ k).max() <= 1e-10
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
-            masked.masked_score_streaming(np.ones((3, 2)), np.ones((4, 2)))
+            masked.masked_score_naive(np.ones((3, 2)), np.ones((4, 2)))
 
 
 class TestDerivedRng:

@@ -25,9 +25,9 @@ class ConfigError(ValueError):
     pass
 
 
-_POSITIVE = ("seq_len", "d_model", "heads", "groups", "convs", "ffn_width",
+_POSITIVE = ("seq_len", "d_model", "layers", "heads", "groups", "convs", "ffn_width",
              "batch_size", "steps", "warmup", "eval_interval", "eval_batches")
-_NON_NEGATIVE = ("vocab_cap", "layers", "head_dim", "seed", "vocab_size")
+_NON_NEGATIVE = ("vocab_cap", "head_dim", "seed", "vocab_size")
 
 
 @dataclass(frozen=True)

@@ -235,8 +235,6 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
                                             params[p + "ln2.beta"])
         cache["layers"].append(lc)
 
-    if rows is not None and not cfg.layers:
-        x = x[rows]
     # the tied head as one 2-D product, which reaches BLAS
     logits = (x.reshape(-1, cfg.d_model) @ params["embed"].T).reshape(
         x.shape[:-1] + (-1,))
@@ -322,8 +320,6 @@ def backward_from_cache(cache, dlogits) -> dict:
                     grads[p + f"attn.w{t}{g}"] = gl["w"]
                     dx += gl["x"]
 
-    if rows is not None and not cache["layers"]:
-        dx = grad.scatter_rows(dx, rows)
     ge = grad.embed_bwd(cache["embed_node"], dx * cache["emb_scale"])
     grads["embed"] += ge["table"]
     return grads

@@ -2,6 +2,8 @@
 
 The desk-scale training surrogate (criterion 10) trains two 2,000-step
 models and dominates the suite's runtime; run with `-s` to watch progress.
+It and the wall-clock sweep (criterion 8) are marked `slow`; every other
+criterion runs in the fast loop, `pytest -m "not slow"`.
 """
 
 import math
@@ -60,6 +62,7 @@ def test_criterion_7_flops_consistency():
     _report(7, ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_8_wall_clock_separation():
     t0 = time.time()
     result = analysis.bench_sweep(["token_encoder", "dim_encoder"],
@@ -115,6 +118,7 @@ def mlm_runs(tmp_path_factory, corpus_path):
     return {"dim": dim, "token": token, "elapsed": time.time() - t0}
 
 
+@pytest.mark.slow
 def test_criterion_10_mlm_surrogate(mlm_runs, corpus_path):
     import os
     corpus_bytes = os.path.getsize(corpus_path)
@@ -139,6 +143,7 @@ def test_criterion_10_mlm_surrogate(mlm_runs, corpus_path):
             f"min (< 30); masking stats: {stats_detail}")
 
 
+@pytest.mark.slow
 def test_criterion_10_training_curve(mlm_runs):
     # smoothed train NLL strictly decreases across the first 500 steps
     with open(mlm_runs["dim"]["metrics_path"], encoding="utf-8") as f:

@@ -83,6 +83,43 @@ class TestTokenAttention:
         assert np.abs(out - 1.0).max() <= 1e-12
 
 
+def two_heads_match_oracle(rng, decoder, padded):
+    """Whether a one-layer, two-head token model's heads equal the loop
+    oracle, in causal order for the decoder, with one row's tail keys
+    padded when `padded`."""
+    bc = RunConfig(vocab_size=11, d_model=4, layers=1, attention="token",
+                   heads=2, ffn_width=8, seq_len=5, dropout=0.0)
+    params = model.init_params(bc, 2)
+    if padded:
+        ids = rng.integers(0, 11, (2, 5))
+        pad = np.zeros((2, 5), dtype=bool)
+        pad[1, 3:] = True
+    else:
+        ids, pad = rng.integers(0, 11, (1, 5)), np.zeros((1, 5), dtype=bool)
+    x, heads = token_layer(bc, params, ids, decoder=decoder, pad=pad)
+    # q|k|v are column blocks of the fused projection, heads within each
+    wq, wk, wv = np.split(params["l0.attn.wqkv"], 3, axis=1)
+    order = np.tril(np.ones((5, 5), dtype=bool)) if decoder else np.ones((5, 5), bool)
+    for xb, heads_b, pad_b in zip(x, heads, pad):
+        visible = order & ~pad_b[None, :]
+        expected = np.concatenate(
+            [loop_token_attention(xb @ wq[:, cols], xb @ wk[:, cols],
+                                  xb @ wv[:, cols], visible)
+             for cols in (slice(0, 2), slice(2, 4))], axis=1)
+        if not np.allclose(heads_b, expected, atol=1e-12):
+            return False
+    return True
+
+
+# the token layer's attention call broken one way
+TOKEN_LAYER_MUTANTS = {
+    "causal_dropped": lambda fwd: lambda q, k, v, causal=False, key_pad=None:
+        fwd(q, k, v, False, key_pad),
+    "key_pad_dropped": lambda fwd: lambda q, k, v, causal=False, key_pad=None:
+        fwd(q, k, v, causal, None),
+}
+
+
 class TestMultiHeadBaseline:
     """The model's token sublayer: heads split, attended and concatenated."""
 
@@ -111,26 +148,14 @@ class TestMultiHeadBaseline:
     @pytest.mark.parametrize("decoder", [False, True], ids=["encoder", "decoder"])
     @pytest.mark.parametrize("padded", [False, True], ids=["no-pad", "tail-pad"])
     def test_two_heads_match_loop_oracle(self, rng, decoder, padded):
-        bc = RunConfig(vocab_size=11, d_model=4, layers=1, attention="token",
-                       heads=2, ffn_width=8, seq_len=5, dropout=0.0)
-        params = model.init_params(bc, 2)
-        if padded:
-            ids = rng.integers(0, 11, (2, 5))
-            pad = np.zeros((2, 5), dtype=bool)
-            pad[1, 3:] = True
-        else:
-            ids, pad = rng.integers(0, 11, (1, 5)), np.zeros((1, 5), dtype=bool)
-        x, heads = token_layer(bc, params, ids, decoder=decoder, pad=pad)
-        # q|k|v are column blocks of the fused projection, heads within each
-        wq, wk, wv = np.split(params["l0.attn.wqkv"], 3, axis=1)
-        order = np.tril(np.ones((5, 5), dtype=bool)) if decoder else np.ones((5, 5), bool)
-        for xb, heads_b, pad_b in zip(x, heads, pad):
-            visible = order & ~pad_b[None, :]
-            expected = np.concatenate(
-                [loop_token_attention(xb @ wq[:, cols], xb @ wk[:, cols],
-                                      xb @ wv[:, cols], visible)
-                 for cols in (slice(0, 2), slice(2, 4))], axis=1)
-            assert np.allclose(heads_b, expected, atol=1e-12)
+        assert two_heads_match_oracle(rng, decoder, padded)
+
+    @pytest.mark.parametrize("mutant", TOKEN_LAYER_MUTANTS)
+    def test_broken_token_layer_caught(self, rng, monkeypatch, mutant):
+        monkeypatch.setattr(grad, "token_attention_fwd",
+                            TOKEN_LAYER_MUTANTS[mutant](grad.token_attention_fwd))
+        assert not all(two_heads_match_oracle(rng, decoder, padded)
+                       for decoder in (False, True) for padded in (False, True))
 
     def test_divisibility_error(self):
         with pytest.raises(ValueError, match="heads"):

@@ -241,6 +241,44 @@ class TestFdCheck:
             assert verify.fd_check("masked_attention_multi", inputs) <= 1e-4
 
 
+def _dk_flipped(bwd):
+    def mutant(node, u):
+        gs = bwd(node, u)
+        return dict(gs, k=-gs["k"])
+    return mutant
+
+
+def _scan_mutant(kind, prefix):
+    """`grad._chunk_prefix` broken one way."""
+    def mutant(q, k, start, s0):
+        if kind == "carry_dropped":
+            return prefix(q, k, np.zeros_like(start), s0)
+        if kind == "outer_transposed":
+            return prefix(k, q, start, s0)
+        # seeded from the previous chunk's second-last state
+        if s0:
+            start = start - q[:, s0 - 1, :, None] * k[:, s0 - 1, None, :]
+        return prefix(q, k, start, s0)
+    return mutant
+
+
+class TestMutantsCaught:
+    """A kernel broken one way fails the suite that criterion 2 or 6 calls."""
+
+    @pytest.mark.parametrize("kind", ["carry_dropped", "outer_transposed", "seeded_one_early"])
+    def test_scan_mutant_fails_masked_equivalence(self, monkeypatch, kind):
+        monkeypatch.setattr(grad, "_chunk_prefix", _scan_mutant(kind, grad._chunk_prefix))
+        ok, detail = verify.suite_masked_equivalence(0)
+        assert not ok, detail
+
+    @pytest.mark.parametrize("op", ["token_attention", "dim_attention_multi",
+                                    "masked_attention_multi"])
+    def test_flipped_dk_fails_gradient_ops(self, monkeypatch, op):
+        monkeypatch.setattr(grad, op + "_bwd", _dk_flipped(getattr(grad, op + "_bwd")))
+        ok, detail = verify.suite_gradient_ops(0)
+        assert not ok, detail
+
+
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 

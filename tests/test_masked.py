@@ -63,13 +63,15 @@ class TestMaskedScores:
         assert np.abs(states[-1] - attention.dim_score(q, k)).max() <= 1e-10
 
     def test_prefix_increment_is_one_outer_product(self, rng):
-        # exact on integer-valued inputs, where f64 arithmetic is exact
-        q = rng.integers(-4, 5, (6, 3)).astype(float)
-        k = rng.integers(-4, 5, (6, 3)).astype(float)
-        s3 = masked.masked_score_naive(q, k)
-        for kk in range(1, 6):
-            assert np.array_equal(s3[:, :, kk] - s3[:, :, kk - 1],
-                                  np.outer(q[kk], k[kk]))
+        # exact on integer-valued inputs, where f64 arithmetic is exact:
+        # the oracle's slices and the kernel's states across chunks
+        n = 2 * grad._CHUNK + 1
+        q = rng.integers(-4, 5, (n, 3)).astype(float)
+        k = rng.integers(-4, 5, (n, 3)).astype(float)
+        for states in (masked.masked_score_naive(q, k).transpose(2, 0, 1),
+                       verify.scan_states(q, k)):
+            assert np.array_equal(states[1:] - states[:-1], q[1:, :, None] * k[1:, None, :])
+            assert np.array_equal(states[-1], attention.dim_score(q, k))
 
 
 class TestMaskedKrTensor:

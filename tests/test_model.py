@@ -16,15 +16,6 @@ def tiny_config(**over):
 
 
 class TestForward:
-    def test_no_layers_degenerate(self, rng):
-        bc = tiny_config(layers=0)
-        params = model.init_params(bc, 0)
-        ids = rng.integers(0, 11, 4)
-        logits = model.forward(params, ids[None], bc)[0][0]
-        x = params["embed"][ids] * math.sqrt(bc.d_model) \
-            + model.sinusoidal_positions(bc.seq_len, bc.d_model)[:4]
-        assert np.allclose(logits, x @ params["embed"].T, atol=1e-12)
-
     def test_compositional_oracle(self, rng):
         # one layer, identity projections: the encoder must equal the same
         # pipeline hand-composed around the materialized-tensor oracle
@@ -73,38 +64,90 @@ class TestForward:
 
 
 INIT_CONFIGS = {
-    "dim": dict(groups=2, convs=2, head_dim=4, layers=2),
-    "token": dict(attention="token", heads=2, layers=2),
+    "dim": dict(groups=2, convs=2, head_dim=8),
+    "token": dict(attention="token", heads=4),
 }
+
+
+def init_config(kind, **over):
+    return tiny_config(d_model=32, layers=2, ffn_width=64, seq_len=8,
+                       **INIT_CONFIGS[kind], **over)
+
+
+def seed_problems(init, bc):
+    """Where the tensors `init(bc, seed)` draws break seeding: names out of
+    `model._param_specs` order, other tensors for one seed, or the same
+    drawn (not fixed) tensors for the next seed."""
+    a, b, c = init(bc, 3), init(bc, 3), init(bc, 4)
+    specs = model._param_specs(bc)
+    problems = [] if list(a) == [name for name, _, _ in specs] else ["names"]
+    for name, _, spec in specs:
+        if not np.array_equal(a[name], b[name]):
+            problems.append(f"{name} differs for one seed")
+        elif spec not in ("ones", "zeros") and np.array_equal(a[name], c[name]):
+            problems.append(f"{name} same for another seed")
+    return problems
+
+
+def xavier_problems(init, bc):
+    """Shapes other than the specs', and xavier tensors whose max |w| is
+    outside [0.9, 1] of the bound."""
+    params = init(bc, 0)
+    problems = []
+    for name, shape, spec in model._param_specs(bc):
+        if params[name].shape != shape:
+            problems.append(f"{name} shape {params[name].shape}, spec {shape}")
+        elif isinstance(spec, tuple):
+            bound, top = math.sqrt(6.0 / sum(spec)), np.abs(params[name]).max()
+            if not 0.9 * bound <= top <= bound:
+                problems.append(f"{name} max |w| {top:.3f}, bound {bound:.3f}")
+    return problems
+
+
+def fixed_problems(init, bc):
+    """Norms and biases not at their ones and zeros."""
+    params = init(bc, 0)
+    return [name for name, shape, spec in model._param_specs(bc)
+            if spec in ("ones", "zeros")
+            and not np.array_equal(params[name], np.full(shape, float(spec == "ones")))]
+
+
+def init_mutant(kind):
+    """`model.init_params` broken one way."""
+    def init(cfg, seed):
+        if kind == "unseeded":
+            return model.init_params(cfg, int(np.random.default_rng().integers(2**62)))
+        params = model.init_params(cfg, seed)
+        for name, _, spec in model._param_specs(cfg):
+            if kind == "double_bound" and name.endswith("attn.wo"):
+                params[name] = params[name] * 2
+            elif kind == "zero_weights" and isinstance(spec, tuple):
+                params[name] = np.zeros_like(params[name])
+            elif kind == "zero_gamma" and name.endswith(".gamma"):
+                params[name] = np.zeros_like(params[name])
+        return params
+    return init
 
 
 class TestInitParams:
     @pytest.mark.parametrize("kind", INIT_CONFIGS)
     def test_seed_determinism(self, kind):
-        bc = tiny_config(**INIT_CONFIGS[kind])
-        a, b = model.init_params(bc, 3), model.init_params(bc, 3)
-        c = model.init_params(bc, 4)
-        assert list(a) == [name for name, _, _ in model._param_specs(bc)]
-        assert all(np.array_equal(a[k], b[k]) for k in a)
-        assert not np.array_equal(a["embed"], c["embed"])
-        assert not np.array_equal(a["l1.attn.wo"], c["l1.attn.wo"])
+        assert seed_problems(model.init_params, init_config(kind)) == []
 
     @pytest.mark.parametrize("kind", INIT_CONFIGS)
     def test_xavier_bounds(self, kind):
-        bc = tiny_config(**INIT_CONFIGS[kind])
-        params = model.init_params(bc, 0)
-        for name, shape, init in model._param_specs(bc):
-            assert params[name].shape == shape, name
-            if isinstance(init, tuple):
-                bound = math.sqrt(6.0 / sum(init))
-                assert 0.5 * bound <= np.abs(params[name]).max() <= bound, name
+        assert xavier_problems(model.init_params, init_config(kind)) == []
 
     def test_norms_and_biases_start_fixed(self):
-        bc = tiny_config(**INIT_CONFIGS["dim"])
-        params = model.init_params(bc, 0)
-        for name, shape, init in model._param_specs(bc):
-            if init in ("ones", "zeros"):
-                assert np.array_equal(params[name], np.full(shape, float(init == "ones"))), name
+        for kind in INIT_CONFIGS:
+            assert fixed_problems(model.init_params, init_config(kind)) == [], kind
+
+    @pytest.mark.parametrize("mutant", ["double_bound", "zero_weights", "zero_gamma",
+                                        "unseeded"])
+    def test_broken_init_caught(self, mutant):
+        for kind in INIT_CONFIGS:
+            assert any(check(init_mutant(mutant), init_config(kind))
+                       for check in (seed_problems, xavier_problems, fixed_problems)), kind
 
     def test_embedding_scale(self):
         bc = tiny_config(vocab_size=400, d_model=32, head_dim=8)
@@ -113,9 +156,8 @@ class TestInitParams:
         assert abs(emb.std() * math.sqrt(bc.d_model) - 1.0) <= 0.05
 
     def test_f32_is_the_f64_draw_rounded(self):
-        over = INIT_CONFIGS["dim"]
-        p64 = model.init_params(tiny_config(**over), 2)
-        p32 = model.init_params(tiny_config(precision="f32", **over), 2)
+        p64 = model.init_params(init_config("dim"), 2)
+        p32 = model.init_params(init_config("dim", precision="f32"), 2)
         for k in p64:
             assert p32[k].dtype == np.float32
             assert np.array_equal(p32[k], p64[k].astype(np.float32)), k
@@ -138,15 +180,16 @@ class TestPositionTable:
         assert table.tobytes() == want.tobytes()
 
     def test_each_seq_len_gets_its_rows(self, rng):
-        # with no layers the final activations are embed * sqrt(d) + positions
+        # the first layer's input is embed * sqrt(d) + positions
         for seq_len, n in ((100, 100), (1024, 1024), (1024, 60)):
-            bc = tiny_config(layers=0, seq_len=seq_len)
+            bc = tiny_config(seq_len=seq_len)
             params = model.init_params(bc, 0)
             ids = rng.integers(0, 11, (2, n))
             _, cache = model.forward(params, ids, bc)
             want = params["embed"][ids] * math.sqrt(bc.d_model) \
                 + model.sinusoidal_positions(seq_len, bc.d_model)[:n]
-            assert cache["x_final"].tobytes() == want.tobytes()
+            x = cache["layers"][0]["groups"][0]["nq"].saved["x"]
+            assert x.tobytes() == want.tobytes()
 
 
 class TestDecoder:
@@ -320,10 +363,6 @@ class TestLossRows:
         one[2, 5] = True
         for mask in (one, np.ones(self.SHAPE, dtype=bool)):
             self._assert_same(monkeypatch, params, ids, targets, mask, None, bc)
-
-    def test_no_layers(self, monkeypatch):
-        bc, params, ids, targets, mask, pad = self._setup("dim-g1", layers=0)
-        self._assert_same(monkeypatch, params, ids, targets, mask, pad, bc)
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_logits_are_rows_of_full_logits(self, name):

@@ -94,7 +94,8 @@ def _entry_fields(entry):
 
 
 def load_checkpoint(path):
-    """Returns (params dict, config dict); raises ValueError on a malformed file."""
+    """Returns (params dict, config dict); raises ValueError on a malformed
+    file or a tensor holding NaN or inf."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(MAGIC)] != MAGIC:
@@ -117,6 +118,8 @@ def load_checkpoint(path):
         name, shape, dt, offset, nbytes = _entry_fields(entry)
         arr = np.frombuffer(blob, dtype=dt, count=nbytes // np.dtype(dt).itemsize,
                             offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"tensor {name!r} holds a non-finite value")
         # copy: a view of the bytes blob is read-only
         params[name] = arr.copy()
     return params, manifest["config"]

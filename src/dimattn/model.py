@@ -144,10 +144,15 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
     is a batch of one, ids[None].
 
     rows is an optional bool array [B, N] marking the positions whose
-    logits are read; the logits are then [rows.sum(), V] in row-major
-    order.  Everything after the last layer's attention is row-wise, so
-    that layer gathers the rows right after its attention, whose keys and
-    values still see every position, and runs the rest on them alone.
+    logits are read, the same count in every window (otherwise
+    ValueError); the logits are then [rows.sum(), V] in row-major order.
+    Output row i of attention reads query row i only, and everything
+    after the attention core is row-wise, so the last layer runs on those
+    rows alone from its core on.  A token layer gathers them as its query
+    rows and scores only them against every key; a dim layer, whose core
+    costs O(N d^2) whatever is read, gathers them from the core's output.
+    Keys and values still see every position.  The causal token core
+    takes no block of query rows, so the decoder takes no `rows`.
     The logits are bitwise those rows of the full [B, N, V] wherever BLAS
     sums each row of a product of fewer rows in the same order.  With
     OpenBLAS at the configs/tiny-*.cfg widths and N = 100, the loss and
@@ -169,7 +174,13 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
     if use_dropout and drop_rng is None:
         raise ValueError("training with dropout requires a dropout rng")
     if rows is not None:
+        if decoder:
+            raise ValueError("the decoder reads every position: it takes no rows")
         rows = np.asarray(rows, dtype=bool)
+        counts = np.count_nonzero(rows, axis=-1)
+        if rows.shape != ids.shape or counts.min() != counts.max():
+            raise ValueError(f"rows must mark the same number of positions in "
+                             f"each window of the [{b}, {n}] batch")
     cache = {"cfg": cfg, "ids": ids, "decoder": decoder, "layers": [],
              "rows": rows}
 
@@ -186,16 +197,20 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
 
     for i in range(cfg.layers):
         p = f"l{i}."
-        lc = {"prefix": p, "rows": None}
+        lc = {"prefix": p, "rows": rows if i == cfg.layers - 1 else None}
         if cfg.attention == "token":
             h = cfg.heads
             qkv, lc["nqkv"] = grad.linear_fwd(x, params[p + "attn.wqkv"])
-            # columns (q|k|v, head, j) -> [q|k|v, B*h, N, d]
-            qkv = (qkv.reshape(b, n, 3, h, -1).transpose(2, 0, 3, 1, 4)
-                   .reshape(3, b * h, n, -1))
+            qkv = qkv.reshape(b, n, 3, cfg.d_model)
+            q = qkv[:, :, 0]
+            if lc["rows"] is not None:
+                q = q[lc["rows"]].reshape(b, -1, cfg.d_model)
+            # columns (k|v, head, j) -> [k|v, B*h, N, d]
+            k, v = (qkv[:, :, 1:].reshape(b, n, 2, h, -1).transpose(2, 0, 3, 1, 4)
+                    .reshape(2, b * h, n, -1))
             key_pad = None if pad is None else np.repeat(pad, h, axis=0)
-            o, lc["nattn"] = grad.token_attention_fwd(*qkv, causal=decoder,
-                                                      key_pad=key_pad)
+            o, lc["nattn"] = grad.token_attention_fwd(_split_heads(q, h), k, v,
+                                                      causal=decoder, key_pad=key_pad)
             concat = _merge_heads(o, b, h)
         else:
             outs, groups = [], []
@@ -217,9 +232,10 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
                 groups.append(gc)
             concat = np.concatenate(outs, axis=2) if len(outs) > 1 else outs[0]
             lc["groups"] = groups
-        if rows is not None and i == cfg.layers - 1:
-            x, concat = x[rows], concat[rows]
-            lc["rows"] = rows
+            if lc["rows"] is not None:
+                concat = concat[lc["rows"]]
+        if lc["rows"] is not None:
+            x, concat = x[lc["rows"]], concat.reshape(-1, concat.shape[-1])
         a, lc["no"] = grad.linear_fwd(concat, params[p + "attn.wo"])
         if use_dropout:
             a, lc["ndrop1"] = grad.dropout_fwd(a, cfg.dropout, drop_rng, lc["rows"])
@@ -290,23 +306,33 @@ def backward_from_cache(cache, dlogits) -> dict:
         grads[p + "attn.wo"] = go["w"]
         dconcat = go["x"]
         if r is not None:
-            # back to every position for the attention and the residual path
-            dx, dconcat = grad.scatter_rows(dx, r), grad.scatter_rows(dconcat, r)
+            # back to every position for the residual path
+            dx = grad.scatter_rows(dx, r)
         if cfg.attention == "token":
-            b, n, dm = dconcat.shape
+            b, n, dm = dx.shape
             h = cfg.heads
-            ga = grad.token_attention_bwd(lc["nattn"], _split_heads(dconcat, h))
+            ga = grad.token_attention_bwd(lc["nattn"],
+                                          _split_heads(dconcat.reshape(b, -1, dm), h))
             # dq|dk|dv straight into the fused projection's column layout
             dqkv = np.empty((b, n, 3, h, dm // h), dtype=dconcat.dtype)
-            for j, t in enumerate("qkv"):
+            for j, t in enumerate("kv", start=1):
                 dqkv[:, :, j] = ga[t].reshape(b, h, n, -1).transpose(0, 2, 1, 3)
+            dq = ga["q"].reshape(b, h, -1, dm // h).transpose(0, 2, 1, 3)
+            if r is None:
+                dqkv[:, :, 0] = dq
+            else:
+                # only the gathered queries have a gradient
+                dqkv[:, :, 0] = 0.0
+                dqkv[:, :, 0][r] = dq.reshape(-1, h, dm // h)
             gl = grad.linear_bwd(lc["nqkv"], dqkv.reshape(b, n, 3 * dm))
             grads[p + "attn.wqkv"] = gl["w"]
             dx += gl["x"]
             # kept alive, they would raise the peak during the next layer's
             # attention backward
-            del ga, dqkv, gl
+            del ga, dq, dqkv, gl
         else:
+            if r is not None:
+                dconcat = grad.scatter_rows(dconcat, r)
             # forward zeroed q and k at padded positions, so their
             # gradients there are already zero
             width = cfg.convs * cfg.head_dim
@@ -333,18 +359,22 @@ def mlm_loss(logits, targets, mask_positions) -> float:
 
 def loss_rows(loss_mask):
     """The positions whose logits the encoder computes for a loss over
-    `loss_mask` [B, N]: the masked ones, then the first others up to a
-    quarter of all.
+    `loss_mask` [B, N]: in every window its masked ones, then its first
+    others, up to r = max(N // 4, the most masked in any window).
 
     The masked-LM loss reads about 15% of the positions, a count that
-    varies from batch to batch.  Arrays of varying size left holes in the
-    heap that the next step's full-size arrays could not reuse, so steps
-    page-faulted; a fixed count gives every step blocks of the same sizes.
+    varies from window to window and from batch to batch.  The last token
+    layer scores r query rows per window, so every window needs the same
+    count.  Arrays of varying size left holes in the heap that the next
+    step's full-size arrays could not reuse, so steps page-faulted; a
+    quota of N // 4, raised only for a window with more masked positions,
+    gives most steps blocks of the same sizes.
     """
     loss_mask = np.asarray(loss_mask, dtype=bool)
-    extra = loss_mask.size // 4 - np.count_nonzero(loss_mask)
+    masked = np.count_nonzero(loss_mask, axis=-1, keepdims=True)
+    quota = max(loss_mask.shape[-1] // 4, int(masked.max()))
     other = ~loss_mask
-    return loss_mask | (other & (np.cumsum(other).reshape(other.shape) <= extra))
+    return loss_mask | (other & (np.cumsum(other, axis=-1) <= quota - masked))
 
 
 def loss_and_grads(params, ids, targets, loss_mask, cfg: RunConfig,

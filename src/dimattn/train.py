@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 from dataclasses import fields, replace
 
@@ -198,4 +199,6 @@ def evaluate_checkpoint(ckpt_path: str, override_data: str | None = None) -> dic
                          f"{other} of {vocab.size} ids name another token")
     params = {k: v.astype(cfg.dtype) for k, v in params.items()}
     nll = _eval_nll(params, cfg, valid_split)
+    if not math.isfinite(nll):
+        raise ValueError(f"the held-out NLL is {nll!r}, not a number to report")
     return {"valid_nll": nll, "vocab_size": vocab.size, "task": cfg.task}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dimattn import grad, masked, verify
+from dimattn import grad, masked, model, verify
 from dimattn.grad import NORM_MODES
 from dimattn.tensor import make_rng
 
@@ -182,6 +182,19 @@ class TestOtherRules:
         assert verify.fd_check("embed", {"table": r.standard_normal((6, 3))},
                                attrs={"ids": ids}) <= 1e-9
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_embed_bwd_sums_rows_in_order(self, dtype):
+        # the row-by-row scatter-add: every bucket summed in row order
+        r = make_rng(14)
+        ids = r.integers(0, 30, (8, 100))
+        u = r.standard_normal((8, 100, 128)).astype(dtype)
+        want = np.zeros((30, 128), dtype=np.float64)
+        np.add.at(want, ids.reshape(-1), u.reshape(-1, 128).astype(np.float64))
+        _, node = grad.embed_fwd(np.zeros((30, 128), dtype), ids)
+        got = grad.embed_bwd(node, u)["table"]
+        # f64 sums round once, into f32 for an f32 upstream
+        assert _same_bits(got, want.astype(dtype))
+
     def test_relu_fd(self):
         r = make_rng(15)
         # keep coordinates away from the kink, where FD is undefined
@@ -346,8 +359,9 @@ class TestInPlaceOps:
 
 
 class TestGatheredRows:
-    """linear_bwd and dropout_fwd on the rows a bool [B, N] marks equal the
-    full-batch ops, whose upstream is zero off those rows, bit for bit."""
+    """linear_bwd, dropout_fwd and the token attention core on the rows a
+    bool [B, N] marks equal the full-batch ops, whose upstream is zero off
+    those rows, bit for bit."""
 
     def _rows(self, r):
         rows = r.random((4, 100)) < 0.15
@@ -377,3 +391,28 @@ class TestGatheredRows:
         got, got_node = grad.dropout_fwd(x[rows], 0.3, make_rng(0), rows)
         assert _same_bits(got, out[rows])
         assert np.array_equal(got_node.saved["keep"], node.saved["keep"][rows])
+
+    @pytest.mark.parametrize("batch", [8, 4, 2])
+    def test_token_attention_on_loss_row_queries(self, batch):
+        # the configs/tiny-token-mlm.cfg core: 8 heads of 16 over N = 100,
+        # at the batches whose training is bitwise the all-rows model's
+        h, n, d = 8, 100, 16
+        r = make_rng(79 + batch)
+        q, k, v = (r.standard_normal((batch * h, n, d)) for _ in range(3))
+        pad = np.zeros((batch, n), dtype=bool)
+        pad[-1, 70:] = True
+        key_pad = np.repeat(pad, h, axis=0)
+        rows = np.repeat(model.loss_rows((r.random((batch, n)) < 0.15) & ~pad), h, axis=0)
+
+        def gathered(a):
+            return a[rows].reshape(batch * h, -1, d)
+
+        u = np.where(rows[..., None], r.standard_normal(q.shape), 0.0)
+        out, node = grad.token_attention_fwd(q, k, v, key_pad=key_pad)
+        want = grad.token_attention_bwd(node, u)
+        got_out, node = grad.token_attention_fwd(gathered(q), k, v, key_pad=key_pad)
+        got = grad.token_attention_bwd(node, gathered(u))
+        assert _same_bits(got_out, gathered(out))
+        assert _same_bits(got["q"], gathered(want["q"]))
+        assert _same_bits(got["k"], want["k"])
+        assert _same_bits(got["v"], want["v"])

@@ -392,6 +392,26 @@ class TestEvalRejectsMalformedCheckpoint:
         assert "valid nll" not in out
         assert message in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor(self, tiny_run, tmp_path, capsys, value):
+        params, cfg = checkpoint.load_checkpoint(tiny_run)
+        params["l0.ffn.w1"][3, 5] = value
+        path = tmp_path / "nan.ckpt"
+        checkpoint.save_checkpoint(path, params, cfg)
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert "'l0.ffn.w1' holds a non-finite value" in err
+
+    def test_non_finite_nll(self, tiny_run, monkeypatch, capsys):
+        monkeypatch.setattr(train, "_eval_nll", lambda *args: float("inf"))
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(tiny_run)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert "held-out NLL is inf" in err
+
     def test_eight_byte_file(self, tmp_path, capsys):
         path = tmp_path / "short.ckpt"
         path.write_bytes(checkpoint.MAGIC + b"\x00\x00")

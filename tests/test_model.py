@@ -368,17 +368,31 @@ class TestLossRows:
     def test_logits_are_rows_of_full_logits(self, name):
         bc, params, ids, _, mask, pad = self._setup(name)
         full, _ = model.forward(params, ids, bc, pad=pad)
-        for rows in (mask, model.loss_rows(mask), np.ones_like(mask)):
+        for rows in (model.loss_rows(mask), np.ones_like(mask)):
             logits, _ = model.forward(params, ids, bc, pad=pad, rows=rows)
             assert _same_bits(logits, full[rows])
+        # the last token layer scores the same number of queries per window
+        assert len(set(mask.sum(axis=1))) > 1
+        with pytest.raises(ValueError, match="same number of positions"):
+            model.forward(params, ids, bc, pad=pad, rows=mask)
+        with pytest.raises(ValueError, match="decoder"):
+            model.forward(params, ids, bc, decoder=True, rows=np.ones_like(mask))
 
     def test_loss_rows(self):
-        mask = np.zeros((4, 10), dtype=bool)
+        mask = np.zeros((4, 12), dtype=bool)
         mask[1, 3] = mask[3, 0] = True
         rows = model.loss_rows(mask)
-        # the masked positions, then the first others up to a quarter
-        assert np.flatnonzero(rows).tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 13, 30]
-        many = np.arange(40).reshape(4, 10) % 3 == 0
+        # per window: its masked positions, then its first others, up to 12 // 4
+        assert [np.flatnonzero(w).tolist() for w in rows] == [
+            [0, 1, 2], [0, 1, 3], [0, 1, 2], [0, 1, 2]]
+        # a window over the quota raises it for every window
+        mask[2, 5:10] = True
+        rows = model.loss_rows(mask)
+        assert np.count_nonzero(rows, axis=1).tolist() == [5, 5, 5, 5]
+        assert np.array_equal(rows & mask, mask)
+        assert np.array_equal(rows[2], mask[2])
+        assert np.flatnonzero(rows[1]).tolist() == [0, 1, 2, 3, 4]
+        many = np.arange(48).reshape(4, 12) % 3 == 0
         assert np.array_equal(model.loss_rows(many), many)
 
     @pytest.mark.parametrize("attention", ["dim", "token"])

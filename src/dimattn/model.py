@@ -20,7 +20,8 @@ dict; every parameter is initialized from its own Philox stream keyed by
 identical values for them regardless of attention kind.
 
 The backward pass is written out explicitly: forward stores per-layer tape
-nodes and `backward_from_cache` walks them in reverse.
+nodes and `backward_from_cache` pops them in reverse, freeing each layer's
+tape once its gradients are taken.
 
 Every function takes the one `config.RunConfig`: the model reads its shape
 fields (`vocab_size` set from the corpus, `seq_len` as the longest
@@ -264,7 +265,12 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
 # ---------------------------------------------------------------------------
 
 def backward_from_cache(cache, dlogits) -> dict:
-    """Parameter gradients for a forward pass, given d(loss)/d(logits)."""
+    """Parameter gradients for a forward pass, given d(loss)/d(logits).
+
+    Consumes the cache: each layer's tape is popped from cache["layers"]
+    as its gradients are taken, so layer i's activations are freed before
+    layer i-1's backward runs and the list is empty on return.
+    """
     cfg = cache["cfg"]
     head, x_final, rows = cache["head"], cache["x_final"], cache["rows"]
     dx = (dlogits.reshape(-1, head.shape[0]) @ head).reshape(x_final.shape)
@@ -275,80 +281,85 @@ def backward_from_cache(cache, dlogits) -> dict:
     grads = {"embed": dlogits.reshape(-1, head.shape[0]).T
              @ x_final.reshape(-1, head.shape[1])}
 
-    for lc in reversed(cache["layers"]):
-        p, r = lc["prefix"], lc["rows"]
-        g2 = grad.layer_norm_bwd(lc["nln2"], dx)
-        grads[p + "ln2.gamma"] = g2["gamma"]
-        grads[p + "ln2.beta"] = g2["beta"]
-        dres2 = g2["x"]  # gradient of x1 + f
-        df = dres2
-        if "ndrop2" in lc:
-            df = grad.dropout_bwd(lc["ndrop2"], df)["x"]
-        gf2 = grad.linear_bwd(lc["nff2"], df, r)
-        grads[p + "ffn.w2"] = gf2["w"]
-        grads[p + "ffn.b2"] = gf2["b"]
-        dr = grad.relu_bwd(lc["nrelu"], gf2["x"])["x"]
-        gf1 = grad.linear_bwd(lc["nff1"], dr, r)
-        grads[p + "ffn.w1"] = gf1["w"]
-        grads[p + "ffn.b1"] = gf1["b"]
-        dx1 = dres2 + gf1["x"]
-
-        g1 = grad.layer_norm_bwd(lc["nln1"], dx1)
-        grads[p + "ln1.gamma"] = g1["gamma"]
-        grads[p + "ln1.beta"] = g1["beta"]
-        # gradient of x + a; the attention input terms are added to it
-        # once da, which may be this same array, has been consumed
-        dx = g1["x"]
-        da = dx
-        if "ndrop1" in lc:
-            da = grad.dropout_bwd(lc["ndrop1"], da)["x"]
-        go = grad.linear_bwd(lc["no"], da, r)
-        grads[p + "attn.wo"] = go["w"]
-        dconcat = go["x"]
-        if r is not None:
-            # back to every position for the residual path
-            dx = grad.scatter_rows(dx, r)
-        if cfg.attention == "token":
-            b, n, dm = dx.shape
-            h = cfg.heads
-            ga = grad.token_attention_bwd(lc["nattn"],
-                                          _split_heads(dconcat.reshape(b, -1, dm), h))
-            # dq|dk|dv straight into the fused projection's column layout
-            dqkv = np.empty((b, n, 3, h, dm // h), dtype=dconcat.dtype)
-            for j, t in enumerate("kv", start=1):
-                dqkv[:, :, j] = ga[t].reshape(b, h, n, -1).transpose(0, 2, 1, 3)
-            dq = ga["q"].reshape(b, h, -1, dm // h).transpose(0, 2, 1, 3)
-            if r is None:
-                dqkv[:, :, 0] = dq
-            else:
-                # only the gathered queries have a gradient
-                dqkv[:, :, 0] = 0.0
-                dqkv[:, :, 0][r] = dq.reshape(-1, h, dm // h)
-            gl = grad.linear_bwd(lc["nqkv"], dqkv.reshape(b, n, 3 * dm))
-            grads[p + "attn.wqkv"] = gl["w"]
-            dx += gl["x"]
-            # kept alive, they would raise the peak during the next layer's
-            # attention backward
-            del ga, dq, dqkv, gl
-        else:
-            if r is not None:
-                dconcat = grad.scatter_rows(dconcat, r)
-            # forward zeroed q and k at padded positions, so their
-            # gradients there are already zero
-            width = cfg.convs * cfg.head_dim
-            for g, gc in enumerate(lc["groups"]):
-                du = dconcat[:, :, g * width:(g + 1) * width]
-                ga = (grad.masked_attention_multi_bwd if cache["decoder"]
-                      else grad.dim_attention_multi_bwd)(gc["nattn"], du)
-                grads[p + f"attn.filters{g}"] = ga["ws"]
-                for t in ("q", "k", "v"):
-                    gl = grad.linear_bwd(gc["n" + t], ga[t])
-                    grads[p + f"attn.w{t}{g}"] = gl["w"]
-                    dx += gl["x"]
+    layers = cache["layers"]
+    while layers:
+        dx = _layer_bwd(layers.pop(), dx, cfg, cache["decoder"], grads)
 
     ge = grad.embed_bwd(cache["embed_node"], dx * cache["emb_scale"])
     grads["embed"] += ge["table"]
     return grads
+
+
+def _layer_bwd(lc, dx, cfg: RunConfig, decoder, grads):
+    """One layer's backward from its tape `lc`: puts the layer's parameter
+    gradients into `grads` and returns the gradient of its input."""
+    p, r = lc["prefix"], lc["rows"]
+    g2 = grad.layer_norm_bwd(lc["nln2"], dx)
+    grads[p + "ln2.gamma"] = g2["gamma"]
+    grads[p + "ln2.beta"] = g2["beta"]
+    dres2 = g2["x"]  # gradient of x1 + f
+    df = dres2
+    if "ndrop2" in lc:
+        df = grad.dropout_bwd(lc["ndrop2"], df)["x"]
+    gf2 = grad.linear_bwd(lc["nff2"], df, r)
+    grads[p + "ffn.w2"] = gf2["w"]
+    grads[p + "ffn.b2"] = gf2["b"]
+    dr = grad.relu_bwd(lc["nrelu"], gf2["x"])["x"]
+    gf1 = grad.linear_bwd(lc["nff1"], dr, r)
+    grads[p + "ffn.w1"] = gf1["w"]
+    grads[p + "ffn.b1"] = gf1["b"]
+    dx1 = dres2 + gf1["x"]
+
+    g1 = grad.layer_norm_bwd(lc["nln1"], dx1)
+    grads[p + "ln1.gamma"] = g1["gamma"]
+    grads[p + "ln1.beta"] = g1["beta"]
+    # gradient of x + a; the attention input terms are added to it
+    # once da, which may be this same array, has been consumed
+    dx = g1["x"]
+    da = dx
+    if "ndrop1" in lc:
+        da = grad.dropout_bwd(lc["ndrop1"], da)["x"]
+    go = grad.linear_bwd(lc["no"], da, r)
+    grads[p + "attn.wo"] = go["w"]
+    dconcat = go["x"]
+    if r is not None:
+        # back to every position for the residual path
+        dx = grad.scatter_rows(dx, r)
+    if cfg.attention == "token":
+        b, n, dm = dx.shape
+        h = cfg.heads
+        ga = grad.token_attention_bwd(lc["nattn"],
+                                      _split_heads(dconcat.reshape(b, -1, dm), h))
+        # dq|dk|dv straight into the fused projection's column layout
+        dqkv = np.empty((b, n, 3, h, dm // h), dtype=dconcat.dtype)
+        for j, t in enumerate("kv", start=1):
+            dqkv[:, :, j] = ga[t].reshape(b, h, n, -1).transpose(0, 2, 1, 3)
+        dq = ga["q"].reshape(b, h, -1, dm // h).transpose(0, 2, 1, 3)
+        if r is None:
+            dqkv[:, :, 0] = dq
+        else:
+            # only the gathered queries have a gradient
+            dqkv[:, :, 0] = 0.0
+            dqkv[:, :, 0][r] = dq.reshape(-1, h, dm // h)
+        gl = grad.linear_bwd(lc["nqkv"], dqkv.reshape(b, n, 3 * dm))
+        grads[p + "attn.wqkv"] = gl["w"]
+        dx += gl["x"]
+    else:
+        if r is not None:
+            dconcat = grad.scatter_rows(dconcat, r)
+        # forward zeroed q and k at padded positions, so their
+        # gradients there are already zero
+        width = cfg.convs * cfg.head_dim
+        for g, gc in enumerate(lc["groups"]):
+            du = dconcat[:, :, g * width:(g + 1) * width]
+            ga = (grad.masked_attention_multi_bwd if decoder
+                  else grad.dim_attention_multi_bwd)(gc["nattn"], du)
+            grads[p + f"attn.filters{g}"] = ga["ws"]
+            for t in ("q", "k", "v"):
+                gl = grad.linear_bwd(gc["n" + t], ga[t])
+                grads[p + f"attn.w{t}{g}"] = gl["w"]
+                dx += gl["x"]
+    return dx
 
 
 def mlm_loss(logits, targets, mask_positions) -> float:

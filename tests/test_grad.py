@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,23 @@ class TestSoftmaxRule:
         p0 = p[0]
         jac = np.diag(p0) - np.outer(p0, p0)
         assert np.allclose(g, jac @ u, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_backward_flushes_subnormals(self, dtype):
+        # p[1] sits just above the smallest normal, so p[1] * u[1] and the
+        # dot product fall below it
+        tiny = np.finfo(dtype).tiny
+        x = np.array([[0.0, 0.98 * np.log(tiny)]], dtype)
+        u = np.array([[0.0, tiny ** 0.05]], dtype)
+        p, node = grad.softmax_fwd(x)
+        formula = p * (u - (u * p).sum(axis=-1, keepdims=True))
+        subnormal = (formula != 0.0) & (np.abs(formula) < tiny)
+        assert subnormal.all()
+        in_place = u.copy()
+        grad.softmax_vjp(p, in_place, out=in_place)
+        for g in (grad.softmax_bwd(node, u)["x"], in_place):
+            assert g.dtype == dtype
+            assert not g.any()
 
 
 class TestAttentionRules:
@@ -347,6 +366,15 @@ class TestInPlaceOps:
         assert _same_bits(grads["gamma"], (u * xhat).sum(axis=(0, 1)))
         assert _same_bits(grads["beta"], u.sum(axis=(0, 1)))
 
+    @pytest.mark.parametrize("rate", [0.0, 1e-9, 0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_dropout_mask_from_raw_words(self, rate):
+        # the mask is drawn as raw Philox words against an integer
+        # threshold: the same masks as rng.random, and the same stream after
+        got_rng, want_rng = make_rng(3), make_rng(3)
+        _, node = grad.dropout_fwd(np.ones((8, 100, 128)), rate, got_rng)
+        assert np.array_equal(node.saved["keep"], want_rng.random((8, 100, 128)) >= rate)
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+
     def test_dropout(self, dtype):
         x, u = _read_only(*self._arrays(dtype, 55, self.SHAPE, self.SHAPE))
         out, node = grad.dropout_fwd(x, 0.3, make_rng(0))
@@ -356,6 +384,53 @@ class TestInPlaceOps:
         assert _same_bits(out, x * keep * scale)
         _read_only(node.saved["keep"])
         assert _same_bits(grad.dropout_bwd(node, u)["x"], u * keep * scale)
+
+
+class TestBlockedTokenCore:
+    """The token core walks blocks of grad._TOKEN_BLOCK heads in place; its
+    output, `p`, `dq`, `dk` and `dv` must equal the whole-batch formulas
+    bit for bit, and it must write into no input and not into its tape."""
+
+    @staticmethod
+    def _reference(q, k, v, u, causal, key_pad):
+        scale = 1.0 / math.sqrt(q.shape[-1])
+        s = (q @ k.transpose(0, 2, 1)) * scale
+        if causal:
+            s = np.where(np.tril(np.ones(s.shape[1:], dtype=bool)), s, -np.inf)
+        if key_pad is not None:
+            s = np.where(key_pad[:, None, :], -np.inf, s)
+        p = grad.softmax_fwd(s)[0]
+        dp = u @ v.transpose(0, 2, 1)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        ds[np.abs(ds) < np.finfo(ds.dtype).tiny] = 0.0
+        return p @ v, p, {"q": (ds @ k) * scale,
+                          "k": (ds.transpose(0, 2, 1) @ q) * scale,
+                          "v": p.transpose(0, 2, 1) @ u}
+
+    # 13 heads end in a part block; 64 are the mlm-token core's 8 x 8
+    @pytest.mark.parametrize("bh, d", [(13, 16), (13, 32), (64, 16)])
+    @pytest.mark.parametrize("queries, causal, padded", [
+        ("all", False, False), ("all", False, True), ("all", True, False),
+        ("all", True, True), ("gathered", False, True)])
+    def test_equals_whole_batch_formulas(self, bh, d, queries, causal, padded):
+        n = 100
+        r = make_rng(bh + d)
+        nq = 25 if queries == "gathered" else n
+        q, u = r.standard_normal((bh, nq, d)), r.standard_normal((bh, nq, d))
+        k, v = r.standard_normal((bh, n, d)), r.standard_normal((bh, n, d))
+        key_pad = None
+        if padded:
+            key_pad = np.zeros((bh, n), dtype=bool)
+            key_pad[-3:, 70:] = True
+        _read_only(q, k, v, u)
+        want_out, want_p, want = self._reference(q, k, v, u, causal, key_pad)
+        out, node = grad.token_attention_fwd(q, k, v, causal=causal, key_pad=key_pad)
+        assert _same_bits(out, want_out)
+        assert _same_bits(node.saved["p"], want_p)
+        _read_only(node.saved["p"])
+        got = grad.token_attention_bwd(node, u)
+        for name in "qkv":
+            assert _same_bits(got[name], want[name]), name
 
 
 class TestGatheredRows:

@@ -420,6 +420,35 @@ class TestLossRows:
         assert all(len(shape) == 2 for shape in shapes)  # scored rows only
 
 
+class TestBackwardConsumesCache:
+    @pytest.mark.parametrize("attention", ["dim", "token"])
+    def test_layers_popped_gradients_unchanged(self, rng, attention):
+        # backward_from_cache frees each layer's tape as it goes; given the
+        # same tapes again it returns the same bits, and so does
+        # loss_and_grads, which runs the same forward
+        bc = tiny_config(attention=attention, heads=2, layers=3, dropout=0.1, seed=5)
+        params = model.init_params(bc, 5)
+        ids = rng.integers(0, bc.vocab_size, (3, 6))
+        targets = rng.integers(0, bc.vocab_size, (3, 6))
+        mask = rng.random((3, 6)) < 0.3
+        mask[:, 0] = True
+        rows = model.loss_rows(mask)
+        logits, cache = model.forward(params, ids, bc, train=True, rows=rows,
+                                      drop_rng=derived_rng(5, 0xD0, 1))
+        _, node = grad.cross_entropy_masked_fwd(logits, targets[rows], mask[rows])
+        dlogits = grad.cross_entropy_masked_bwd(node, 1.0)["logits"]
+        layers = list(cache["layers"])
+        grads = model.backward_from_cache(cache, dlogits)
+        assert cache["layers"] == []
+        again = model.backward_from_cache(dict(cache, layers=layers), dlogits)
+        _, want = model.loss_and_grads(params, ids, targets, mask, bc, train=True,
+                                       drop_rng=derived_rng(5, 0xD0, 1))
+        assert list(grads) == list(again) == list(want)
+        for name in want:
+            assert _same_bits(grads[name], want[name]), name
+            assert _same_bits(again[name], want[name]), name
+
+
 class TestMlmLoss:
     def test_uniform_logits(self):
         logits = np.zeros((1, 3, 7))

@@ -84,6 +84,8 @@ def flops_dim_attention(n: int, d: int, g: int = 1, c: int = 1,
 
 def flops_masked(n: int, d: int, streaming: bool) -> OpTally:
     """Causal dimension-wise cost for one filter, naive vs prefix-sum form."""
+    if n < 1 or d < 1:
+        raise ValueError("N and d must be positive")
     rep = OpTally()
     if streaming:
         rep.add("cum_outer", n * d * d, (n - 1) * d * d)

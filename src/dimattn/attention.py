@@ -22,17 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grad import NORM_MODES, _norm_fwd  # noqa: F401  (NORM_MODES re-exported)
-
-
-def normalize_scores(s: np.ndarray, mode: str, seq_len: int) -> np.ndarray:
-    """Apply the score normalization f to a d x d score matrix.
-
-    The normalization acts on S only, never on V or the assembled tensor.
-    scale_inv_sqrt_N divides by sqrt(seq_len), the token count that produced
-    S, since every score entry is a sum of seq_len products.
-    """
-    return _norm_fwd(s, mode, seq_len)[0]
+# re-exported: the oracles use the normalization the kernels use
+from .grad import NORM_MODES, normalize_scores  # noqa: F401
 
 
 def dim_score(q: np.ndarray, k: np.ndarray) -> np.ndarray:

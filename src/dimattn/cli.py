@@ -82,6 +82,9 @@ def _write_csv(csv: str, path) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        print(f"cannot run verify: seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     from . import verify
     return verify.run_all(seed=args.seed)
 

@@ -5,7 +5,8 @@ plain (`<op>_fwd`, `<op>_bwd`) pair that callers invoke directly.  Forward
 returns the output plus a TapeNode holding whatever the backward rule
 needs; backward maps an upstream cotangent to per-input gradients.  This
 module holds training ops only: `verify.fd_check` checks each pair against
-central finite differences of the scalarizing loss sum(output).
+central finite differences of the scalarizing loss sum(output).  Softmax
+alone has no node: its callers keep p, which `softmax_vjp` takes back.
 
 The attention forwards here are the only fast implementation of each op:
 training runs them, `dimattn bench` times them and the FLOPs tally counts
@@ -170,14 +171,15 @@ def layer_norm_bwd(node, u):
 
 def softmax_fwd(x, axis=-1, out=None):
     """Softmax along `axis`, maximum subtracted first; the one softmax every
-    op and oracle uses.  With out=x it runs in place."""
+    op and oracle uses.  Returns p alone: a caller that needs the backward
+    keeps p for softmax_vjp.  With out=x it runs in place."""
     p = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(p, out=p)
     p /= p.sum(axis=axis, keepdims=True)
     # a subnormal probability moves no result at this precision, but every
     # product that reads it runs many times slower
     p[p < np.finfo(p.dtype).tiny] = 0.0
-    return p, _node(p=p, axis=axis)
+    return p
 
 
 def softmax_vjp(p, u, axis=-1, out=None):
@@ -190,10 +192,6 @@ def softmax_vjp(p, u, axis=-1, out=None):
     return dx
 
 
-def softmax_bwd(node, u):
-    return {"x": softmax_vjp(node.saved["p"], u, node.saved["axis"])}
-
-
 # ---------------------------------------------------------------------------
 # attention ops: the only fast implementation of each, which training runs,
 # `dimattn bench` times and the FLOPs tally counts
@@ -204,23 +202,28 @@ NORM_MODES = ("none", "scale_inv_sqrt_N", "softmax_rows_over_k", "softmax_cols_o
 _SOFTMAX_AXIS = {"softmax_rows_over_k": -1, "softmax_cols_over_j": -2}
 
 
-def _norm_fwd(s, mode, n):
-    """f(S) for score matrices [..., d, d] made from n tokens, plus the
-    softmax node its backward needs (None for the other modes)."""
+def normalize_scores(s, mode, n):
+    """The score normalization f applied to score matrices [..., d, d] made
+    from n tokens; the one normalization the kernels and oracles use.
+
+    It acts on S only, never on V or the assembled tensor.
+    scale_inv_sqrt_N divides by sqrt(n), since every score entry is a sum
+    of n products."""
     if mode == "none":
-        return s, None
+        return s
     if mode == "scale_inv_sqrt_N":
-        return s / math.sqrt(n), None
+        return s / math.sqrt(n)
     if mode in _SOFTMAX_AXIS:
         return softmax_fwd(s, _SOFTMAX_AXIS[mode])
     raise ValueError(f"unknown norm mode {mode!r}, expected one of {NORM_MODES}")
 
 
-def _norm_bwd(dfs, mode, softmax, n):
+def _norm_bwd(dfs, fs, mode, n):
+    """Gradient of S from that of fs = normalize_scores(S, mode, n)."""
     if mode == "scale_inv_sqrt_N":
         return dfs / math.sqrt(n)
-    if softmax is not None:
-        return softmax_bwd(softmax, dfs)["x"]
+    if mode in _SOFTMAX_AXIS:
+        return softmax_vjp(fs, dfs, _SOFTMAX_AXIS[mode])
     return dfs
 
 
@@ -302,11 +305,11 @@ def dim_attention_multi_fwd(q, k, v, ws, mode="none"):
         TALLY.elemwise_mul("filter_gate", b * c * d * d)
         TALLY.matmul("filter_mix", n, d, d, batch=b * c)
     s = q.transpose(0, 2, 1) @ k
-    fs, softmax = _norm_fwd(s, mode, n)
+    fs = normalize_scores(s, mode, n)
     a = ws[None, :, :, :] * fs[:, None, :, :]
     # columns (f, j) of the output: V @ A_f^T for every filter in one product
     out = v @ a.reshape(b, c * d, d).transpose(0, 2, 1)
-    return out, _node(q=q, k=k, v=v, ws=ws, a=a, fs=fs, softmax=softmax, mode=mode)
+    return out, _node(q=q, k=k, v=v, ws=ws, a=a, fs=fs, mode=mode)
 
 
 def dim_attention_multi_bwd(node, u):
@@ -318,7 +321,7 @@ def dim_attention_multi_bwd(node, u):
     da = (u.transpose(0, 2, 1) @ v).reshape(b, c, d, d)
     dws = np.einsum("bjm,bcjm->cjm", s["fs"], da)
     dfs = np.einsum("cjm,bcjm->bjm", ws, da)
-    ds = _norm_bwd(dfs, s["mode"], s["softmax"], n)
+    ds = _norm_bwd(dfs, s["fs"], s["mode"], n)
     dq = k @ ds.transpose(0, 2, 1)
     dk = q @ ds
     return {"q": dq, "k": dk, "v": dv, "ws": dws}

@@ -136,13 +136,15 @@ def _merge_heads(x, b, h):
     return x.reshape(b, h, n, d).transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
 
-def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
-            drop_rng=None, pad=None, rows=None):
+def forward(params, ids, cfg: RunConfig, decoder=False, drop_rng=None,
+            pad=None, rows=None):
     """Run the model; returns (logits, cache) with cache holding the tape.
 
     ids is an int array [B, N]; pad is an optional bool array [B, N]
     marking padding positions (excluded from attention).  One sequence
-    is a batch of one, ids[None].
+    is a batch of one, ids[None].  Dropout runs exactly when a generator
+    `drop_rng` is given and cfg.dropout > 0: a training step passes one,
+    evaluation none.
 
     rows is an optional bool array [B, N] marking the positions whose
     logits are read, the same count in every window (otherwise
@@ -171,9 +173,7 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
             f"token id out of range [0, {cfg.vocab_size}): "
             f"min {ids.min()}, max {ids.max()}"
         )
-    use_dropout = train and cfg.dropout > 0.0
-    if use_dropout and drop_rng is None:
-        raise ValueError("training with dropout requires a dropout rng")
+    use_dropout = drop_rng is not None and cfg.dropout > 0.0
     if rows is not None:
         if decoder:
             raise ValueError("the decoder reads every position: it takes no rows")
@@ -182,15 +182,11 @@ def forward(params, ids, cfg: RunConfig, decoder=False, train=False,
         if rows.shape != ids.shape or counts.min() != counts.max():
             raise ValueError(f"rows must mark the same number of positions in "
                              f"each window of the [{b}, {n}] batch")
-    cache = {"cfg": cfg, "ids": ids, "decoder": decoder, "layers": [],
-             "rows": rows}
+    cache = {"cfg": cfg, "decoder": decoder, "layers": [], "rows": rows}
 
-    emb, emb_node = grad.embed_fwd(params["embed"], ids)
-    emb_scale = math.sqrt(cfg.d_model)
-    x = emb * emb_scale
+    emb, cache["embed_node"] = grad.embed_fwd(params["embed"], ids)
+    x = emb * math.sqrt(cfg.d_model)
     x += _position_table(cfg.seq_len, cfg.d_model, cfg.dtype)[:n]
-    cache["embed_node"] = emb_node
-    cache["emb_scale"] = emb_scale
 
     keep = None
     if pad is not None:
@@ -285,7 +281,7 @@ def backward_from_cache(cache, dlogits) -> dict:
     while layers:
         dx = _layer_bwd(layers.pop(), dx, cfg, cache["decoder"], grads)
 
-    ge = grad.embed_bwd(cache["embed_node"], dx * cache["emb_scale"])
+    ge = grad.embed_bwd(cache["embed_node"], dx * math.sqrt(cfg.d_model))
     grads["embed"] += ge["table"]
     return grads
 
@@ -389,7 +385,7 @@ def loss_rows(loss_mask):
 
 
 def loss_and_grads(params, ids, targets, loss_mask, cfg: RunConfig,
-                   decoder=False, train=False, drop_rng=None, pad=None):
+                   decoder=False, drop_rng=None, pad=None):
     """Masked-LM or causal loss and every parameter gradient.  The encoder
     computes logits at `loss_rows` only; the causal loss reads every
     position but the last, so the decoder computes them all."""
@@ -397,8 +393,8 @@ def loss_and_grads(params, ids, targets, loss_mask, cfg: RunConfig,
     if not decoder:
         rows = loss_rows(loss_mask)
         targets, loss_mask = np.asarray(targets)[rows], np.asarray(loss_mask)[rows]
-    logits, cache = forward(params, ids, cfg, decoder=decoder, train=train,
-                            drop_rng=drop_rng, pad=pad, rows=rows)
+    logits, cache = forward(params, ids, cfg, decoder=decoder, drop_rng=drop_rng,
+                            pad=pad, rows=rows)
     loss, loss_node = grad.cross_entropy_masked_fwd(logits, targets, loss_mask)
     dlogits = grad.cross_entropy_masked_bwd(loss_node, 1.0)["logits"]
     return loss, backward_from_cache(cache, dlogits)
@@ -435,9 +431,7 @@ def adam_update(params: dict, grads: dict, state: AdamState, cfg: RunConfig):
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
@@ -459,14 +453,13 @@ def adam_update(params: dict, grads: dict, state: AdamState, cfg: RunConfig):
         p -= step
 
 
-def train_step(batch, params, state: AdamState, cfg: RunConfig, step: int,
-               decoder=False) -> float:
-    """One optimization step; deterministic given (seed, step).  Returns loss."""
+def train_step(batch, params, state: AdamState, cfg: RunConfig, step: int) -> float:
+    """One optimization step of cfg.task; deterministic given (seed, step).
+    Returns loss."""
     ids, targets, loss_mask, pad = batch
-    drop_rng = derived_rng(cfg.seed, _STREAM_DROPOUT, step) if cfg.dropout > 0 else None
     loss, grads = loss_and_grads(params, ids, targets, loss_mask, cfg,
-                                 decoder=decoder, train=True, drop_rng=drop_rng,
-                                 pad=pad)
+                                 decoder=cfg.task == "clm", pad=pad,
+                                 drop_rng=derived_rng(cfg.seed, _STREAM_DROPOUT, step))
     if not math.isfinite(loss):
         raise FloatingPointError(f"non-finite training loss {loss!r} at step {step}")
     clip_global_norm(grads, cfg.clip)

@@ -39,19 +39,23 @@ def _load_windows(cfg: RunConfig):
     return vocab, train_split, valid_split
 
 
+def _batch(cfg: RunConfig, split, step: int, eval_mode=False):
+    """Batch `step` of cfg.task from the (windows, pad) `split`."""
+    win, pad = split
+    if cfg.task == "clm":
+        return data.clm_batch(win, pad, cfg.seed, step, cfg.batch_size,
+                              eval_mode=eval_mode)
+    return data.mlm_batch(win, pad, cfg.vocab_size, cfg.seed, step, cfg.batch_size,
+                          eval_mode=eval_mode)
+
+
 def _eval_nll(params, cfg: RunConfig, valid_split) -> float:
-    win, pad = valid_split
     decoder = cfg.task == "clm"
     num_batches = min(cfg.eval_batches,
-                      (win.shape[0] + cfg.batch_size - 1) // cfg.batch_size)
+                      (valid_split[0].shape[0] + cfg.batch_size - 1) // cfg.batch_size)
     total, count = 0.0, 0
     for step in range(num_batches):
-        if decoder:
-            batch = data.clm_batch(win, pad, cfg.seed, step, cfg.batch_size,
-                                   eval_mode=True)
-        else:
-            batch = data.mlm_batch(win, pad, cfg.vocab_size, cfg.seed, step,
-                                   cfg.batch_size, eval_mode=True)
+        batch = _batch(cfg, valid_split, step, eval_mode=True)
         if not batch.mask.any():
             continue
         targets, mask, rows = batch.targets, batch.mask, None
@@ -115,7 +119,6 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
     _retain_heap()
     vocab, train_split, valid_split = _load_windows(cfg)
     cfg = cfg.block_config(vocab.size)
-    decoder = cfg.task == "clm"
     params = model.init_params(cfg, cfg.seed)
     state = model.AdamState()
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -128,17 +131,11 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
     for line in log_lines:
         log(line)
 
-    win, pad = train_split
     rows = []
     for step in range(cfg.steps):
-        if cfg.task == "mlm":
-            batch = data.mlm_batch(win, pad, cfg.vocab_size, cfg.seed, step,
-                                   cfg.batch_size)
-        else:
-            batch = data.clm_batch(win, pad, cfg.seed, step, cfg.batch_size)
-        loss = model.train_step(
-            (batch.inputs, batch.targets, batch.mask, batch.pad),
-            params, state, cfg, step, decoder=decoder)
+        batch = _batch(cfg, train_split, step)
+        loss = model.train_step((batch.inputs, batch.targets, batch.mask, batch.pad),
+                                params, state, cfg, step)
         rows.append(f"{step},train,{loss:.12g}")
         if (step + 1) % cfg.eval_interval == 0 or step + 1 == cfg.steps:
             valid_nll = _eval_nll(params, cfg, valid_split)

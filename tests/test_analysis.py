@@ -90,6 +90,11 @@ class TestAnalyticCounts:
             analysis.flops_token_attention(0, 4)
         with pytest.raises(ValueError):
             analysis.flops_dim_attention(4, 0)
+        for streaming in (False, True):
+            with pytest.raises(ValueError):
+                analysis.flops_masked(0, 8, streaming)
+            with pytest.raises(ValueError):
+                analysis.flops_masked(8, 0, streaming)
 
 
 class TestTrainingTally:

@@ -449,9 +449,9 @@ if train._retain_heap() != "retained":
     print("null")
     raise SystemExit
 faults = {}
-for attention, decoder in (("dim", False), ("dim", True), ("token", False)):
-    cfg = RunConfig(vocab_size=40, layers=1, attention=attention, seq_len=100,
-                    batch_size=8, d_model=128, warmup=4)
+for attention, task in (("dim", "mlm"), ("dim", "clm"), ("token", "mlm")):
+    cfg = RunConfig(task=task, vocab_size=40, layers=1, attention=attention,
+                    seq_len=100, batch_size=8, d_model=128, warmup=4)
     params = model.init_params(cfg, 0)
     state = model.AdamState()
     rng = np.random.default_rng(0)
@@ -462,9 +462,9 @@ for attention, decoder in (("dim", False), ("dim", True), ("token", False)):
         mask[:, 0] = True
         batch = (ids, targets, mask, np.zeros((8, 100), dtype=bool))
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        model.train_step(batch, params, state, cfg, step, decoder=decoder)
+        model.train_step(batch, params, state, cfg, step)
         counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    faults[f"{attention} decoder={decoder}"] = counts
+    faults[f"{attention} {task}"] = counts
 print(json.dumps(faults))
 """
 
@@ -591,7 +591,12 @@ class TestCli:
         ["bench", "--repeats", "3"],
         ["bench", "--N", "6x4"],
         ["bench", "--N", "0"],
-    ], ids=["flops-N-0", "flops-d-neg", "bench-repeats-3", "bench-N-6x4", "bench-N-0"])
+        ["bench", "--variants", "masked_streaming", "--N", "0", "--d", "8", "--repeats", "5"],
+        ["bench", "--variants", "masked_naive,masked_streaming", "--N", "64", "--d", "0",
+         "--repeats", "5"],
+        ["verify", "--seed", "-1"],
+    ], ids=["flops-N-0", "flops-d-neg", "bench-repeats-3", "bench-N-6x4", "bench-N-0",
+            "bench-causal-N-0", "bench-causal-d-0", "verify-seed-neg"])
     def test_bad_number_exits_2(self, argv, capsys):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()

@@ -50,6 +50,16 @@ class TestForward:
         b = model.forward(model.init_params(bc, 5), ids, bc)[0]
         assert np.array_equal(a, b)
 
+    def test_dropout_only_with_a_generator(self, rng):
+        # evaluation passes no generator and must see the model undropped
+        bc = tiny_config(dropout=0.5)
+        params = model.init_params(bc, 0)
+        ids = rng.integers(0, 11, (2, 6))
+        off = model.forward(params, ids, tiny_config())[0]
+        assert np.array_equal(model.forward(params, ids, bc)[0], off)
+        on = model.forward(params, ids, bc, drop_rng=derived_rng(0, 0xD0, 0))[0]
+        assert not np.array_equal(on, off)
+
     def test_out_of_vocab_rejected(self, rng):
         bc = tiny_config()
         params = model.init_params(bc, 0)
@@ -318,7 +328,7 @@ class TestLossRows:
 
     def _all_rows(self, params, ids, targets, mask, pad, bc):
         rng = derived_rng(bc.seed, 0xD0, 3)
-        logits, cache = model.forward(params, ids, bc, train=True, drop_rng=rng, pad=pad)
+        logits, cache = model.forward(params, ids, bc, drop_rng=rng, pad=pad)
         loss, node = grad.cross_entropy_masked_fwd(logits, targets, mask)
         dlogits = grad.cross_entropy_masked_bwd(node, 1.0)["logits"]
         return loss, model.backward_from_cache(cache, dlogits)
@@ -340,7 +350,7 @@ class TestLossRows:
         with monkeypatch.context() as patch:
             shapes = self._logit_shapes(patch, grad)
             loss, grads = model.loss_and_grads(
-                params, ids, targets, mask, bc, train=True,
+                params, ids, targets, mask, bc,
                 drop_rng=derived_rng(bc.seed, 0xD0, 3), pad=pad)
         assert shapes == [(model.loss_rows(mask).sum(), bc.vocab_size)]
         assert loss == want_loss
@@ -433,7 +443,7 @@ class TestBackwardConsumesCache:
         mask = rng.random((3, 6)) < 0.3
         mask[:, 0] = True
         rows = model.loss_rows(mask)
-        logits, cache = model.forward(params, ids, bc, train=True, rows=rows,
+        logits, cache = model.forward(params, ids, bc, rows=rows,
                                       drop_rng=derived_rng(5, 0xD0, 1))
         _, node = grad.cross_entropy_masked_fwd(logits, targets[rows], mask[rows])
         dlogits = grad.cross_entropy_masked_bwd(node, 1.0)["logits"]
@@ -441,7 +451,7 @@ class TestBackwardConsumesCache:
         grads = model.backward_from_cache(cache, dlogits)
         assert cache["layers"] == []
         again = model.backward_from_cache(dict(cache, layers=layers), dlogits)
-        _, want = model.loss_and_grads(params, ids, targets, mask, bc, train=True,
+        _, want = model.loss_and_grads(params, ids, targets, mask, bc,
                                        drop_rng=derived_rng(5, 0xD0, 1))
         assert list(grads) == list(again) == list(want)
         for name in want:
@@ -487,6 +497,19 @@ class TestTraining:
         targets = rng.integers(0, bc.vocab_size, (b, n))
         mask = np.ones((b, n), dtype=bool)
         return ids, targets, mask, None
+
+    @pytest.mark.parametrize("decoder", [False, True], ids=["encoder", "decoder"])
+    @pytest.mark.parametrize("kind", [dict(groups=1), dict(groups=2),
+                                      dict(attention="token", heads=2)],
+                             ids=["dim-g1", "dim-g2", "token"])
+    def test_every_parameter_gets_one_gradient(self, rng, kind, decoder):
+        # adam_update reads grads[name] for every parameter
+        bc = tiny_config(layers=2, **kind)
+        params = model.init_params(bc, 0)
+        ids, targets, mask, _ = self._batch(rng, bc)
+        _, grads = model.loss_and_grads(params, ids, targets, mask, bc, decoder=decoder)
+        assert sorted(grads) == sorted(params)
+        assert all(grads[name].shape == p.shape for name, p in params.items())
 
     def test_zero_lr_keeps_params(self, rng):
         bc = tiny_config(seed=0, batch_size=2, steps=1, lr=0.0, warmup=10,

@@ -18,10 +18,13 @@ gradients are summed over the batch.  The causal one is a chunk-wise scan over p
 whose tape holds only each chunk's starting state.
 
 Memory: an op writes in place only into arrays it allocated itself, never
-into an input or an array held on a tape.  Within that rule the elementwise
-ops build their results in place (`out += b`, `dx *= inv_std`) rather than
-through chains of temporaries, with the same IEEE operations in the same
-order as the one-line formulas, so results are bitwise those formulas'.
+into an input or an array held on a tape, save an `out=` argument
+(`softmax_fwd`, `softmax_vjp`, `relu_bwd`): there the caller hands over an
+array it owns and reads no more, often the upstream gradient, for the
+result.  Within that rule the elementwise ops build their results in place
+(`out += b`, `dx *= inv_std`) rather than through chains of temporaries,
+with the same IEEE operations in the same order as the one-line formulas,
+so results are bitwise those formulas'.
 The token core goes further: it walks blocks of _TOKEN_BLOCK heads, so one
 block's scores, probabilities and their gradient stay in L2, and its
 backward builds the softmax gradient in the block-sized `dp` it owns.
@@ -87,12 +90,15 @@ def linear_bwd(node, u, rows=None):
 
 
 def relu_fwd(x):
+    """max(x, 0); its node keeps that output, not a mask of x > 0."""
     out = np.maximum(x, 0.0)
-    return out, _node(mask=x > 0.0)
+    return out, _node(out=out)
 
 
-def relu_bwd(node, u):
-    return {"x": u * node.saved["mask"]}
+def relu_bwd(node, u, out=None):
+    """u * (x > 0), read from the output: max(x, 0) > 0 exactly where
+    x > 0, NaN and -0.0 included.  With out=u it runs in place."""
+    return {"x": np.multiply(u, node.saved["out"] > 0.0, out=out)}
 
 
 def embed_fwd(table, ids):

@@ -20,8 +20,11 @@ dict; every parameter is initialized from its own Philox stream keyed by
 identical values for them regardless of attention kind.
 
 The backward pass is written out explicitly: forward stores per-layer tape
-nodes and `backward_from_cache` pops them in reverse, freeing each layer's
-tape once its gradients are taken.
+nodes and `backward_from_cache` pops them node by node in reverse, so an
+array lives only while something reads it.  The model writes in place
+only into arrays it owns and reads no more: a sublayer's fresh output
+takes its residual (`a += x`), and by grad's `out=` convention
+`relu_bwd(..., out=u)` runs in the upstream gradient.
 
 Every function takes the one `config.RunConfig`: the model reads its shape
 fields (`vocab_size` set from the corpus, `seq_len` as the longest
@@ -173,7 +176,7 @@ def forward(params, ids, cfg: RunConfig, decoder=False, drop_rng=None,
             f"token id out of range [0, {cfg.vocab_size}): "
             f"min {ids.min()}, max {ids.max()}"
         )
-    use_dropout = drop_rng is not None and cfg.dropout > 0.0
+    drop_rng = drop_rng if cfg.dropout > 0.0 else None  # nothing to drop, nothing drawn
     if rows is not None:
         if decoder:
             raise ValueError("the decoder reads every position: it takes no rows")
@@ -188,64 +191,10 @@ def forward(params, ids, cfg: RunConfig, decoder=False, drop_rng=None,
     x = emb * math.sqrt(cfg.d_model)
     x += _position_table(cfg.seq_len, cfg.d_model, cfg.dtype)[:n]
 
-    keep = None
-    if pad is not None:
-        keep = (~np.asarray(pad, dtype=bool)).astype(x.dtype)
-
     for i in range(cfg.layers):
-        p = f"l{i}."
-        lc = {"prefix": p, "rows": rows if i == cfg.layers - 1 else None}
-        if cfg.attention == "token":
-            h = cfg.heads
-            qkv, lc["nqkv"] = grad.linear_fwd(x, params[p + "attn.wqkv"])
-            qkv = qkv.reshape(b, n, 3, cfg.d_model)
-            q = qkv[:, :, 0]
-            if lc["rows"] is not None:
-                q = q[lc["rows"]].reshape(b, -1, cfg.d_model)
-            # columns (k|v, head, j) -> [k|v, B*h, N, d]
-            k, v = (qkv[:, :, 1:].reshape(b, n, 2, h, -1).transpose(2, 0, 3, 1, 4)
-                    .reshape(2, b * h, n, -1))
-            key_pad = None if pad is None else np.repeat(pad, h, axis=0)
-            o, lc["nattn"] = grad.token_attention_fwd(_split_heads(q, h), k, v,
-                                                      causal=decoder, key_pad=key_pad)
-            concat = _merge_heads(o, b, h)
-        else:
-            outs, groups = [], []
-            for g in range(cfg.groups):
-                gc = {}
-                q, gc["nq"] = grad.linear_fwd(x, params[p + f"attn.wq{g}"])
-                k, gc["nk"] = grad.linear_fwd(x, params[p + f"attn.wk{g}"])
-                v, gc["nv"] = grad.linear_fwd(x, params[p + f"attn.wv{g}"])
-                if keep is not None:
-                    q = q * keep[:, :, None]
-                    k = k * keep[:, :, None]
-                ws = params[p + f"attn.filters{g}"]
-                if decoder:
-                    o, gc["nattn"] = grad.masked_attention_multi_fwd(q, k, v, ws)
-                else:
-                    o, gc["nattn"] = grad.dim_attention_multi_fwd(
-                        q, k, v, ws, mode=cfg.norm_mode)
-                outs.append(o)
-                groups.append(gc)
-            concat = np.concatenate(outs, axis=2) if len(outs) > 1 else outs[0]
-            lc["groups"] = groups
-            if lc["rows"] is not None:
-                concat = concat[lc["rows"]]
-        if lc["rows"] is not None:
-            x, concat = x[lc["rows"]], concat.reshape(-1, concat.shape[-1])
-        a, lc["no"] = grad.linear_fwd(concat, params[p + "attn.wo"])
-        if use_dropout:
-            a, lc["ndrop1"] = grad.dropout_fwd(a, cfg.dropout, drop_rng, lc["rows"])
-        x1, lc["nln1"] = grad.layer_norm_fwd(x + a, params[p + "ln1.gamma"],
-                                             params[p + "ln1.beta"])
-
-        h1, lc["nff1"] = grad.linear_fwd(x1, params[p + "ffn.w1"], params[p + "ffn.b1"])
-        r, lc["nrelu"] = grad.relu_fwd(h1)
-        f, lc["nff2"] = grad.linear_fwd(r, params[p + "ffn.w2"], params[p + "ffn.b2"])
-        if use_dropout:
-            f, lc["ndrop2"] = grad.dropout_fwd(f, cfg.dropout, drop_rng, lc["rows"])
-        x, lc["nln2"] = grad.layer_norm_fwd(x1 + f, params[p + "ln2.gamma"],
-                                            params[p + "ln2.beta"])
+        lc = {"prefix": f"l{i}.", "rows": rows if i == cfg.layers - 1 else None}
+        x = _attention_fwd(params, x, lc, cfg, decoder, pad, drop_rng)
+        x = _ffn_fwd(params, x, lc, cfg, drop_rng)
         cache["layers"].append(lc)
 
     # the tied head as one 2-D product, which reaches BLAS
@@ -256,6 +205,76 @@ def forward(params, ids, cfg: RunConfig, decoder=False, drop_rng=None,
     return logits, cache
 
 
+def _token_core_fwd(params, x, lc, cfg: RunConfig, decoder, pad):
+    """Multi-head token attention of x [B, N, d_model], heads merged."""
+    b, n, dm = x.shape
+    h = cfg.heads
+    qkv, lc["nqkv"] = grad.linear_fwd(x, params[lc["prefix"] + "attn.wqkv"])
+    qkv = qkv.reshape(b, n, 3, dm)
+    q = qkv[:, :, 0]
+    if lc["rows"] is not None:
+        q = q[lc["rows"]].reshape(b, -1, dm)
+    # columns (k|v, head, j) -> [k|v, B*h, N, d]
+    k, v = (qkv[:, :, 1:].reshape(b, n, 2, h, -1).transpose(2, 0, 3, 1, 4)
+            .reshape(2, b * h, n, -1))
+    q = _split_heads(q, h)
+    del qkv  # copied into q, k and v
+    key_pad = None if pad is None else np.repeat(pad, h, axis=0)
+    o, lc["nattn"] = grad.token_attention_fwd(q, k, v, causal=decoder, key_pad=key_pad)
+    return _merge_heads(o, b, h)
+
+
+def _dim_core_fwd(params, x, lc, cfg: RunConfig, decoder, pad):
+    """Dimension-wise attention of x [B, N, d_model], groups side by side."""
+    p = lc["prefix"]
+    keep = None if pad is None else (~np.asarray(pad, dtype=bool)).astype(x.dtype)[:, :, None]
+    outs, lc["groups"] = [], []
+    for g in range(cfg.groups):
+        gc = {}
+        q, gc["nq"] = grad.linear_fwd(x, params[p + f"attn.wq{g}"])
+        k, gc["nk"] = grad.linear_fwd(x, params[p + f"attn.wk{g}"])
+        v, gc["nv"] = grad.linear_fwd(x, params[p + f"attn.wv{g}"])
+        if keep is not None:
+            q, k = q * keep, k * keep
+        ws = params[p + f"attn.filters{g}"]
+        o, gc["nattn"] = (grad.masked_attention_multi_fwd(q, k, v, ws) if decoder
+                          else grad.dim_attention_multi_fwd(q, k, v, ws, mode=cfg.norm_mode))
+        outs.append(o)
+        lc["groups"].append(gc)
+    concat = np.concatenate(outs, axis=2) if len(outs) > 1 else outs[0]
+    return concat if lc["rows"] is None else concat[lc["rows"]]
+
+
+def _attention_fwd(params, x, lc, cfg: RunConfig, decoder, pad, drop_rng):
+    """x1 = LN1(x + dropout(attention(x))), its tape nodes put in lc.  The
+    last layer keeps lc["rows"] alone from the core's output on."""
+    p, rows = lc["prefix"], lc["rows"]
+    core = _token_core_fwd if cfg.attention == "token" else _dim_core_fwd
+    concat = core(params, x, lc, cfg, decoder, pad)
+    if rows is not None:
+        x, concat = x[rows], concat.reshape(-1, concat.shape[-1])
+    a, lc["no"] = grad.linear_fwd(concat, params[p + "attn.wo"])
+    if drop_rng is not None:
+        a, lc["ndrop1"] = grad.dropout_fwd(a, cfg.dropout, drop_rng, rows)
+    a += x  # a is this sublayer's own output, on no tape
+    x1, lc["nln1"] = grad.layer_norm_fwd(a, params[p + "ln1.gamma"], params[p + "ln1.beta"])
+    return x1
+
+
+def _ffn_fwd(params, x1, lc, cfg: RunConfig, drop_rng):
+    """LN2(x1 + dropout(ffn(x1))), its tape nodes put in lc."""
+    p = lc["prefix"]
+    h1, lc["nff1"] = grad.linear_fwd(x1, params[p + "ffn.w1"], params[p + "ffn.b1"])
+    r, lc["nrelu"] = grad.relu_fwd(h1)
+    del h1
+    f, lc["nff2"] = grad.linear_fwd(r, params[p + "ffn.w2"], params[p + "ffn.b2"])
+    if drop_rng is not None:
+        f, lc["ndrop2"] = grad.dropout_fwd(f, cfg.dropout, drop_rng, lc["rows"])
+    f += x1  # f is this sublayer's own output, on no tape
+    x2, lc["nln2"] = grad.layer_norm_fwd(f, params[p + "ln2.gamma"], params[p + "ln2.beta"])
+    return x2
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
@@ -263,12 +282,12 @@ def forward(params, ids, cfg: RunConfig, decoder=False, drop_rng=None,
 def backward_from_cache(cache, dlogits) -> dict:
     """Parameter gradients for a forward pass, given d(loss)/d(logits).
 
-    Consumes the cache: each layer's tape is popped from cache["layers"]
-    as its gradients are taken, so layer i's activations are freed before
-    layer i-1's backward runs and the list is empty on return.
+    Consumes the cache: layers are popped from cache["layers"] last first
+    and each tape node from its layer as its gradient is taken, so every
+    activation and gradient is freed once nothing reads it.
     """
     cfg = cache["cfg"]
-    head, x_final, rows = cache["head"], cache["x_final"], cache["rows"]
+    head, x_final, rows = cache["head"], cache.pop("x_final"), cache["rows"]
     dx = (dlogits.reshape(-1, head.shape[0]) @ head).reshape(x_final.shape)
     if rows is not None:
         # the head's term over every row, as linear_bwd computes dW
@@ -276,55 +295,60 @@ def backward_from_cache(cache, dlogits) -> dict:
     # the tied head's term; the table term is added last
     grads = {"embed": dlogits.reshape(-1, head.shape[0]).T
              @ x_final.reshape(-1, head.shape[1])}
+    del dlogits, x_final
 
     layers = cache["layers"]
     while layers:
-        dx = _layer_bwd(layers.pop(), dx, cfg, cache["decoder"], grads)
+        lc = layers.pop()
+        dx = _norm_bwd(lc, "ln2", dx, grads)  # gradient of x1 + f
+        dx = _ffn_bwd(lc, dx, grads)  # of x1
+        dx = _norm_bwd(lc, "ln1", dx, grads)  # of x + a
+        dx = _attention_bwd(lc, dx, cfg, cache["decoder"], grads)  # of x
 
     ge = grad.embed_bwd(cache["embed_node"], dx * math.sqrt(cfg.d_model))
     grads["embed"] += ge["table"]
     return grads
 
 
-def _layer_bwd(lc, dx, cfg: RunConfig, decoder, grads):
-    """One layer's backward from its tape `lc`: puts the layer's parameter
-    gradients into `grads` and returns the gradient of its input."""
-    p, r = lc["prefix"], lc["rows"]
-    g2 = grad.layer_norm_bwd(lc["nln2"], dx)
-    grads[p + "ln2.gamma"] = g2["gamma"]
-    grads[p + "ln2.beta"] = g2["beta"]
-    dres2 = g2["x"]  # gradient of x1 + f
-    df = dres2
-    if "ndrop2" in lc:
-        df = grad.dropout_bwd(lc["ndrop2"], df)["x"]
-    gf2 = grad.linear_bwd(lc["nff2"], df, r)
-    grads[p + "ffn.w2"] = gf2["w"]
-    grads[p + "ffn.b2"] = gf2["b"]
-    dr = grad.relu_bwd(lc["nrelu"], gf2["x"])["x"]
-    gf1 = grad.linear_bwd(lc["nff1"], dr, r)
-    grads[p + "ffn.w1"] = gf1["w"]
-    grads[p + "ffn.b1"] = gf1["b"]
-    dx1 = dres2 + gf1["x"]
+def _norm_bwd(lc, ln, u, grads):
+    """Gradient of layer norm `ln`'s input; its gamma and beta go to grads."""
+    g = grad.layer_norm_bwd(lc.pop("n" + ln), u)
+    grads[lc["prefix"] + ln + ".gamma"] = g["gamma"]
+    grads[lc["prefix"] + ln + ".beta"] = g["beta"]
+    return g["x"]
 
-    g1 = grad.layer_norm_bwd(lc["nln1"], dx1)
-    grads[p + "ln1.gamma"] = g1["gamma"]
-    grads[p + "ln1.beta"] = g1["beta"]
-    # gradient of x + a; the attention input terms are added to it
-    # once da, which may be this same array, has been consumed
-    dx = g1["x"]
-    da = dx
-    if "ndrop1" in lc:
-        da = grad.dropout_bwd(lc["ndrop1"], da)["x"]
-    go = grad.linear_bwd(lc["no"], da, r)
+
+def _dropout_bwd(lc, key, u):
+    """u through the dropout node `key`, where the sublayer dropped."""
+    return grad.dropout_bwd(lc.pop(key), u)["x"] if key in lc else u
+
+
+def _ffn_bwd(lc, dres, grads):
+    """Gradient of x1 from that of x1 + f, f = dropout(ffn(x1))."""
+    p, r = lc["prefix"], lc["rows"]
+    g = grad.linear_bwd(lc.pop("nff2"), _dropout_bwd(lc, "ndrop2", dres), r)
+    grads[p + "ffn.w2"], grads[p + "ffn.b2"] = g["w"], g["b"]
+    dr = grad.relu_bwd(lc.pop("nrelu"), g["x"], out=g["x"])["x"]
+    g = grad.linear_bwd(lc.pop("nff1"), dr, r)
+    grads[p + "ffn.w1"], grads[p + "ffn.b1"] = g["w"], g["b"]
+    dx1 = g["x"]
+    dx1 += dres
+    return dx1
+
+
+def _attention_bwd(lc, dres, cfg: RunConfig, decoder, grads):
+    """Gradient of x from that of x + a, a = dropout(attention(x))."""
+    p, r = lc["prefix"], lc["rows"]
+    go = grad.linear_bwd(lc.pop("no"), _dropout_bwd(lc, "ndrop1", dres), r)
     grads[p + "attn.wo"] = go["w"]
-    dconcat = go["x"]
-    if r is not None:
-        # back to every position for the residual path
-        dx = grad.scatter_rows(dx, r)
+    # the residual term, back at every position in the last layer; the
+    # core's input terms go into it once da, which may be dres, is read
+    dx = dres if r is None else grad.scatter_rows(dres, r)
+    dconcat = go.pop("x")
     if cfg.attention == "token":
         b, n, dm = dx.shape
         h = cfg.heads
-        ga = grad.token_attention_bwd(lc["nattn"],
+        ga = grad.token_attention_bwd(lc.pop("nattn"),
                                       _split_heads(dconcat.reshape(b, -1, dm), h))
         # dq|dk|dv straight into the fused projection's column layout
         dqkv = np.empty((b, n, 3, h, dm // h), dtype=dconcat.dtype)
@@ -337,7 +361,7 @@ def _layer_bwd(lc, dx, cfg: RunConfig, decoder, grads):
             # only the gathered queries have a gradient
             dqkv[:, :, 0] = 0.0
             dqkv[:, :, 0][r] = dq.reshape(-1, h, dm // h)
-        gl = grad.linear_bwd(lc["nqkv"], dqkv.reshape(b, n, 3 * dm))
+        gl = grad.linear_bwd(lc.pop("nqkv"), dqkv.reshape(b, n, 3 * dm))
         grads[p + "attn.wqkv"] = gl["w"]
         dx += gl["x"]
     else:
@@ -346,13 +370,13 @@ def _layer_bwd(lc, dx, cfg: RunConfig, decoder, grads):
         # forward zeroed q and k at padded positions, so their
         # gradients there are already zero
         width = cfg.convs * cfg.head_dim
-        for g, gc in enumerate(lc["groups"]):
+        for g, gc in enumerate(lc.pop("groups")):
             du = dconcat[:, :, g * width:(g + 1) * width]
             ga = (grad.masked_attention_multi_bwd if decoder
-                  else grad.dim_attention_multi_bwd)(gc["nattn"], du)
-            grads[p + f"attn.filters{g}"] = ga["ws"]
+                  else grad.dim_attention_multi_bwd)(gc.pop("nattn"), du)
+            grads[p + f"attn.filters{g}"] = ga.pop("ws")
             for t in ("q", "k", "v"):
-                gl = grad.linear_bwd(gc["n" + t], ga[t])
+                gl = grad.linear_bwd(gc.pop("n" + t), ga.pop(t))
                 grads[p + f"attn.w{t}{g}"] = gl["w"]
                 dx += gl["x"]
     return dx
@@ -396,8 +420,8 @@ def loss_and_grads(params, ids, targets, loss_mask, cfg: RunConfig,
     logits, cache = forward(params, ids, cfg, decoder=decoder, drop_rng=drop_rng,
                             pad=pad, rows=rows)
     loss, loss_node = grad.cross_entropy_masked_fwd(logits, targets, loss_mask)
-    dlogits = grad.cross_entropy_masked_bwd(loss_node, 1.0)["logits"]
-    return loss, backward_from_cache(cache, dlogits)
+    del logits  # d(loss)/d(logits) goes straight to the backward, which frees it
+    return loss, backward_from_cache(cache, grad.cross_entropy_masked_bwd(loss_node, 1.0)["logits"])
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
     os.makedirs(ckpt_dir, exist_ok=True)
     if metrics_path is None:
         metrics_path = os.path.join(ckpt_dir, "metrics.csv")
+    elif os.path.isdir(metrics_path) or not os.path.isdir(os.path.dirname(metrics_path) or "."):
+        raise OSError(f"cannot write {metrics_path}: it is a directory or its directory is missing")
 
     log_lines = cfg.echo_lines()
     log_lines.append(f"train_windows={train_split[0].shape[0]}")

@@ -17,6 +17,23 @@ class TestDispatch:
         assert np.array_equal(grad.relu_bwd(node, u)["x"], u)
 
 
+class TestRelu:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_from_the_output_is_the_mask_rule(self, rng, dtype):
+        # the node keeps relu's output, which the next product keeps anyway;
+        # out > 0 exactly where x > 0, zeros of either sign and NaN included
+        x = rng.standard_normal(40).astype(dtype)
+        x[:6] = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
+        u = rng.standard_normal(40).astype(dtype)
+        out, node = grad.relu_fwd(x)
+        assert node.saved["out"] is out
+        want = u * (x > 0)
+        assert _same_bits(grad.relu_bwd(node, u)["x"], want)
+        dx = u.copy()
+        assert grad.relu_bwd(node, dx, out=dx)["x"] is dx
+        assert _same_bits(dx, want)
+
+
 class TestMatmulRule:
     """linear without a bias is the plain matrix product x @ w."""
 

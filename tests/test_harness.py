@@ -603,6 +603,45 @@ class TestCli:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_flops_unwritable_out_exits_2(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        assert cli.main(["flops", "--out", str(out)]) == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_bench_unwritable_out_exits_2_before_the_sweep(self, tmp_path, capsys,
+                                                           monkeypatch, where):
+        from dimattn import analysis
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("the timed sweep ran")
+
+        monkeypatch.setattr(analysis, "bench_sweep", sweep)
+        out = tmp_path / "missing" / "b.csv" if where == "missing-dir" else tmp_path
+        assert cli.main(["bench", "--N", "64", "--d", "8", "--repeats", "5",
+                         "--out", str(out)]) == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert len(err.splitlines()) == 1
+
+    def test_train_unwritable_metrics_exits_2_before_any_step(self, tmp_path, corpus_path,
+                                                             capsys, monkeypatch):
+        from dimattn import model
+
+        steps = []
+        monkeypatch.setattr(model, "train_step", lambda *args: steps.append(args[-1]))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"data = {corpus_path}\n{TINY_CONFIG}", encoding="utf-8")
+        assert cli.main(["train-mlm", "--config", str(cfg), "--ckpt-dir", str(tmp_path / "run"),
+                         "--metrics", str(tmp_path / "missing" / "m.csv")]) == 2
+        assert steps == []
+        out, err = capsys.readouterr()
+        assert "final valid nll" not in out
+        assert len(err.splitlines()) == 1
+
     def test_bench_unknown_variant_exits_2(self, capsys):
         assert cli.main(["bench", "--variants", "warp_drive", "--N", "64",
                          "--d", "8"]) == 2

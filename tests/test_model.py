@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,10 +434,11 @@ class TestLossRows:
 class TestBackwardConsumesCache:
     @pytest.mark.parametrize("attention", ["dim", "token"])
     def test_layers_popped_gradients_unchanged(self, rng, attention):
-        # backward_from_cache frees each layer's tape as it goes; given the
-        # same tapes again it returns the same bits, and so does
-        # loss_and_grads, which runs the same forward
-        bc = tiny_config(attention=attention, heads=2, layers=3, dropout=0.1, seed=5)
+        # backward_from_cache pops each layer and each of its tape nodes as
+        # it goes, so the tape cannot be replayed; its gradients are the
+        # bits of loss_and_grads, which runs the same forward
+        bc = tiny_config(attention=attention, heads=2, layers=3, groups=2,
+                         dropout=0.1, seed=5)
         params = model.init_params(bc, 5)
         ids = rng.integers(0, bc.vocab_size, (3, 6))
         targets = rng.integers(0, bc.vocab_size, (3, 6))
@@ -448,15 +450,51 @@ class TestBackwardConsumesCache:
         _, node = grad.cross_entropy_masked_fwd(logits, targets[rows], mask[rows])
         dlogits = grad.cross_entropy_masked_bwd(node, 1.0)["logits"]
         layers = list(cache["layers"])
+        groups = [gc for lc in layers for gc in lc.get("groups", [])]
+        assert len(groups) == (6 if attention == "dim" else 0)
         grads = model.backward_from_cache(cache, dlogits)
         assert cache["layers"] == []
-        again = model.backward_from_cache(dict(cache, layers=layers), dlogits)
+        assert all(sorted(lc) == ["prefix", "rows"] for lc in layers)
+        assert all(gc == {} for gc in groups)
         _, want = model.loss_and_grads(params, ids, targets, mask, bc,
                                        drop_rng=derived_rng(5, 0xD0, 1))
-        assert list(grads) == list(again) == list(want)
+        assert list(grads) == list(want)
         for name in want:
             assert _same_bits(grads[name], want[name]), name
-            assert _same_bits(again[name], want[name]), name
+
+    @pytest.mark.parametrize("attention,decoder,b,n", [
+        ("dim", False, 8, 100), ("token", False, 8, 100), ("dim", True, 1, 256),
+    ], ids=["dim-encoder", "token-encoder", "dim-decoder"])
+    def test_backward_peak_stays_near_the_tape(self, rng, attention, decoder, b, n):
+        # every activation and gradient lives only while something reads
+        # it, so the backward needs little beyond the tape the forward left:
+        # at most 5 activations [B*N, ffn_width] (1.8 to 2.7 measured);
+        # holding a layer's tape and gradients until its backward returns
+        # takes 7.5 to 11.9
+        bc = RunConfig(vocab_size=30, d_model=128, layers=2, attention=attention,
+                       heads=8, groups=1, convs=8, head_dim=32, ffn_width=256,
+                       seq_len=n, dropout=0.1, norm_mode="softmax_rows_over_k")
+        params = model.init_params(bc, 0)
+        ids = rng.integers(0, bc.vocab_size, (b, n))
+        mask = rng.random((b, n)) < 0.15
+        mask[:, 0] = True
+        rows = None if decoder else model.loss_rows(mask)
+        tracemalloc.start()
+        try:
+            logits, cache = model.forward(params, ids, bc, decoder=decoder, rows=rows,
+                                          drop_rng=derived_rng(0, 0xD0, 0))
+            picked = slice(None) if decoder else rows
+            _, node = grad.cross_entropy_masked_fwd(logits, ids[picked], mask[picked])
+            dlogits = grad.cross_entropy_masked_bwd(node, 1.0)["logits"]
+            del logits, node
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.backward_from_cache(cache, dlogits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess = (peak - live) / (b * n * bc.ffn_width * 8)
+        assert excess <= 5.0, f"backward peak {excess:.1f} activations above the tape"
 
 
 class TestMlmLoss:

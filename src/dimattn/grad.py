@@ -6,7 +6,8 @@ returns the output plus a TapeNode holding whatever the backward rule
 needs; backward maps an upstream cotangent to per-input gradients.  This
 module holds training ops only: `verify.fd_check` checks each pair against
 central finite differences of the scalarizing loss sum(output).  Softmax
-alone has no node: its callers keep p, which `softmax_vjp` takes back.
+alone has no node: its callers keep p for `softmax_vjp`, or its row max
+and sum, from which `_softmax` rebuilds p.
 
 The attention forwards here are the only fast implementation of each op:
 training runs them, `dimattn bench` times them and the FLOPs tally counts
@@ -24,10 +25,11 @@ array it owns and reads no more, often the upstream gradient, for the
 result.  Within that rule the elementwise ops build their results in place
 (`out += b`, `dx *= inv_std`) rather than through chains of temporaries,
 with the same IEEE operations in the same order as the one-line formulas,
-so results are bitwise those formulas'.
-The token core goes further: it walks blocks of _TOKEN_BLOCK heads, so one
-block's scores, probabilities and their gradient stay in L2, and its
-backward builds the softmax gradient in the block-sized `dp` it owns.
+so results are bitwise those formulas'.  A tape holds each fact once: the
+backward rebuilds, by the forward's own code, what one cheap operation makes
+from what it keeps (token probabilities, W_f * f(S), a layer norm's output).
+The token core walks blocks of _TOKEN_BLOCK heads, so a block's scores,
+probabilities and their gradient stay in L2, in buffers it owns.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def scatter_rows(a, rows):
     return out
 
 
-def linear_bwd(node, u, rows=None):
+def linear_bwd(node, u, rows=None, x=None):
     """Gradients of linear_fwd; dW is one product over the flattened rows.
+    A caller whose node keeps no x passes it, rebuilt.
 
     With `rows`, x and u hold only the [M, ·] rows that the bool [B, N]
     marks.  dW is then still the product over all B*N rows, with the other
@@ -79,7 +82,7 @@ def linear_bwd(node, u, rows=None):
     another order, so its bits would differ from those of the full batch
     whose upstream is zero off `rows`.
     """
-    x, w = node.saved["x"], node.saved["w"]
+    w, x = node.saved["w"], node.saved["x"] if x is None else x
     grads = {"x": u @ w.T}
     if node.saved["has_bias"]:
         grads["b"] = u.reshape(-1, u.shape[-1]).sum(axis=0)
@@ -152,9 +155,15 @@ def layer_norm_fwd(x, gamma, beta):
     var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv_std
-    out = gamma * xhat
-    out += beta
-    return out, _node(xhat=xhat, inv_std=inv_std, gamma=gamma)
+    node = _node(xhat=xhat, inv_std=inv_std, gamma=gamma, beta=beta)
+    return layer_norm_out(node), node
+
+
+def layer_norm_out(node):
+    """gamma * xhat + beta: the output of a layer_norm_fwd node, bitwise."""
+    out = node.saved["gamma"] * node.saved["xhat"]
+    out += node.saved["beta"]
+    return out
 
 
 def layer_norm_bwd(node, u):
@@ -179,13 +188,21 @@ def softmax_fwd(x, axis=-1, out=None):
     """Softmax along `axis`, maximum subtracted first; the one softmax every
     op and oracle uses.  Returns p alone: a caller that needs the backward
     keeps p for softmax_vjp.  With out=x it runs in place."""
-    p = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    return _softmax(x, axis, out)[0]
+
+
+def _softmax(x, axis, out, peak=None, total=None):
+    """softmax_fwd as (p, row max, row sum); given those of an earlier call
+    on the same x, it rebuilds that call's p bit for bit."""
+    peak = x.max(axis=axis, keepdims=True) if peak is None else peak
+    p = np.subtract(x, peak, out=out)
     np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
+    total = p.sum(axis=axis, keepdims=True) if total is None else total
+    p /= total
     # a subnormal probability moves no result at this precision, but every
     # product that reads it runs many times slower
     p[p < np.finfo(p.dtype).tiny] = 0.0
-    return p
+    return p, peak, total
 
 
 def softmax_vjp(p, u, axis=-1, out=None):
@@ -234,10 +251,28 @@ def _norm_bwd(dfs, fs, mode, n):
 
 
 # heads per block of the token core: a block's [8, 100, 100] scores take
-# 640 KB, so they and their gradient stay in a 2 MB L2.  On a 2-vCPU Xeon,
-# forward plus backward took longer in blocks of 4, 16 or 32, and longer
-# still unblocked
+# 640 KB, so they and their gradient (`dp`), the only block-sized arrays,
+# stay in a 2 MB L2.  On a 2-vCPU Xeon, forward plus backward took longer
+# in blocks of 4, 16 or 32, and longer still unblocked
 _TOKEN_BLOCK = 8
+
+
+def _token_scores(s, blk, out):
+    """The scaled, masked scores of heads `blk` of a token tape s, in out."""
+    # the scale after the product: folded into q it is bitwise only
+    # where sqrt(d) is a power of two
+    np.matmul(s["q"][blk], s["k"][blk].transpose(0, 2, 1), out=out)
+    out *= s["scale"]
+    if s["causal"]:
+        np.copyto(out, -np.inf, where=np.triu(np.ones(out.shape[1:], dtype=bool), 1))
+    if s["key_pad"] is not None:
+        np.copyto(out, -np.inf, where=s["key_pad"][blk])
+    return out
+
+
+def _token_probs(s, blk, out):
+    """The forward's probabilities of heads `blk`, rebuilt bitwise in out."""
+    return _softmax(_token_scores(s, blk, out), -1, out, s["peak"][blk], s["total"][blk])[0]
 
 
 def token_attention_fwd(q, k, v, causal=False, key_pad=None):
@@ -246,54 +281,49 @@ def token_attention_fwd(q, k, v, causal=False, key_pad=None):
 
     Without `causal` the query rows are independent, so q may be any block
     of rows [B, Nq, d] of the full query matrix against all N keys.
-    Runs in blocks of _TOKEN_BLOCK leading entries, each step in place in
-    the tape's `p`: every entry's arithmetic is that of the whole-batch
-    formulas, in the same order, so the results are bitwise theirs.
+    Runs in blocks of _TOKEN_BLOCK leading entries in one buffer: every
+    entry's arithmetic is that of the whole-batch formulas, in the same
+    order, so the results are bitwise theirs.  The tape keeps q, k, v, the
+    masks and each query row's softmax max and sum [B, Nq, 1].
     """
     b, nq, d = q.shape
     n = k.shape[1]
     if TALLY.active:
         TALLY.matmul("scores", nq, d, n, batch=b)
         TALLY.matmul("attn_v", nq, n, d, batch=b)
-    scale = 1.0 / math.sqrt(d)
     dtype = np.result_type(q, k, v)
-    future = np.triu(np.ones((nq, n), dtype=bool), 1) if causal else None
     if key_pad is not None:
         key_pad = np.asarray(key_pad, dtype=bool)[:, None, :]
-    p = np.empty((b, nq, n), dtype)
+    s = dict(q=q, k=k, v=v, scale=1.0 / math.sqrt(d), causal=causal, key_pad=key_pad,
+             peak=np.empty((b, nq, 1), dtype), total=np.empty((b, nq, 1), dtype))
+    p = np.empty((min(b, _TOKEN_BLOCK), nq, n), dtype)
     out = np.empty((b, nq, v.shape[2]), dtype)
     for lo in range(0, b, _TOKEN_BLOCK):
         blk = slice(lo, lo + _TOKEN_BLOCK)
-        pb = p[blk]
-        # the scale after the product: folded into q it is bitwise only
-        # where sqrt(d) is a power of two
-        np.matmul(q[blk], k[blk].transpose(0, 2, 1), out=pb)
-        pb *= scale
-        if causal:
-            np.copyto(pb, -np.inf, where=future)
-        if key_pad is not None:
-            np.copyto(pb, -np.inf, where=key_pad[blk])
-        softmax_fwd(pb, out=pb)
+        pb = p[:b - lo]
+        _, s["peak"][blk], s["total"][blk] = _softmax(_token_scores(s, blk, pb), -1, pb)
         np.matmul(pb, v[blk], out=out[blk])
-    return out, _node(p=p, q=q, k=k, v=v, scale=scale)
+    return out, TapeNode(saved=s)
 
 
 def token_attention_bwd(node, u):
     s = node.saved
-    p, q, k, v, scale = s["p"], s["q"], s["k"], s["v"], s["scale"]
-    dq, dk, dv = (np.empty(a.shape, p.dtype) for a in (q, k, v))
-    dp = np.empty(p[:_TOKEN_BLOCK].shape, p.dtype)
-    for lo in range(0, p.shape[0], _TOKEN_BLOCK):
+    q, k, v = s["q"], s["k"], s["v"]
+    b, dtype = q.shape[0], s["peak"].dtype
+    dq, dk, dv = (np.empty(a.shape, dtype) for a in (q, k, v))
+    p, dp = (np.empty((min(b, _TOKEN_BLOCK), q.shape[1], k.shape[1]), dtype)
+             for _ in range(2))
+    for lo in range(0, b, _TOKEN_BLOCK):
         blk = slice(lo, lo + _TOKEN_BLOCK)
-        pb = p[blk]
-        ds = dp[:pb.shape[0]]
+        pb = _token_probs(s, blk, p[:b - lo])
+        ds = dp[:b - lo]
         np.matmul(pb.transpose(0, 2, 1), u[blk], out=dv[blk])
         np.matmul(u[blk], v[blk].transpose(0, 2, 1), out=ds)
         softmax_vjp(pb, ds, out=ds)
         np.matmul(ds, k[blk], out=dq[blk])
         np.matmul(ds.transpose(0, 2, 1), q[blk], out=dk[blk])
-    dq *= scale
-    dk *= scale
+    dq *= s["scale"]
+    dk *= s["scale"]
     return {"q": dq, "k": dk, "v": dv}
 
 
@@ -312,18 +342,22 @@ def dim_attention_multi_fwd(q, k, v, ws, mode="none"):
         TALLY.matmul("filter_mix", n, d, d, batch=b * c)
     s = q.transpose(0, 2, 1) @ k
     fs = normalize_scores(s, mode, n)
-    a = ws[None, :, :, :] * fs[:, None, :, :]
     # columns (f, j) of the output: V @ A_f^T for every filter in one product
-    out = v @ a.reshape(b, c * d, d).transpose(0, 2, 1)
-    return out, _node(q=q, k=k, v=v, ws=ws, a=a, fs=fs, mode=mode)
+    out = v @ _filter_gate(ws, fs).reshape(b, c * d, d).transpose(0, 2, 1)
+    return out, _node(q=q, k=k, v=v, ws=ws, fs=fs, mode=mode)
+
+
+def _filter_gate(ws, fs):
+    """A = W_f * f(S) [B, c, d, d], which the backward rebuilds."""
+    return ws[None, :, :, :] * fs[:, None, :, :]
 
 
 def dim_attention_multi_bwd(node, u):
     s = node.saved
-    q, k, v, ws, a = s["q"], s["k"], s["v"], s["ws"], s["a"]
+    q, k, v, ws = s["q"], s["k"], s["v"], s["ws"]
     b, n, d = q.shape
     c = ws.shape[0]
-    dv = u @ a.reshape(b, c * d, d)
+    dv = u @ _filter_gate(ws, s["fs"]).reshape(b, c * d, d)
     da = (u.transpose(0, 2, 1) @ v).reshape(b, c, d, d)
     dws = np.einsum("bjm,bcjm->cjm", s["fs"], da)
     dfs = np.einsum("cjm,bcjm->bjm", ws, da)

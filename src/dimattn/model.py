@@ -21,10 +21,12 @@ identical values for them regardless of attention kind.
 
 The backward pass is written out explicitly: forward stores per-layer tape
 nodes and `backward_from_cache` pops them node by node in reverse, so an
-array lives only while something reads it.  The model writes in place
-only into arrays it owns and reads no more: a sublayer's fresh output
-takes its residual (`a += x`), and by grad's `out=` convention
-`relu_bwd(..., out=u)` runs in the upstream gradient.
+array lives only while something reads it.  No node keeps a layer's input
+or a layer norm's output: the backward rebuilds each, bitwise, right before
+the product that reads it (`_layer_input`, `grad.layer_norm_out`).  The
+model writes in place only into arrays it owns and reads no more: a
+sublayer's fresh output takes its residual (`a += x`), and by grad's `out=`
+convention `relu_bwd(..., out=u)` runs in the upstream gradient.
 
 Every function takes the one `config.RunConfig`: the model reads its shape
 fields (`vocab_size` set from the corpus, `seq_len` as the longest
@@ -185,31 +187,53 @@ def forward(params, ids, cfg: RunConfig, decoder=False, drop_rng=None,
         if rows.shape != ids.shape or counts.min() != counts.max():
             raise ValueError(f"rows must mark the same number of positions in "
                              f"each window of the [{b}, {n}] batch")
-    cache = {"cfg": cfg, "decoder": decoder, "layers": [], "rows": rows}
+    cache = {"cfg": cfg, "decoder": decoder, "layers": [], "rows": rows,
+             "head": params["embed"]}
 
-    emb, cache["embed_node"] = grad.embed_fwd(params["embed"], ids)
-    x = emb * math.sqrt(cfg.d_model)
-    x += _position_table(cfg.seq_len, cfg.d_model, cfg.dtype)[:n]
-
+    # one name for the stream: each array is freed once the next is made
+    x, cache["embed_node"] = grad.embed_fwd(params["embed"], ids)
+    x = _embedded(x, cfg)
     for i in range(cfg.layers):
-        lc = {"prefix": f"l{i}.", "rows": rows if i == cfg.layers - 1 else None}
+        p = f"l{i}."
+        lc = {"prefix": p, "rows": rows if i == cfg.layers - 1 else None}
         x = _attention_fwd(params, x, lc, cfg, decoder, pad, drop_rng)
+        x, lc["nln1"] = grad.layer_norm_fwd(x, params[p + "ln1.gamma"], params[p + "ln1.beta"])
         x = _ffn_fwd(params, x, lc, cfg, drop_rng)
+        x, lc["nln2"] = grad.layer_norm_fwd(x, params[p + "ln2.gamma"], params[p + "ln2.beta"])
         cache["layers"].append(lc)
 
     # the tied head as one 2-D product, which reaches BLAS
-    logits = (x.reshape(-1, cfg.d_model) @ params["embed"].T).reshape(
-        x.shape[:-1] + (-1,))
-    cache["x_final"] = x
-    cache["head"] = params["embed"]
-    return logits, cache
+    return (x.reshape(-1, cfg.d_model) @ params["embed"].T).reshape(
+        x.shape[:-1] + (-1,)), cache
+
+
+def _embedded(emb, cfg: RunConfig):
+    """The first layer's input emb * sqrt(d_model) + positions, in emb."""
+    emb *= math.sqrt(cfg.d_model)
+    emb += _position_table(cfg.seq_len, cfg.d_model, cfg.dtype)[:emb.shape[1]]
+    return emb
+
+
+def _linear_of_rebuilt(x, w, b=None):
+    """linear_fwd whose node keeps no x, which the backward rebuilds."""
+    out, node = grad.linear_fwd(x, w, b)
+    del node.saved["x"]
+    return out, node
+
+
+def _layer_input(cache, i):
+    """Layer i's input, rebuilt bitwise from the embed or layer-norm node
+    that made it; parameters do not change before the backward."""
+    if i:
+        return grad.layer_norm_out(cache["layers"][i - 1]["nln2"])
+    return _embedded(cache["head"][cache["embed_node"].saved["ids"]], cache["cfg"])
 
 
 def _token_core_fwd(params, x, lc, cfg: RunConfig, decoder, pad):
     """Multi-head token attention of x [B, N, d_model], heads merged."""
     b, n, dm = x.shape
     h = cfg.heads
-    qkv, lc["nqkv"] = grad.linear_fwd(x, params[lc["prefix"] + "attn.wqkv"])
+    qkv, lc["nqkv"] = _linear_of_rebuilt(x, params[lc["prefix"] + "attn.wqkv"])
     qkv = qkv.reshape(b, n, 3, dm)
     q = qkv[:, :, 0]
     if lc["rows"] is not None:
@@ -231,9 +255,9 @@ def _dim_core_fwd(params, x, lc, cfg: RunConfig, decoder, pad):
     outs, lc["groups"] = [], []
     for g in range(cfg.groups):
         gc = {}
-        q, gc["nq"] = grad.linear_fwd(x, params[p + f"attn.wq{g}"])
-        k, gc["nk"] = grad.linear_fwd(x, params[p + f"attn.wk{g}"])
-        v, gc["nv"] = grad.linear_fwd(x, params[p + f"attn.wv{g}"])
+        q, gc["nq"] = _linear_of_rebuilt(x, params[p + f"attn.wq{g}"])
+        k, gc["nk"] = _linear_of_rebuilt(x, params[p + f"attn.wk{g}"])
+        v, gc["nv"] = _linear_of_rebuilt(x, params[p + f"attn.wv{g}"])
         if keep is not None:
             q, k = q * keep, k * keep
         ws = params[p + f"attn.filters{g}"]
@@ -246,8 +270,8 @@ def _dim_core_fwd(params, x, lc, cfg: RunConfig, decoder, pad):
 
 
 def _attention_fwd(params, x, lc, cfg: RunConfig, decoder, pad, drop_rng):
-    """x1 = LN1(x + dropout(attention(x))), its tape nodes put in lc.  The
-    last layer keeps lc["rows"] alone from the core's output on."""
+    """x + dropout(attention(x)), its tape nodes put in lc.  The last layer
+    keeps lc["rows"] alone from the core's output on."""
     p, rows = lc["prefix"], lc["rows"]
     core = _token_core_fwd if cfg.attention == "token" else _dim_core_fwd
     concat = core(params, x, lc, cfg, decoder, pad)
@@ -257,22 +281,20 @@ def _attention_fwd(params, x, lc, cfg: RunConfig, decoder, pad, drop_rng):
     if drop_rng is not None:
         a, lc["ndrop1"] = grad.dropout_fwd(a, cfg.dropout, drop_rng, rows)
     a += x  # a is this sublayer's own output, on no tape
-    x1, lc["nln1"] = grad.layer_norm_fwd(a, params[p + "ln1.gamma"], params[p + "ln1.beta"])
-    return x1
+    return a
 
 
 def _ffn_fwd(params, x1, lc, cfg: RunConfig, drop_rng):
-    """LN2(x1 + dropout(ffn(x1))), its tape nodes put in lc."""
+    """x1 + dropout(ffn(x1)), its tape nodes put in lc."""
     p = lc["prefix"]
-    h1, lc["nff1"] = grad.linear_fwd(x1, params[p + "ffn.w1"], params[p + "ffn.b1"])
+    h1, lc["nff1"] = _linear_of_rebuilt(x1, params[p + "ffn.w1"], params[p + "ffn.b1"])
     r, lc["nrelu"] = grad.relu_fwd(h1)
     del h1
     f, lc["nff2"] = grad.linear_fwd(r, params[p + "ffn.w2"], params[p + "ffn.b2"])
     if drop_rng is not None:
         f, lc["ndrop2"] = grad.dropout_fwd(f, cfg.dropout, drop_rng, lc["rows"])
     f += x1  # f is this sublayer's own output, on no tape
-    x2, lc["nln2"] = grad.layer_norm_fwd(f, params[p + "ln2.gamma"], params[p + "ln2.beta"])
-    return x2
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +308,9 @@ def backward_from_cache(cache, dlogits) -> dict:
     and each tape node from its layer as its gradient is taken, so every
     activation and gradient is freed once nothing reads it.
     """
-    cfg = cache["cfg"]
-    head, x_final, rows = cache["head"], cache.pop("x_final"), cache["rows"]
-    dx = (dlogits.reshape(-1, head.shape[0]) @ head).reshape(x_final.shape)
+    cfg, head, rows, layers = cache["cfg"], cache["head"], cache["rows"], cache["layers"]
+    dx = (dlogits.reshape(-1, head.shape[0]) @ head).reshape(dlogits.shape[:-1] + (-1,))
+    x_final = grad.layer_norm_out(layers[-1]["nln2"])
     if rows is not None:
         # the head's term over every row, as linear_bwd computes dW
         dlogits, x_final = grad.scatter_rows(dlogits, rows), grad.scatter_rows(x_final, rows)
@@ -297,13 +319,13 @@ def backward_from_cache(cache, dlogits) -> dict:
              @ x_final.reshape(-1, head.shape[1])}
     del dlogits, x_final
 
-    layers = cache["layers"]
     while layers:
         lc = layers.pop()
         dx = _norm_bwd(lc, "ln2", dx, grads)  # gradient of x1 + f
         dx = _ffn_bwd(lc, dx, grads)  # of x1
         dx = _norm_bwd(lc, "ln1", dx, grads)  # of x + a
-        dx = _attention_bwd(lc, dx, cfg, cache["decoder"], grads)  # of x
+        dx = _attention_bwd(lc, dx, cfg, cache["decoder"], grads,  # of x
+                            functools.partial(_layer_input, cache, len(layers)))
 
     ge = grad.embed_bwd(cache["embed_node"], dx * math.sqrt(cfg.d_model))
     grads["embed"] += ge["table"]
@@ -329,15 +351,16 @@ def _ffn_bwd(lc, dres, grads):
     g = grad.linear_bwd(lc.pop("nff2"), _dropout_bwd(lc, "ndrop2", dres), r)
     grads[p + "ffn.w2"], grads[p + "ffn.b2"] = g["w"], g["b"]
     dr = grad.relu_bwd(lc.pop("nrelu"), g["x"], out=g["x"])["x"]
-    g = grad.linear_bwd(lc.pop("nff1"), dr, r)
+    g = grad.linear_bwd(lc.pop("nff1"), dr, r, x=grad.layer_norm_out(lc["nln1"]))
     grads[p + "ffn.w1"], grads[p + "ffn.b1"] = g["w"], g["b"]
     dx1 = g["x"]
     dx1 += dres
     return dx1
 
 
-def _attention_bwd(lc, dres, cfg: RunConfig, decoder, grads):
-    """Gradient of x from that of x + a, a = dropout(attention(x))."""
+def _attention_bwd(lc, dres, cfg: RunConfig, decoder, grads, layer_input):
+    """Gradient of x from that of x + a, a = dropout(attention(x)); x is
+    rebuilt by calling layer_input() once its first product needs it."""
     p, r = lc["prefix"], lc["rows"]
     go = grad.linear_bwd(lc.pop("no"), _dropout_bwd(lc, "ndrop1", dres), r)
     grads[p + "attn.wo"] = go["w"]
@@ -351,17 +374,18 @@ def _attention_bwd(lc, dres, cfg: RunConfig, decoder, grads):
         ga = grad.token_attention_bwd(lc.pop("nattn"),
                                       _split_heads(dconcat.reshape(b, -1, dm), h))
         # dq|dk|dv straight into the fused projection's column layout
-        dqkv = np.empty((b, n, 3, h, dm // h), dtype=dconcat.dtype)
+        dqkv = np.empty((b, n, 3, h, dm // h), dtype=dx.dtype)
         for j, t in enumerate("kv", start=1):
-            dqkv[:, :, j] = ga[t].reshape(b, h, n, -1).transpose(0, 2, 1, 3)
-        dq = ga["q"].reshape(b, h, -1, dm // h).transpose(0, 2, 1, 3)
+            dqkv[:, :, j] = ga.pop(t).reshape(b, h, n, -1).transpose(0, 2, 1, 3)
+        dq = ga.pop("q").reshape(b, h, -1, dm // h).transpose(0, 2, 1, 3)
         if r is None:
             dqkv[:, :, 0] = dq
         else:
             # only the gathered queries have a gradient
             dqkv[:, :, 0] = 0.0
             dqkv[:, :, 0][r] = dq.reshape(-1, h, dm // h)
-        gl = grad.linear_bwd(lc.pop("nqkv"), dqkv.reshape(b, n, 3 * dm))
+        del dconcat, dq  # with dk and dv, before the input is rebuilt
+        gl = grad.linear_bwd(lc.pop("nqkv"), dqkv.reshape(b, n, 3 * dm), x=layer_input())
         grads[p + "attn.wqkv"] = gl["w"]
         dx += gl["x"]
     else:
@@ -370,13 +394,15 @@ def _attention_bwd(lc, dres, cfg: RunConfig, decoder, grads):
         # forward zeroed q and k at padded positions, so their
         # gradients there are already zero
         width = cfg.convs * cfg.head_dim
+        x = None
         for g, gc in enumerate(lc.pop("groups")):
             du = dconcat[:, :, g * width:(g + 1) * width]
             ga = (grad.masked_attention_multi_bwd if decoder
                   else grad.dim_attention_multi_bwd)(gc.pop("nattn"), du)
             grads[p + f"attn.filters{g}"] = ga.pop("ws")
+            x = layer_input() if x is None else x
             for t in ("q", "k", "v"):
-                gl = grad.linear_bwd(gc.pop("n" + t), ga.pop(t))
+                gl = grad.linear_bwd(gc.pop("n" + t), ga.pop(t), x=x)
                 grads[p + f"attn.w{t}{g}"] = gl["w"]
                 dx += gl["x"]
     return dx

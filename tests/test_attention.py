@@ -40,11 +40,10 @@ def dim_attention(q, k, v, w, mode="none"):
 
 
 def token_layer(bc, params, ids, decoder=False, pad=None):
-    """Layer input and the concatenated head outputs of a one-layer model
-    run on a batch ids [B, N]."""
+    """Layer input, as the backward rebuilds it, and the concatenated head
+    outputs of a one-layer model run on a batch ids [B, N]."""
     _, cache = model.forward(params, ids, bc, decoder=decoder, pad=pad)
-    layer = cache["layers"][0]
-    return layer["nqkv"].saved["x"], layer["no"].saved["x"]
+    return model._layer_input(cache, 0), cache["layers"][0]["no"].saved["x"]
 
 
 class TestTokenAttention:

@@ -375,6 +375,7 @@ class TestInPlaceOps:
         assert _same_bits(node.saved["inv_std"], inv_std)
 
         _read_only(node.saved["xhat"], node.saved["inv_std"])
+        assert _same_bits(grad.layer_norm_out(node), out)
         grads = grad.layer_norm_bwd(node, u)
         dxhat = u * gamma
         m1 = dxhat.mean(axis=-1, keepdims=True)
@@ -405,8 +406,9 @@ class TestInPlaceOps:
 
 class TestBlockedTokenCore:
     """The token core walks blocks of grad._TOKEN_BLOCK heads in place; its
-    output, `p`, `dq`, `dk` and `dv` must equal the whole-batch formulas
-    bit for bit, and it must write into no input and not into its tape."""
+    output, the probabilities the backward rebuilds, `dq`, `dk` and `dv`
+    must equal the whole-batch formulas bit for bit, it must write into no
+    input and not into its tape, and its tape must grow linearly in N."""
 
     @staticmethod
     def _reference(q, k, v, u, causal, key_pad):
@@ -443,11 +445,29 @@ class TestBlockedTokenCore:
         want_out, want_p, want = self._reference(q, k, v, u, causal, key_pad)
         out, node = grad.token_attention_fwd(q, k, v, causal=causal, key_pad=key_pad)
         assert _same_bits(out, want_out)
-        assert _same_bits(node.saved["p"], want_p)
-        _read_only(node.saved["p"])
+        _read_only(*(a for a in node.saved.values() if isinstance(a, np.ndarray)))
+        p = np.empty(want_p.shape)
+        for lo in range(0, bh, grad._TOKEN_BLOCK):
+            blk = slice(lo, lo + grad._TOKEN_BLOCK)
+            grad._token_probs(node.saved, blk, p[blk])
+        assert _same_bits(p, want_p)
         got = grad.token_attention_bwd(node, u)
         for name in "qkv":
             assert _same_bits(got[name], want[name]), name
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_tape_grows_linearly_in_n(self, causal):
+        # q, k, v and two numbers per query row: 2.0x from N = 100 to 200,
+        # where a tape holding the [bh, N, N] probabilities grows 3.35x
+        def tape_bytes(n):
+            r = make_rng(n)
+            q, k, v = (r.standard_normal((13, n, 16)) for _ in range(3))
+            key_pad = np.zeros((13, n), dtype=bool)
+            key_pad[-3:, n // 2:] = True
+            _, node = grad.token_attention_fwd(q, k, v, causal=causal, key_pad=key_pad)
+            return sum(a.nbytes for a in node.saved.values() if isinstance(a, np.ndarray))
+
+        assert tape_bytes(200) <= 2.2 * tape_bytes(100)
 
 
 class TestGatheredRows:

@@ -199,7 +199,7 @@ class TestPositionTable:
             _, cache = model.forward(params, ids, bc)
             want = params["embed"][ids] * math.sqrt(bc.d_model) \
                 + model.sinusoidal_positions(seq_len, bc.d_model)[:n]
-            x = cache["layers"][0]["groups"][0]["nq"].saved["x"]
+            x = model._layer_input(cache, 0)
             assert x.tobytes() == want.tobytes()
 
 
@@ -462,6 +462,19 @@ class TestBackwardConsumesCache:
         for name in want:
             assert _same_bits(grads[name], want[name]), name
 
+    @staticmethod
+    def _tape_model(rng, attention, decoder, b, n):
+        """The perfbench layer shapes at [b, n], with a loss mask and rows."""
+        bc = RunConfig(vocab_size=30, d_model=128, layers=2, attention=attention,
+                       heads=8, groups=1, convs=8, head_dim=32, ffn_width=256,
+                       seq_len=n, dropout=0.1, norm_mode="softmax_rows_over_k")
+        params = model.init_params(bc, 0)
+        ids = rng.integers(0, bc.vocab_size, (b, n))
+        mask = rng.random((b, n)) < 0.15
+        mask[:, 0] = True
+        rows = None if decoder else model.loss_rows(mask)
+        return bc, params, ids, mask, rows
+
     @pytest.mark.parametrize("attention,decoder,b,n", [
         ("dim", False, 8, 100), ("token", False, 8, 100), ("dim", True, 1, 256),
     ], ids=["dim-encoder", "token-encoder", "dim-decoder"])
@@ -471,14 +484,7 @@ class TestBackwardConsumesCache:
         # at most 5 activations [B*N, ffn_width] (1.8 to 2.7 measured);
         # holding a layer's tape and gradients until its backward returns
         # takes 7.5 to 11.9
-        bc = RunConfig(vocab_size=30, d_model=128, layers=2, attention=attention,
-                       heads=8, groups=1, convs=8, head_dim=32, ffn_width=256,
-                       seq_len=n, dropout=0.1, norm_mode="softmax_rows_over_k")
-        params = model.init_params(bc, 0)
-        ids = rng.integers(0, bc.vocab_size, (b, n))
-        mask = rng.random((b, n)) < 0.15
-        mask[:, 0] = True
-        rows = None if decoder else model.loss_rows(mask)
+        bc, params, ids, mask, rows = self._tape_model(rng, attention, decoder, b, n)
         tracemalloc.start()
         try:
             logits, cache = model.forward(params, ids, bc, decoder=decoder, rows=rows,
@@ -495,6 +501,66 @@ class TestBackwardConsumesCache:
             tracemalloc.stop()
         excess = (peak - live) / (b * n * bc.ffn_width * 8)
         assert excess <= 5.0, f"backward peak {excess:.1f} activations above the tape"
+
+    @pytest.mark.parametrize("attention,decoder,b,n,bound", [
+        ("dim", False, 8, 100, 11.0), ("token", False, 8, 100, 13.8),
+        ("dim", True, 1, 256, 16.5), ("token", True, 1, 256, 19.5),
+    ], ids=["dim-encoder", "token-encoder", "dim-decoder", "token-decoder"])
+    def test_forward_tape_holds_each_fact_once(self, rng, attention, decoder, b, n, bound):
+        # what the forward leaves live, in activations [B*N, d_model]: 9.5,
+        # 12.0, 14.3 and 16.8 measured.  A token tape keeping its [B*h, N, N]
+        # probabilities, linear nodes keeping their layer-norm inputs and
+        # the dim tape keeping W_f * f(S) read 14.3, 23.2, 19.3 and 53.6
+        bc, params, ids, _, rows = self._tape_model(rng, attention, decoder, b, n)
+        # once untraced, so the cached position table is not counted
+        model.forward(params, ids, bc, decoder=decoder, rows=rows)
+        tracemalloc.start()
+        try:
+            logits, cache = model.forward(params, ids, bc, decoder=decoder, rows=rows,
+                                          drop_rng=derived_rng(0, 0xD0, 0))
+            del logits
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tape = live / (b * n * bc.d_model * 8)
+        assert tape <= bound, f"forward tape {tape:.1f} activations"
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("attention,decoder", [
+        ("dim", False), ("token", False), ("dim", True),
+    ], ids=["dim-encoder", "token-encoder", "dim-decoder"])
+    def test_rebuilt_inputs_are_the_forwards(self, rng, monkeypatch, attention, decoder,
+                                             precision):
+        # no node keeps a layer norm's output or the first layer's input:
+        # the backward rebuilds them, and they must be the forward's bits
+        bc = tiny_config(attention=attention, heads=2, layers=3, groups=2, dropout=0.1,
+                         seq_len=12, precision=precision)
+        # layer norms away from their init, so a rebuild must apply gamma and beta
+        params = {k: (v + rng.standard_normal(v.shape)).astype(v.dtype) if ".ln" in k else v
+                  for k, v in model.init_params(bc, 4).items()}
+        ids = rng.integers(0, bc.vocab_size, (3, 12))
+        rows = None if decoder else model.loss_rows(rng.random((3, 12)) < 0.2)
+        made = {"ln": [], "x": []}
+
+        def capture(key, fn):
+            def wrapped(x, *args):
+                out = fn(x, *args)
+                made[key].append((out[0] if key == "ln" else x).copy())
+                return out
+            return wrapped
+
+        monkeypatch.setattr(grad, "layer_norm_fwd", capture("ln", grad.layer_norm_fwd))
+        monkeypatch.setattr(grad, "linear_fwd", capture("x", grad.linear_fwd))
+        _, cache = model.forward(params, ids, bc, decoder=decoder, rows=rows,
+                                 drop_rng=derived_rng(4, 0xD0, 1))
+        layers = cache["layers"]
+        rebuilt = [grad.layer_norm_out(lc[k]) for lc in layers for k in ("nln1", "nln2")]
+        assert len(rebuilt) == len(made["ln"]) == 2 * bc.layers
+        for i, (got, want) in enumerate(zip(rebuilt, made["ln"])):
+            assert _same_bits(got, want), i
+        assert _same_bits(model._layer_input(cache, 0), made["x"][0])
+        for i in range(1, bc.layers):
+            assert _same_bits(model._layer_input(cache, i), made["ln"][2 * i - 1]), i
 
 
 class TestMlmLoss:

@@ -66,28 +66,21 @@ def linear_fwd(x, w, b=None):
 
 def scatter_rows(a, rows):
     """The [M, w] rows of `a` at the M positions the bool `rows` [B, N]
-    marks, in a new [B, N, w] array that is zero elsewhere."""
+    marks, in a new [B, N, w] array that is zero elsewhere: a gradient of
+    gathered rows taken back to every position."""
     out = np.zeros(rows.shape + a.shape[-1:], a.dtype)
     out[rows] = a
     return out
 
 
-def linear_bwd(node, u, rows=None, x=None):
-    """Gradients of linear_fwd; dW is one product over the flattened rows.
-    A caller whose node keeps no x passes it, rebuilt.
-
-    With `rows`, x and u hold only the [M, ·] rows that the bool [B, N]
-    marks.  dW is then still the product over all B*N rows, with the other
-    rows zero in both operands: a product over the M rows alone sums in
-    another order, so its bits would differ from those of the full batch
-    whose upstream is zero off `rows`.
-    """
+def linear_bwd(node, u, x=None):
+    """Gradients of linear_fwd; dW is one product over the flattened rows
+    of x and u, as many as the forward ran on (the gathered [M, ·] loss
+    rows, say).  A caller whose node keeps no x passes it, rebuilt."""
     w, x = node.saved["w"], node.saved["x"] if x is None else x
     grads = {"x": u @ w.T}
     if node.saved["has_bias"]:
         grads["b"] = u.reshape(-1, u.shape[-1]).sum(axis=0)
-    if rows is not None:
-        x, u = scatter_rows(x, rows), scatter_rows(u, rows)
     grads["w"] = x.reshape(-1, x.shape[-1]).T @ u.reshape(-1, u.shape[-1])
     return grads
 
@@ -121,19 +114,18 @@ def embed_bwd(node, u):
     return {"table": dtable.reshape(vocab, width).astype(u.dtype, copy=False)}
 
 
-def dropout_fwd(x, rate, rng, rows=None):
-    """Inverted dropout.  With `rows`, x holds the [M, w] rows that the
-    bool [B, N] marks; the mask is drawn for all of [B, N, w] and then
-    gathered, so the generator's stream is that of the full batch."""
+def dropout_fwd(x, rate, rng):
+    """Inverted dropout, x * keep / (1 - rate), drawn for the x.size = n
+    elements it masks alone.  The mask takes ceil(n / 2) raw Philox words
+    and reads each as two 32-bit lanes, low half first (its little-endian
+    bytes); an element is kept where its lane is >= ceil(rate * 2**32), so
+    it drops with probability ceil(rate * 2**32) / 2**32, within 2**-32 of
+    rate."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    shape = x.shape if rows is None else rows.shape + x.shape[-1:]
-    # rng.random() is (raw >> 11) * 2**-53, so this is `rng.random(shape) >=
-    # rate` without the floats: the same masks, the same stream
-    threshold = np.uint64(math.ceil(rate * 2.0 ** 53)) << np.uint64(11)
-    keep = (rng.bit_generator.random_raw(math.prod(shape)) >= threshold).reshape(shape)
-    if rows is not None:
-        keep = keep[rows]
+    lanes = rng.bit_generator.random_raw(-(-x.size // 2)).astype("<u8", copy=False).view("<u4")
+    keep = (lanes[:x.size] >= math.ceil(rate * 2.0 ** 32)).reshape(x.shape)
+    del lanes  # freed before out is made: it lives only while read
     scale = 1.0 / (1.0 - rate)
     out = x * keep
     out *= scale

@@ -162,10 +162,13 @@ def forward(params, ids, cfg: RunConfig, decoder=False, drop_rng=None,
     Keys and values still see every position.  The causal token core
     takes no block of query rows, so the decoder takes no `rows`.
     The logits are bitwise those rows of the full [B, N, V] wherever BLAS
-    sums each row of a product of fewer rows in the same order.  With
-    OpenBLAS at the configs/tiny-*.cfg widths and N = 100, the loss and
-    every gradient equal the all-rows ones bitwise at B = 8, 4 and 2 (200
-    to 50 loss rows); at B = 1 (25 rows) all differ in the last bits.
+    sums each row of a product of fewer rows in the same order: with
+    OpenBLAS at the configs/tiny-*.cfg widths and N = 100, at B = 8, 4
+    and 2 (200 to 50 loss rows), not at B = 1 (25 rows).  The backward
+    sums the last layer's weight gradients and the head's over those rows
+    alone, so with dropout off they agree with the all-rows ones to
+    rounding, not bitwise; with dropout on, each of the last layer's
+    masks is drawn for its gathered elements only.
     """
     ids = np.asarray(ids)
     if pad is not None and not np.any(pad):
@@ -187,8 +190,7 @@ def forward(params, ids, cfg: RunConfig, decoder=False, drop_rng=None,
         if rows.shape != ids.shape or counts.min() != counts.max():
             raise ValueError(f"rows must mark the same number of positions in "
                              f"each window of the [{b}, {n}] batch")
-    cache = {"cfg": cfg, "decoder": decoder, "layers": [], "rows": rows,
-             "head": params["embed"]}
+    cache = {"cfg": cfg, "decoder": decoder, "layers": [], "head": params["embed"]}
 
     # one name for the stream: each array is freed once the next is made
     x, cache["embed_node"] = grad.embed_fwd(params["embed"], ids)
@@ -279,7 +281,7 @@ def _attention_fwd(params, x, lc, cfg: RunConfig, decoder, pad, drop_rng):
         x, concat = x[rows], concat.reshape(-1, concat.shape[-1])
     a, lc["no"] = grad.linear_fwd(concat, params[p + "attn.wo"])
     if drop_rng is not None:
-        a, lc["ndrop1"] = grad.dropout_fwd(a, cfg.dropout, drop_rng, rows)
+        a, lc["ndrop1"] = grad.dropout_fwd(a, cfg.dropout, drop_rng)
     a += x  # a is this sublayer's own output, on no tape
     return a
 
@@ -292,7 +294,7 @@ def _ffn_fwd(params, x1, lc, cfg: RunConfig, drop_rng):
     del h1
     f, lc["nff2"] = grad.linear_fwd(r, params[p + "ffn.w2"], params[p + "ffn.b2"])
     if drop_rng is not None:
-        f, lc["ndrop2"] = grad.dropout_fwd(f, cfg.dropout, drop_rng, lc["rows"])
+        f, lc["ndrop2"] = grad.dropout_fwd(f, cfg.dropout, drop_rng)
     f += x1  # f is this sublayer's own output, on no tape
     return f
 
@@ -308,16 +310,13 @@ def backward_from_cache(cache, dlogits) -> dict:
     and each tape node from its layer as its gradient is taken, so every
     activation and gradient is freed once nothing reads it.
     """
-    cfg, head, rows, layers = cache["cfg"], cache["head"], cache["rows"], cache["layers"]
+    cfg, head, layers = cache["cfg"], cache["head"], cache["layers"]
     dx = (dlogits.reshape(-1, head.shape[0]) @ head).reshape(dlogits.shape[:-1] + (-1,))
-    x_final = grad.layer_norm_out(layers[-1]["nln2"])
-    if rows is not None:
-        # the head's term over every row, as linear_bwd computes dW
-        dlogits, x_final = grad.scatter_rows(dlogits, rows), grad.scatter_rows(x_final, rows)
-    # the tied head's term; the table term is added last
+    # the tied head's term, over the rows the logits were computed for;
+    # the table term is added last
     grads = {"embed": dlogits.reshape(-1, head.shape[0]).T
-             @ x_final.reshape(-1, head.shape[1])}
-    del dlogits, x_final
+             @ grad.layer_norm_out(layers[-1]["nln2"]).reshape(-1, head.shape[1])}
+    del dlogits
 
     while layers:
         lc = layers.pop()
@@ -347,11 +346,11 @@ def _dropout_bwd(lc, key, u):
 
 def _ffn_bwd(lc, dres, grads):
     """Gradient of x1 from that of x1 + f, f = dropout(ffn(x1))."""
-    p, r = lc["prefix"], lc["rows"]
-    g = grad.linear_bwd(lc.pop("nff2"), _dropout_bwd(lc, "ndrop2", dres), r)
+    p = lc["prefix"]
+    g = grad.linear_bwd(lc.pop("nff2"), _dropout_bwd(lc, "ndrop2", dres))
     grads[p + "ffn.w2"], grads[p + "ffn.b2"] = g["w"], g["b"]
     dr = grad.relu_bwd(lc.pop("nrelu"), g["x"], out=g["x"])["x"]
-    g = grad.linear_bwd(lc.pop("nff1"), dr, r, x=grad.layer_norm_out(lc["nln1"]))
+    g = grad.linear_bwd(lc.pop("nff1"), dr, x=grad.layer_norm_out(lc["nln1"]))
     grads[p + "ffn.w1"], grads[p + "ffn.b1"] = g["w"], g["b"]
     dx1 = g["x"]
     dx1 += dres
@@ -362,7 +361,7 @@ def _attention_bwd(lc, dres, cfg: RunConfig, decoder, grads, layer_input):
     """Gradient of x from that of x + a, a = dropout(attention(x)); x is
     rebuilt by calling layer_input() once its first product needs it."""
     p, r = lc["prefix"], lc["rows"]
-    go = grad.linear_bwd(lc.pop("no"), _dropout_bwd(lc, "ndrop1", dres), r)
+    go = grad.linear_bwd(lc.pop("no"), _dropout_bwd(lc, "ndrop1", dres))
     grads[p + "attn.wo"] = go["w"]
     # the residual term, back at every position in the last layer; the
     # core's input terms go into it once da, which may be dres, is read

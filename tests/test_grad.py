@@ -386,22 +386,34 @@ class TestInPlaceOps:
 
     @pytest.mark.parametrize("rate", [0.0, 1e-9, 0.1, 0.3, 0.5, 0.7, 0.9])
     def test_dropout_mask_from_raw_words(self, rate):
-        # the mask is drawn as raw Philox words against an integer
-        # threshold: the same masks as rng.random, and the same stream after
+        # an odd count of elements: the last word's high lane goes unused
+        shape = (5, 21, 127)
         got_rng, want_rng = make_rng(3), make_rng(3)
-        _, node = grad.dropout_fwd(np.ones((8, 100, 128)), rate, got_rng)
-        assert np.array_equal(node.saved["keep"], want_rng.random((8, 100, 128)) >= rate)
+        _, node = grad.dropout_fwd(np.ones(shape), rate, got_rng)
+        assert np.array_equal(node.saved["keep"], _lane_mask(want_rng, shape, rate))
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
 
     def test_dropout(self, dtype):
         x, u = _read_only(*self._arrays(dtype, 55, self.SHAPE, self.SHAPE))
         out, node = grad.dropout_fwd(x, 0.3, make_rng(0))
-        keep = make_rng(0).random(self.SHAPE) >= 0.3
+        keep = _lane_mask(make_rng(0), self.SHAPE, 0.3)
         scale = 1.0 / (1.0 - 0.3)
         assert np.array_equal(node.saved["keep"], keep)
         assert _same_bits(out, x * keep * scale)
         _read_only(node.saved["keep"])
         assert _same_bits(grad.dropout_bwd(node, u)["x"], u * keep * scale)
+
+
+def _lane_mask(rng, shape, rate):
+    """The dropout rule, by shifts and masks: element i reads 32-bit lane
+    i of ceil(n / 2) raw words, low half first, and is kept where that lane
+    is >= ceil(rate * 2**32)."""
+    n = math.prod(shape)
+    words = rng.bit_generator.random_raw((n + 1) // 2)
+    lanes = np.empty(2 * words.size, np.uint64)
+    lanes[0::2] = words & np.uint64(0xFFFFFFFF)
+    lanes[1::2] = words >> np.uint64(32)
+    return (lanes[:n] >= math.ceil(rate * 2 ** 32)).reshape(shape)
 
 
 class TestBlockedTokenCore:
@@ -472,8 +484,9 @@ class TestBlockedTokenCore:
 
 class TestGatheredRows:
     """linear_bwd, dropout_fwd and the token attention core on the rows a
-    bool [B, N] marks equal the full-batch ops, whose upstream is zero off
-    those rows, bit for bit."""
+    bool [B, N] marks: outputs and input gradients equal the full-batch
+    ops', whose upstream is zero off those rows, bit for bit; dW sums the
+    marked rows alone and each mask is drawn for them alone."""
 
     def _rows(self, r):
         rows = r.random((4, 100)) < 0.15
@@ -482,6 +495,7 @@ class TestGatheredRows:
 
     def test_linear_bwd(self):
         # at these shapes a dW over the selected rows alone has other bits
+        # than the product over all rows
         r = make_rng(71)
         x, w, b = (r.standard_normal(s) for s in ((4, 100, 64), (64, 48), (48,)))
         rows = self._rows(r)
@@ -489,20 +503,24 @@ class TestGatheredRows:
         out, node = grad.linear_fwd(x, w, b)
         want = grad.linear_bwd(node, u)
         got_out, node = grad.linear_fwd(x[rows], w, b)
-        got = grad.linear_bwd(node, u[rows], rows)
+        got = grad.linear_bwd(node, u[rows])
         assert _same_bits(got_out, out[rows])
         assert _same_bits(got["x"], want["x"][rows])
-        assert _same_bits(got["w"], want["w"])
+        assert _same_bits(got["w"], x[rows].T @ u[rows])
+        assert np.max(np.abs(got["w"] - want["w"])) <= 1e-12 * np.max(np.abs(want["w"]))
         assert _same_bits(got["b"], want["b"])
 
-    def test_dropout_draws_the_full_shape(self):
+    def test_dropout_draws_the_gathered_rows(self):
         r = make_rng(73)
-        x = r.standard_normal((4, 100, 64))
+        x = r.standard_normal((4, 100, 63))
         rows = self._rows(r)
-        out, node = grad.dropout_fwd(x, 0.3, make_rng(0))
-        got, got_node = grad.dropout_fwd(x[rows], 0.3, make_rng(0), rows)
-        assert _same_bits(got, out[rows])
-        assert np.array_equal(got_node.saved["keep"], node.saved["keep"][rows])
+        got_rng, want_rng = make_rng(0), make_rng(0)
+        got, node = grad.dropout_fwd(x[rows], 0.3, got_rng)
+        keep = _lane_mask(want_rng, x[rows].shape, 0.3)
+        assert np.array_equal(node.saved["keep"], keep)
+        assert _same_bits(got, x[rows] * keep * (1.0 / 0.7))
+        # the gathered elements' ceil(n / 2) words, not the full shape's
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
 
     @pytest.mark.parametrize("batch", [8, 4, 2])
     def test_token_attention_on_loss_row_queries(self, batch):

@@ -294,8 +294,13 @@ def _same_bits(a, b):
 
 class TestLossRows:
     """The encoder runs its last layer's row-wise sublayers and the head on
-    the loss positions only; losses, gradients and logits must equal the
-    all-rows computation bit for bit."""
+    the loss positions only.  Logits and the loss must equal the all-rows
+    computation bit for bit.  So must every gradient, save that the last
+    layer's weight gradients and the head's term sum the loss rows alone:
+    bitwise the products of those rows of the all-rows operands, and within
+    1e-12 relative of the all-rows gradients.  With dropout on, the
+    all-rows model replays the gathered run's masks, the last layer's two
+    at the loss rows and keep-all elsewhere."""
 
     SMALL = dict(d_model=64, head_dim=16, ffn_width=96, vocab_size=40)
     CONFIGS = {
@@ -327,12 +332,51 @@ class TestLossRows:
         mask = (r.random(shape) < 0.15) & ~pad
         return bc, model.init_params(bc, 4), ids, targets, mask, pad
 
-    def _all_rows(self, params, ids, targets, mask, pad, bc):
-        rng = derived_rng(bc.seed, 0xD0, 3)
-        logits, cache = model.forward(params, ids, bc, drop_rng=rng, pad=pad)
+    def _all_rows(self, monkeypatch, params, ids, targets, mask, pad, bc, masks):
+        """The all-rows loss and gradients, and the same gradients with the
+        last layer's weight products and the head's term taken over the
+        loss rows of that run's own operands.  Its dropout nodes take the
+        (keep, scale) pairs of masks in order; a keep drawn for the loss
+        rows alone is scattered into a keep-all mask."""
+        rows, last = model.loss_rows(mask), f"l{bc.layers - 1}."
+        moved = {id(params[last + n]): last + n for n in ("attn.wo", "ffn.w1", "ffn.w2")}
+        gathered, linear_bwd, embed_bwd = {}, grad.linear_bwd, grad.embed_bwd
+
+        def replay(x, rate, rng):
+            keep, scale = masks.pop(0)
+            if keep.shape != x.shape:  # drawn for the loss rows alone
+                full = np.ones(x.shape, dtype=bool)
+                full[rows] = keep
+                keep = full
+            out = x * keep
+            out *= scale
+            return out, grad._node(keep=keep, scale=scale)
+
+        def spy_linear(node, u, x=None):
+            g = linear_bwd(node, u, x=x)
+            if id(node.saved["w"]) in moved:
+                x = node.saved["x"] if x is None else x
+                gathered[moved[id(node.saved["w"])]] = x[rows].T @ u[rows]
+            return g
+
+        def spy_embed(node, u):
+            gathered["table"] = embed_bwd(node, u)["table"]
+            return {"table": gathered["table"]}
+
+        with monkeypatch.context() as patch:
+            patch.setattr(grad, "dropout_fwd", replay)
+            logits, cache = model.forward(params, ids, bc, drop_rng=make_rng(0), pad=pad)
+        assert not masks
+        x_final = grad.layer_norm_out(cache["layers"][-1]["nln2"])
         loss, node = grad.cross_entropy_masked_fwd(logits, targets, mask)
         dlogits = grad.cross_entropy_masked_bwd(node, 1.0)["logits"]
-        return loss, model.backward_from_cache(cache, dlogits)
+        with monkeypatch.context() as patch:
+            patch.setattr(grad, "linear_bwd", spy_linear)
+            patch.setattr(grad, "embed_bwd", spy_embed)
+            grads = model.backward_from_cache(cache, dlogits)
+        embed = dlogits[rows].T @ x_final[rows]
+        embed += gathered.pop("table")
+        return loss, grads, {**grads, **gathered, "embed": embed}
 
     @staticmethod
     def _logit_shapes(monkeypatch, module):
@@ -347,29 +391,46 @@ class TestLossRows:
         return shapes
 
     def _assert_same(self, monkeypatch, params, ids, targets, mask, pad, bc):
-        want_loss, want = self._all_rows(params, ids, targets, mask, pad, bc)
+        masks, dropout_fwd = [], grad.dropout_fwd
+
+        def spy_dropout(x, rate, rng):
+            out, node = dropout_fwd(x, rate, rng)
+            masks.append((node.saved["keep"], node.saved["scale"]))
+            return out, node
+
         with monkeypatch.context() as patch:
             shapes = self._logit_shapes(patch, grad)
+            patch.setattr(grad, "dropout_fwd", spy_dropout)
             loss, grads = model.loss_and_grads(
                 params, ids, targets, mask, bc,
                 drop_rng=derived_rng(bc.seed, 0xD0, 3), pad=pad)
+        assert len(masks) == (2 * bc.layers if bc.dropout else 0)
+        want_loss, all_rows, want = self._all_rows(monkeypatch, params, ids, targets,
+                                                   mask, pad, bc, masks)
         assert shapes == [(model.loss_rows(mask).sum(), bc.vocab_size)]
         assert loss == want_loss
         # the same names in the same order: clip_global_norm sums in it
         assert list(grads) == list(want)
         for name in want:
             assert _same_bits(grads[name], want[name]), name
+            diff = np.max(np.abs(grads[name] - all_rows[name]))
+            assert diff <= 1e-12 * np.max(np.abs(all_rows[name])), name
 
     @pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(SHIPPED_CONFIGS))
     def test_loss_and_grads_equal_all_rows(self, monkeypatch, name):
-        bc, params, ids, targets, mask, pad = self._setup(name)
+        bc, params, ids, targets, mask, pad = self._setup(name, dropout=0.0)
         assert 1 < mask.sum() < mask.size
+        self._assert_same(monkeypatch, params, ids, targets, mask, pad, bc)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_dropout_masks_the_loss_rows(self, monkeypatch, name):
+        bc, params, ids, targets, mask, pad = self._setup(name, dropout=0.1)
         self._assert_same(monkeypatch, params, ids, targets, mask, pad, bc)
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_one_row_and_every_row(self, monkeypatch, name):
         # one row runs the all-rows path; every row gathers all of them
-        bc, params, ids, targets, _, _ = self._setup(name)
+        bc, params, ids, targets, _, _ = self._setup(name, dropout=0.0)
         one = np.zeros(self.SHAPE, dtype=bool)
         one[2, 5] = True
         for mask in (one, np.ones(self.SHAPE, dtype=bool)):

@@ -16,7 +16,10 @@ are the only tally hooks.  attention.py and masked.py keep the literal
 oracles they are checked against.  Attention ops take batches [B, N, d]
 only (a caller holding one sequence adds the batch axis); parameter
 gradients are summed over the batch.  The causal one is a chunk-wise scan over position-major states
-whose tape holds only each chunk's starting state.
+whose tape holds only each chunk's starting state.  The other dim
+backward also takes the projection wo that reads its output: O @ wo =
+V @ (A^T @ wo) sums over the d x d gates rather than over N positions, so
+wo's gradient and the core's need no [B, N, c*d] array.
 
 Memory: an op writes in place only into arrays it allocated itself, never
 into an input or an array held on a tape, save an `out=` argument
@@ -344,19 +347,37 @@ def _filter_gate(ws, fs):
     return ws[None, :, :, :] * fs[:, None, :, :]
 
 
-def dim_attention_multi_bwd(node, u):
+def dim_attention_multi_bwd(node, u, wo, rows=None):
+    """Gradients of Y = O @ wo, O = dim_attention_multi_fwd's [B, N, c*d]
+    output and wo [c*d, w] the projection that reads it (np.eye(c*d) where
+    none does), from u = dY [B, N, w]; "wo" is wo's gradient.
+
+    Taken in d-space: Y = V @ M with M = A^T @ wo [B, d, w], A^T the
+    filters' gates side by side [B, d, c*d].  So dM = V^T @ u, and
+    linear_bwd of M gives dA^T and, as one product over B*d rows, dwo;
+    dV = u @ M^T.  No [B, N, c*d] array is made.  With rows, a bool
+    [B, N] marking the same count r in every window, Y was read at those
+    rows alone: u holds their upstream [B*r, w] in row-major order, dM
+    sums over them and dV is zero elsewhere.
+    """
     s = node.saved
     q, k, v, ws = s["q"], s["k"], s["v"], s["ws"]
     b, n, d = q.shape
     c = ws.shape[0]
-    dv = u @ _filter_gate(ws, s["fs"]).reshape(b, c * d, d)
-    da = (u.transpose(0, 2, 1) @ v).reshape(b, c, d, d)
+    at = _filter_gate(ws, s["fs"]).reshape(b, c * d, d).transpose(0, 2, 1)
+    u = u.reshape(b, -1, u.shape[-1])
+    vr = v if rows is None else v[rows].reshape(b, -1, d)
+    gm = linear_bwd(_node(x=at, w=wo, has_bias=False), vr.transpose(0, 2, 1) @ u)
+    dv = u @ (at @ wo).transpose(0, 2, 1)
+    if rows is not None:
+        dv = scatter_rows(dv.reshape(-1, d), rows)
+    da = gm["x"].transpose(0, 2, 1).reshape(b, c, d, d)
     dws = np.einsum("bjm,bcjm->cjm", s["fs"], da)
     dfs = np.einsum("cjm,bcjm->bjm", ws, da)
     ds = _norm_bwd(dfs, s["fs"], s["mode"], n)
     dq = k @ ds.transpose(0, 2, 1)
     dk = q @ ds
-    return {"q": dq, "k": dk, "v": dv, "ws": dws}
+    return {"q": dq, "k": dk, "v": dv, "ws": dws, "wo": gm["w"]}
 
 
 # positions per chunk of the causal scan; at d=32 on a 2-vCPU Xeon, chunks

@@ -23,7 +23,9 @@ The backward pass is written out explicitly: forward stores per-layer tape
 nodes and `backward_from_cache` pops them node by node in reverse, so an
 array lives only while something reads it.  No node keeps a layer's input
 or a layer norm's output: the backward rebuilds each, bitwise, right before
-the product that reads it (`_layer_input`, `grad.layer_norm_out`).  The
+the product that reads it (`_layer_input`, `grad.layer_norm_out`).  The dim
+encoder's `attn.wo` node keeps no input at all: each core's backward takes
+its gradient in d-space (`grad.dim_attention_multi_bwd`).  The
 model writes in place only into arrays it owns and reads no more: a
 sublayer's fresh output takes its residual (`a += x`), and by grad's `out=`
 convention `relu_bwd(..., out=u)` runs in the upstream gradient.
@@ -166,9 +168,10 @@ def forward(params, ids, cfg: RunConfig, decoder=False, drop_rng=None,
     OpenBLAS at the configs/tiny-*.cfg widths and N = 100, at B = 8, 4
     and 2 (200 to 50 loss rows), not at B = 1 (25 rows).  The backward
     sums the last layer's weight gradients and the head's over those rows
-    alone, so with dropout off they agree with the all-rows ones to
-    rounding, not bitwise; with dropout on, each of the last layer's
-    masks is drawn for its gathered elements only.
+    alone, and a dim core's backward takes its upstream there, with no
+    [B, N, c*d] scatter; so with dropout off the gradients agree with the
+    all-rows ones to rounding, not bitwise; with dropout on, each of the
+    last layer's masks is drawn for its gathered elements only.
     """
     ids = np.asarray(ids)
     if pad is not None and not np.any(pad):
@@ -217,7 +220,8 @@ def _embedded(emb, cfg: RunConfig):
 
 
 def _linear_of_rebuilt(x, w, b=None):
-    """linear_fwd whose node keeps no x, which the backward rebuilds."""
+    """linear_fwd whose node keeps no x: the backward rebuilds it, or
+    needs none."""
     out, node = grad.linear_fwd(x, w, b)
     del node.saved["x"]
     return out, node
@@ -279,7 +283,11 @@ def _attention_fwd(params, x, lc, cfg: RunConfig, decoder, pad, drop_rng):
     concat = core(params, x, lc, cfg, decoder, pad)
     if rows is not None:
         x, concat = x[rows], concat.reshape(-1, concat.shape[-1])
-    a, lc["no"] = grad.linear_fwd(concat, params[p + "attn.wo"])
+    # the dim encoder's backward reads attn.wo's gradient from the core's
+    # tape, in d-space, and never its input
+    fold = cfg.attention == "dim" and not decoder
+    a, lc["no"] = (_linear_of_rebuilt if fold else grad.linear_fwd)(
+        concat, params[p + "attn.wo"])
     if drop_rng is not None:
         a, lc["ndrop1"] = grad.dropout_fwd(a, cfg.dropout, drop_rng)
     a += x  # a is this sublayer's own output, on no tape
@@ -361,12 +369,28 @@ def _attention_bwd(lc, dres, cfg: RunConfig, decoder, grads, layer_input):
     """Gradient of x from that of x + a, a = dropout(attention(x)); x is
     rebuilt by calling layer_input() once its first product needs it."""
     p, r = lc["prefix"], lc["rows"]
-    go = grad.linear_bwd(lc.pop("no"), _dropout_bwd(lc, "ndrop1", dres))
-    grads[p + "attn.wo"] = go["w"]
+    da = _dropout_bwd(lc, "ndrop1", dres)
+    # dim group g reads columns g of attn.wo's input
+    width = cfg.convs * cfg.head_dim
+    cols = [slice(g * width, (g + 1) * width) for g in range(cfg.groups)]
+    if cfg.attention == "dim" and not decoder:
+        # attn.wo's gradient comes from each group's core, in d-space; one
+        # group's projection is the parameter array itself, by which
+        # perfbench's tracer names the product
+        wo = lc.pop("no").saved["w"]
+        gas = [grad.dim_attention_multi_bwd(gc.pop("nattn"), da,
+                                            wo if cfg.groups == 1 else wo[g], rows=r)
+               for gc, g in zip(lc["groups"], cols)]
+        dwo = [ga.pop("wo") for ga in gas]
+        grads[p + "attn.wo"] = dwo[0] if cfg.groups == 1 else np.concatenate(dwo)
+    else:
+        go = grad.linear_bwd(lc.pop("no"), da)
+        grads[p + "attn.wo"] = go["w"]
+        dconcat = go.pop("x")
+    del da
     # the residual term, back at every position in the last layer; the
-    # core's input terms go into it once da, which may be dres, is read
+    # core's input terms go into it now that da, which may be dres, is read
     dx = dres if r is None else grad.scatter_rows(dres, r)
-    dconcat = go.pop("x")
     if cfg.attention == "token":
         b, n, dm = dx.shape
         h = cfg.heads
@@ -387,23 +411,20 @@ def _attention_bwd(lc, dres, cfg: RunConfig, decoder, grads, layer_input):
         gl = grad.linear_bwd(lc.pop("nqkv"), dqkv.reshape(b, n, 3 * dm), x=layer_input())
         grads[p + "attn.wqkv"] = gl["w"]
         dx += gl["x"]
-    else:
-        if r is not None:
-            dconcat = grad.scatter_rows(dconcat, r)
-        # forward zeroed q and k at padded positions, so their
-        # gradients there are already zero
-        width = cfg.convs * cfg.head_dim
-        x = None
-        for g, gc in enumerate(lc.pop("groups")):
-            du = dconcat[:, :, g * width:(g + 1) * width]
-            ga = (grad.masked_attention_multi_bwd if decoder
-                  else grad.dim_attention_multi_bwd)(gc.pop("nattn"), du)
-            grads[p + f"attn.filters{g}"] = ga.pop("ws")
-            x = layer_input() if x is None else x
-            for t in ("q", "k", "v"):
-                gl = grad.linear_bwd(gc.pop("n" + t), ga.pop(t), x=x)
-                grads[p + f"attn.w{t}{g}"] = gl["w"]
-                dx += gl["x"]
+        return dx
+    groups = lc.pop("groups")
+    if decoder:
+        gas = [grad.masked_attention_multi_bwd(gc.pop("nattn"), dconcat[:, :, g])
+               for gc, g in zip(groups, cols)]
+    # forward zeroed q and k at padded positions, so their gradients there
+    # are already zero
+    x = layer_input()
+    for g, (gc, ga) in enumerate(zip(groups, gas)):
+        grads[p + f"attn.filters{g}"] = ga.pop("ws")
+        for t in ("q", "k", "v"):
+            gl = grad.linear_bwd(gc.pop("n" + t), ga.pop(t), x=x)
+            grads[p + f"attn.w{t}{g}"] = gl["w"]
+            dx += gl["x"]
     return dx
 
 

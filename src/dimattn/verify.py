@@ -203,7 +203,9 @@ def fd_check(op: str, inputs: dict, attrs: dict | None = None) -> float:
         raise ValueError(f"unknown op id {op!r}")
     inputs = {name: np.array(arr) for name, arr in inputs.items()}  # perturbed in place
     out, node = fwd(**inputs, **attrs)
-    analytic = bwd(node, np.ones_like(out) if np.ndim(out) else 1.0)
+    # the dim backward takes the projection that reads its output: none here
+    proj = (np.eye(out.shape[-1]),) if op == "dim_attention_multi" else ()
+    analytic = bwd(node, np.ones_like(out) if np.ndim(out) else 1.0, *proj)
     return _fd_worst(lambda: float(np.sum(fwd(**inputs, **attrs)[0])), inputs, analytic)
 
 
@@ -270,18 +272,21 @@ def suite_gradient_ops(seed=0):
     q, k, v, w = (r.standard_normal((1, 4, 3)) for _ in range(4))
     w = r.standard_normal((3, 3))
     zero_ok = True
-    for op, args in (("token_attention", (q, k, v, True)),
-                     ("dim_attention_multi", (q, k, v, w[None], "softmax_rows_over_k")),
-                     ("masked_attention_multi", (q, k, v, w[None]))):
+    wo = r.standard_normal((3, 3))  # the projection after the dim core
+    for op, args, proj in (
+            ("token_attention", (q, k, v, True), ()),
+            ("dim_attention_multi", (q, k, v, w[None], "softmax_rows_over_k"), (wo,)),
+            ("masked_attention_multi", (q, k, v, w[None]), ())):
         out, node = getattr(grad, op + "_fwd")(*args)
-        zeros = getattr(grad, op + "_bwd")(node, np.zeros_like(out))
+        zeros = getattr(grad, op + "_bwd")(node, np.zeros_like(out), *proj)
         zero_ok &= all(not g.any() for g in zeros.values())
 
-    # duplicated input: d/dQ of op(Q, Q, V) equals the sum of both partials
+    # duplicated input: d/dQ of op(Q, Q, V) @ wo equals the sum of both partials
     out, node = grad.dim_attention_multi_fwd(q, q, v, w[None], mode="none")
-    gs = grad.dim_attention_multi_bwd(node, np.ones_like(out))
+    gs = grad.dim_attention_multi_bwd(node, np.ones_like(out), wo)
     worst_dup = _fd_worst(
-        lambda: float(np.sum(grad.dim_attention_multi_fwd(q, q, v, w[None], mode="none")[0])),
+        lambda: float(np.sum(grad.dim_attention_multi_fwd(q, q, v, w[None], mode="none")[0]
+                             @ wo)),
         {"q": q}, {"q": gs["q"] + gs["k"]}, h=1e-6)
     ok = not bad and zero_ok and softmax_ok and worst_dup <= 1e-4
     detail = ", ".join(f"{k} {v:.1e}" for k, v in sorted(worst.items(),

@@ -32,6 +32,16 @@ def test_workload_checks_pass(name, corpus_path):
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_tracer_attributes_two_steps(name, corpus_path, tmp_path):
+    """Every layer the tracer reports is seen, with its calls per step.
+
+    `attn.wo`'s backward is one `grad.linear_bwd` per layer on every
+    workload: the token and causal layers call it on the projection's own
+    node, the dim encoder from inside each group's core backward, which
+    hands it the parameter array itself.  With groups > 1 the dim encoder
+    passes each group's slice of `attn.wo`, which the tracer, naming a
+    linear by its weight array, reads as `linear.other`; no workload runs
+    more than one group.
+    """
     prog = program.load()
     spec = dict(workloads.run_config_fields(name, corpus_path, 1), steps=2,
                 eval_batches=1)
@@ -48,4 +58,6 @@ def test_tracer_attributes_two_steps(name, corpus_path, tmp_path):
     # one fused q|k|v projection per token layer, 3 per group for dim
     per_layer = 1 if cfg.attention == "token" else 3 * cfg.groups
     assert summary["layers"]["grad.linear.attn_in.fwd"]["calls"] == per_layer * cfg.layers
+    for direction in ("fwd", "bwd"):
+        assert summary["layers"][f"grad.linear.attn_out.{direction}"]["calls"] == cfg.layers
     assert summary["tape_mb"][attention] > 0

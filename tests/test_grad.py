@@ -135,15 +135,19 @@ class TestAttentionRules:
         q = r.standard_normal((1, 4, 3))
         v = r.standard_normal((1, 4, 3))
         ws = r.standard_normal((1, 3, 3))
+        wo = r.standard_normal((3, 5))
         out, node = grad.dim_attention_multi_fwd(q, q, v, ws, mode="none")
-        gs = grad.dim_attention_multi_bwd(node, np.ones_like(out))
+        gs = grad.dim_attention_multi_bwd(node, np.ones((1, 4, 5)), wo)
         shared = gs["q"] + gs["k"]
         h = 1e-6
+
+        def loss(x):
+            return np.sum(grad.dim_attention_multi_fwd(x, x, v, ws, mode="none")[0] @ wo)
+
         for idx in [(0, 0, 0), (0, 2, 1), (0, 3, 2)]:
             qp = q.copy(); qp[idx] += h
             qm = q.copy(); qm[idx] -= h
-            num = (np.sum(grad.dim_attention_multi_fwd(qp, qp, v, ws, mode="none")[0])
-                   - np.sum(grad.dim_attention_multi_fwd(qm, qm, v, ws, mode="none")[0])) / (2 * h)
+            num = (loss(qp) - loss(qm)) / (2 * h)
             assert abs(num - shared[idx]) / max(abs(num), 1e-8) <= 1e-4
 
     def test_zero_upstream_zero_gradients(self):
@@ -152,6 +156,11 @@ class TestAttentionRules:
         ws = r.standard_normal((1, 2, 2))
         out, node = grad.masked_attention_multi_fwd(q, k, v, ws)
         gs = grad.masked_attention_multi_bwd(node, np.zeros_like(out))
+        assert all(not g.any() for g in gs.values())
+        out, node = grad.dim_attention_multi_fwd(q, k, v, ws, mode="softmax_rows_over_k")
+        gs = grad.dim_attention_multi_bwd(node, np.zeros((1, 4, 5)),
+                                          r.standard_normal((2, 5)))
+        assert sorted(gs) == ["k", "q", "v", "wo", "ws"]
         assert all(not g.any() for g in gs.values())
 
 
@@ -291,8 +300,8 @@ class TestFdCheck:
 
 
 def _dk_flipped(bwd):
-    def mutant(node, u):
-        gs = bwd(node, u)
+    def mutant(node, u, *proj, **rows):
+        gs = bwd(node, u, *proj, **rows)
         return dict(gs, k=-gs["k"])
     return mutant
 
@@ -546,3 +555,86 @@ class TestGatheredRows:
         assert _same_bits(got["q"], gathered(want["q"]))
         assert _same_bits(got["k"], want["k"])
         assert _same_bits(got["v"], want["v"])
+
+
+def _unfolded_dim_bwd(out, node, u, wo, rows=None):
+    """The chain the d-space backward replaced, kept as its oracle:
+    linear_bwd of the projection wo over the core's output O (its `rows`
+    alone), then the N-space core backward on du = u @ wo^T scattered back
+    to [B, N, c*d]."""
+    s = node.saved
+    q, k, v, ws, fs = (s[name] for name in ("q", "k", "v", "ws", "fs"))
+    b, n, d = q.shape
+    c = ws.shape[0]
+    go = grad.linear_bwd(grad.linear_fwd(out if rows is None else out[rows], wo)[1], u)
+    du = go["x"] if rows is None else grad.scatter_rows(go["x"], rows)
+    dv = du @ grad._filter_gate(ws, fs).reshape(b, c * d, d)
+    da = (du.transpose(0, 2, 1) @ v).reshape(b, c, d, d)
+    ds = grad._norm_bwd(np.einsum("cjm,bcjm->bjm", ws, da), fs, s["mode"], n)
+    return {"q": k @ ds.transpose(0, 2, 1), "k": q @ ds, "v": dv,
+            "ws": np.einsum("bjm,bcjm->cjm", fs, da), "wo": go["w"]}
+
+
+class TestDimBackwardInDSpace:
+    """dim_attention_multi_bwd takes the projection wo that reads the
+    core's output into its backward, in d-space, and must agree with the
+    N-space chain it replaced: every gradient within 1e-13 relative in
+    f64 (1e-5 in f32, in f32), per group of a wider wo, with a padded
+    tail, at the loss rows and at every row."""
+
+    B, N, D, C = 3, 12, 4, 3
+
+    # every gradient's max |diff| relative to its max |value|
+    @staticmethod
+    def _worst(got, want):
+        return max(float(np.abs(got[t] - want[t]).max() / np.abs(want[t]).max())
+                   for t in want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("rows", [False, True], ids=["all-rows", "loss-rows"])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("mode", NORM_MODES)
+    def test_equals_the_n_space_chain(self, mode, groups, rows, dtype):
+        b, n, d, c = self.B, self.N, self.D, self.C
+        r = make_rng(groups + 2 * rows + 4 * NORM_MODES.index(mode))
+        # each group's slice of wo is square, so a transposed wo keeps its shape
+        wo = r.standard_normal((groups * c * d, c * d)).astype(dtype)
+        pad = np.zeros((b, n), dtype=bool)
+        pad[-1, n - 4:] = True  # a padded tail: the model zeroes q and k there
+        keep = (~pad).astype(dtype)[:, :, None]
+        picked = model.loss_rows((r.random((b, n)) < 0.2) & ~pad) if rows else None
+        u = r.standard_normal((b, n, c * d)).astype(dtype)
+        if rows:
+            u = u[picked]
+        dwo, want_wo = [], []
+        for g in range(groups):
+            q, k, v = (r.standard_normal((b, n, d)).astype(dtype) for _ in range(3))
+            ws = r.standard_normal((c, d, d)).astype(dtype)
+            out, node = grad.dim_attention_multi_fwd(q * keep, k * keep, v, ws, mode=mode)
+            proj = wo[g * c * d:(g + 1) * c * d]
+            got = grad.dim_attention_multi_bwd(node, u, proj, rows=picked)
+            want = _unfolded_dim_bwd(out, node, u, proj, picked)
+            assert all(a.dtype == dtype for a in got.values())
+            assert self._worst(got, want) <= (1e-13 if dtype == np.float64 else 1e-5)
+            assert not got["q"][pad].any() and not got["k"][pad].any()
+            if rows:
+                assert not got["v"][~picked].any()
+            dwo.append(got["wo"])
+            want_wo.append(want["wo"])
+        # the groups' wo gradients stack as their slices of wo do
+        assert self._worst({"wo": np.concatenate(dwo)}, {"wo": np.concatenate(want_wo)}) \
+            <= (1e-13 if dtype == np.float64 else 1e-5)
+
+    def test_identity_projection_is_the_core_alone(self):
+        # with no projection, the backward of O itself: dwo is O^T u
+        b, n, d, c = self.B, self.N, self.D, self.C
+        r = make_rng(3)
+        q, k, v = (r.standard_normal((b, n, d)) for _ in range(3))
+        out, node = grad.dim_attention_multi_fwd(q, k, v, r.standard_normal((c, d, d)),
+                                                 mode="softmax_cols_over_j")
+        u = r.standard_normal(out.shape)
+        got = grad.dim_attention_multi_bwd(node, u, np.eye(c * d))
+        want = _unfolded_dim_bwd(out, node, u, np.eye(c * d))
+        assert self._worst(got, want) <= 1e-13
+        assert np.abs(got["wo"] - out.reshape(-1, c * d).T @ u.reshape(-1, c * d)).max() \
+            <= 1e-13 * np.abs(got["wo"]).max()

@@ -334,23 +334,30 @@ class TestLossRows:
 
     def _all_rows(self, monkeypatch, params, ids, targets, mask, pad, bc, masks):
         """The all-rows loss and gradients, and the same gradients with the
-        last layer's weight products and the head's term taken over the
-        loss rows of that run's own operands.  Its dropout nodes take the
-        (keep, scale) pairs of masks in order; a keep drawn for the loss
-        rows alone is scattered into a keep-all mask."""
+        last layer's weight products, its dim cores' backward and the
+        head's term taken over the loss rows of that run's own operands.
+        Its dropout nodes take the (keep, scale) pairs of masks in order; a
+        keep drawn for the loss rows alone is scattered into a keep-all
+        mask."""
         rows, last = model.loss_rows(mask), f"l{bc.layers - 1}."
-        moved = {id(params[last + n]): last + n for n in ("attn.wo", "ffn.w1", "ffn.w2")}
+        last_wo = params[last + "attn.wo"]
+        # a dim encoder takes attn.wo's gradient in its cores' backward
+        token_wo = ("attn.wo",) if bc.attention == "token" else ()
+        moved = {id(params[last + n]): last + n for n in token_wo + ("ffn.w1", "ffn.w2")}
         gathered, linear_bwd, embed_bwd = {}, grad.linear_bwd, grad.embed_bwd
+        dim_bwd = grad.dim_attention_multi_bwd
 
-        def replay(x, rate, rng):
-            keep, scale = masks.pop(0)
-            if keep.shape != x.shape:  # drawn for the loss rows alone
-                full = np.ones(x.shape, dtype=bool)
-                full[rows] = keep
-                keep = full
-            out = x * keep
-            out *= scale
-            return out, grad._node(keep=keep, scale=scale)
+        def replay(pending):
+            def dropout_fwd(x, rate, rng):
+                keep, scale = pending.pop(0)
+                if keep.shape != x.shape:  # drawn for the loss rows alone
+                    full = np.ones(x.shape, dtype=bool)
+                    full[rows] = keep
+                    keep = full
+                out = x * keep
+                out *= scale
+                return out, grad._node(keep=keep, scale=scale)
+            return dropout_fwd
 
         def spy_linear(node, u, x=None):
             g = linear_bwd(node, u, x=x)
@@ -359,24 +366,39 @@ class TestLossRows:
                 gathered[moved[id(node.saved["w"])]] = x[rows].T @ u[rows]
             return g
 
+        def spy_dim(node, u, wo, rows=None):
+            # the last layer's core, over the loss rows of its upstream:
+            # its dM = V^T u, and so each gradient it passes on
+            if wo is last_wo or wo.base is last_wo:
+                picked = model.loss_rows(mask)
+                return dim_bwd(node, u[picked], wo, rows=picked)
+            return dim_bwd(node, u, wo, rows=rows)
+
         def spy_embed(node, u):
             gathered["table"] = embed_bwd(node, u)["table"]
             return {"table": gathered["table"]}
 
-        with monkeypatch.context() as patch:
-            patch.setattr(grad, "dropout_fwd", replay)
-            logits, cache = model.forward(params, ids, bc, drop_rng=make_rng(0), pad=pad)
-        assert not masks
-        x_final = grad.layer_norm_out(cache["layers"][-1]["nln2"])
-        loss, node = grad.cross_entropy_masked_fwd(logits, targets, mask)
-        dlogits = grad.cross_entropy_masked_bwd(node, 1.0)["logits"]
-        with monkeypatch.context() as patch:
-            patch.setattr(grad, "linear_bwd", spy_linear)
-            patch.setattr(grad, "embed_bwd", spy_embed)
-            grads = model.backward_from_cache(cache, dlogits)
-        embed = dlogits[rows].T @ x_final[rows]
+        def run(spies):
+            pending = list(masks)
+            with monkeypatch.context() as patch:
+                patch.setattr(grad, "dropout_fwd", replay(pending))
+                logits, cache = model.forward(params, ids, bc, drop_rng=make_rng(0),
+                                              pad=pad)
+            assert not pending
+            loss, node = grad.cross_entropy_masked_fwd(logits, targets, mask)
+            dlogits = grad.cross_entropy_masked_bwd(node, 1.0)["logits"]
+            x_final = grad.layer_norm_out(cache["layers"][-1]["nln2"])
+            with monkeypatch.context() as patch:
+                for name, spy in spies.items():
+                    patch.setattr(grad, name, spy)
+                grads = model.backward_from_cache(cache, dlogits)
+            return loss, grads, dlogits[rows].T @ x_final[rows]
+
+        loss, all_rows, _ = run({})
+        _, grads, embed = run({"linear_bwd": spy_linear, "dim_attention_multi_bwd": spy_dim,
+                               "embed_bwd": spy_embed})
         embed += gathered.pop("table")
-        return loss, grads, {**grads, **gathered, "embed": embed}
+        return loss, all_rows, {**grads, **gathered, "embed": embed}
 
     @staticmethod
     def _logit_shapes(monkeypatch, module):
@@ -564,14 +586,15 @@ class TestBackwardConsumesCache:
         assert excess <= 5.0, f"backward peak {excess:.1f} activations above the tape"
 
     @pytest.mark.parametrize("attention,decoder,b,n,bound", [
-        ("dim", False, 8, 100, 11.0), ("token", False, 8, 100, 13.8),
+        ("dim", False, 8, 100, 7.5), ("token", False, 8, 100, 13.8),
         ("dim", True, 1, 256, 16.5), ("token", True, 1, 256, 19.5),
     ], ids=["dim-encoder", "token-encoder", "dim-decoder", "token-decoder"])
     def test_forward_tape_holds_each_fact_once(self, rng, attention, decoder, b, n, bound):
-        # what the forward leaves live, in activations [B*N, d_model]: 9.5,
+        # what the forward leaves live, in activations [B*N, d_model]: 7.0,
         # 12.0, 14.3 and 16.8 measured.  A token tape keeping its [B*h, N, N]
         # probabilities, linear nodes keeping their layer-norm inputs and
-        # the dim tape keeping W_f * f(S) read 14.3, 23.2, 19.3 and 53.6
+        # the dim tape keeping W_f * f(S) read 14.3, 23.2, 19.3 and 53.6; the
+        # dim encoder's attn.wo node keeping the core's output read 9.5
         bc, params, ids, _, rows = self._tape_model(rng, attention, decoder, b, n)
         # once untraced, so the cached position table is not counted
         model.forward(params, ids, bc, decoder=decoder, rows=rows)

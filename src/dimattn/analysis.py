@@ -5,8 +5,9 @@ kernel hooks make, under the same counting convention: a length-L dot
 product is L multiplies and L-1 adds; elementwise products count one
 multiply per entry; softmax exponentials/divisions and scalar scaling are
 excluded.  The token, dim and streaming causal reports equal the `grad`
-kernels' counters integer for integer; the naive causal report alone
-states the cost of the literal oracles, which carry no hooks.
+kernels' counters integer for integer, save a causal token kernel's,
+which counts the fewer keys its tiles read; the naive causal report
+alone states the cost of the literal oracles, which carry no hooks.
 
 Scaling identities used by the verification suites (exact, not asymptotic):
 
@@ -19,10 +20,8 @@ Scaling identities used by the verification suites (exact, not asymptotic):
 
 Benchmarks time the `grad` forward kernels that training runs (one filter
 is ws[None]) on identical seeded inputs and report the median of k >= 5
-timed repeats after three discarded warmup runs.  Token-wise attention is
-called on blocks of query rows, which are independent without a causal
-mask, so long-N timings never hold the full N x N matrix; the arithmetic
-per row is identical.
+timed repeats after three discarded warmup runs.  The token kernel walks
+tiles of query rows, so long-N timings never hold the full N x N matrix.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import grad, masked
 from .opcount import OpTally
@@ -101,29 +98,13 @@ def flops_masked(n: int, d: int, streaming: bool) -> OpTally:
 # wall-clock sweeps
 # ---------------------------------------------------------------------------
 
-# Rows per token-attention call: a 32 x N score block is 1 MB at N = 4096,
-# small enough to stay in a 2 MB L2 through the softmax passes over it;
-# at 128 rows it spills from N = 2048 on and the timings scale faster than N^2.
-_TOKEN_ROW_BLOCK = 32
-
-
-def token_attention_rows(q, k, v) -> np.ndarray:
-    """Non-causal `grad.token_attention_fwd` of one sequence [N, d],
-    evaluated on blocks of _TOKEN_ROW_BLOCK query rows."""
-    out = np.empty_like(v)
-    for lo in range(0, q.shape[0], _TOKEN_ROW_BLOCK):
-        hi = lo + _TOKEN_ROW_BLOCK
-        out[lo:hi] = grad.token_attention_fwd(q[None, lo:hi], k[None], v[None])[0][0]
-    return out
-
-
 def _bench_one(variant: str, n: int, d: int, rng) -> tuple:
     q = rng.standard_normal((n, d))
     k = rng.standard_normal((n, d))
     v = rng.standard_normal((n, d))
     w = rng.standard_normal((d, d))
     if variant == "token_encoder":
-        fn = lambda: token_attention_rows(q, k, v)
+        fn = lambda: grad.token_attention_fwd(q[None], k[None], v[None])
         flops = flops_token_attention(n, d).total
     elif variant == "dim_encoder":
         fn = lambda: grad.dim_attention_multi_fwd(q[None], k[None], v[None], w[None],

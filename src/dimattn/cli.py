@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(path) -> None:
+def check_out(path) -> None:
     """ValueError, before any work, unless a file can be made at `path`."""
     if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
         raise ValueError(f"cannot write {path}: it is a directory or its directory is missing")
@@ -99,7 +99,7 @@ def _cmd_bench(args) -> int:
     from . import analysis
     variants = [v for v in args.variants.split(",") if v]
     try:
-        _check_out(args.out)
+        check_out(args.out)
         result = analysis.bench_sweep(variants, _int_list(args.N), _int_list(args.d),
                                       repeats=args.repeats, seed=args.seed)
     except ValueError as e:
@@ -112,7 +112,7 @@ def _cmd_bench(args) -> int:
 def _cmd_flops(args) -> int:
     from . import analysis
     try:
-        _check_out(args.out)
+        check_out(args.out)
         token = analysis.flops_token_attention(args.N, args.d, args.heads,
                                                include_projections=args.projections)
         dim = analysis.flops_dim_attention(args.N, args.d, args.groups, args.convs,

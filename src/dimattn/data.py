@@ -157,13 +157,17 @@ def split_windows(win: np.ndarray, pad: np.ndarray, valid_fraction: float):
     return (win[:cut], pad[:cut]), (win[cut:], pad[cut:])
 
 
+def _batch_rows(num, seed, step, batch_size, eval_mode):
+    """The window indices of batch `step` out of `num` windows: eval
+    batches run through them in order, training batches draw them."""
+    if eval_mode:
+        return np.arange(step * batch_size, min((step + 1) * batch_size, num))
+    return derived_rng(seed, _STREAM_BATCH, step).integers(0, num, size=batch_size)
+
+
 def mlm_batch(win, pad, vocab_size, seed, step, batch_size, eval_mode=False):
     """Assemble one masked batch; eval batches use per-window mask streams."""
-    num = win.shape[0]
-    if eval_mode:
-        rows = np.arange(step * batch_size, min((step + 1) * batch_size, num))
-    else:
-        rows = derived_rng(seed, _STREAM_BATCH, step).integers(0, num, size=batch_size)
+    rows = _batch_rows(win.shape[0], seed, step, batch_size, eval_mode)
     inputs, targets, flags = [], [], []
     for j, r in enumerate(rows):
         if eval_mode:
@@ -185,11 +189,7 @@ def mlm_batch(win, pad, vocab_size, seed, step, batch_size, eval_mode=False):
 def clm_batch(win, pad, seed, step, batch_size, eval_mode=False):
     """Next-token batch: position i predicts token i+1; pads and the final
     position carry no loss."""
-    num = win.shape[0]
-    if eval_mode:
-        rows = np.arange(step * batch_size, min((step + 1) * batch_size, num))
-    else:
-        rows = derived_rng(seed, _STREAM_BATCH, step).integers(0, num, size=batch_size)
+    rows = _batch_rows(win.shape[0], seed, step, batch_size, eval_mode)
     ids = win[rows]
     pads = pad[rows]
     targets = np.full_like(ids, IGNORE_ID)

@@ -23,15 +23,15 @@ wo's gradient and the core's need no [B, N, c*d] array.
 
 Memory: an op writes in place only into arrays it allocated itself, never
 into an input or an array held on a tape, save an `out=` argument
-(`softmax_fwd`, `softmax_vjp`, `relu_bwd`): there the caller hands over an
-array it owns and reads no more, often the upstream gradient, for the
-result.  Within that rule the elementwise ops build their results in place
-(`out += b`, `dx *= inv_std`) rather than through chains of temporaries,
-with the same IEEE operations in the same order as the one-line formulas,
-so results are bitwise those formulas'.  A tape holds each fact once: the
+(`softmax_vjp`, `relu_bwd`): there the caller hands over an array it owns
+and reads no more, often the upstream gradient, for the result.  Within
+that rule the elementwise ops build their results in place (`out += b`,
+`dx *= inv_std`) rather than through chains of temporaries, with the same
+IEEE operations in the same order as the one-line formulas, so results
+are bitwise those formulas'.  A tape holds each fact once: the
 backward rebuilds, by the forward's own code, what one cheap operation makes
 from what it keeps (token probabilities, W_f * f(S), a layer norm's output).
-The token core walks blocks of _TOKEN_BLOCK heads, so a block's scores,
+The token core walks tiles of heads by query rows, so a tile's scores,
 probabilities and their gradient stay in L2, in buffers it owns.
 """
 
@@ -179,11 +179,11 @@ def layer_norm_bwd(node, u):
     }
 
 
-def softmax_fwd(x, axis=-1, out=None):
+def softmax_fwd(x, axis=-1):
     """Softmax along `axis`, maximum subtracted first; the one softmax every
     op and oracle uses.  Returns p alone: a caller that needs the backward
-    keeps p for softmax_vjp.  With out=x it runs in place."""
-    return _softmax(x, axis, out)[0]
+    keeps p for softmax_vjp."""
+    return _softmax(x, axis, None)[0]
 
 
 def _softmax(x, axis, out, peak=None, total=None):
@@ -246,28 +246,57 @@ def _norm_bwd(dfs, fs, mode, n):
 
 
 # heads per block of the token core: a block's [8, 100, 100] scores take
-# 640 KB, so they and their gradient (`dp`), the only block-sized arrays,
+# 640 KB, so they and their gradient (`dp`), the only tile-sized arrays,
 # stay in a 2 MB L2.  On a 2-vCPU Xeon, forward plus backward took longer
 # in blocks of 4, 16 or 32, and longer still unblocked
 _TOKEN_BLOCK = 8
+# bytes of a tile's scores, which fix its rows: a block of the mlm-token
+# core ([8, 100, 100] in f64) is one tile; one head at N = 4096 takes 32 rows
+_TOKEN_TILE_BYTES = 1 << 20
 
 
-def _token_scores(s, blk, out):
-    """The scaled, masked scores of heads `blk` of a token tape s, in out."""
+def _token_tiles(s, count):
+    """(heads, query rows, key count, `count` scratch arrays [heads, rows,
+    keys]) for each tile of a token tape s: up to _TOKEN_BLOCK heads by the
+    rows whose scores fit _TOKEN_TILE_BYTES.  A causal tile reads the keys
+    up to its last row; a block's last rows come first and read every key."""
+    (b, nq, _), n, dtype = s["q"].shape, s["k"].shape[1], s["peak"].dtype
+    rows = max(1, _TOKEN_TILE_BYTES // (min(b, _TOKEN_BLOCK) * n * dtype.itemsize))
+    bufs = [np.empty(min(b, _TOKEN_BLOCK) * min(rows, nq) * n, dtype) for _ in range(count)]
+    for lo in range(0, b, _TOKEN_BLOCK):
+        blk = slice(lo, min(lo + _TOKEN_BLOCK, b))
+        for r0 in reversed(range(0, nq, rows)):
+            r1 = min(r0 + rows, nq)
+            shape = (blk.stop - lo, r1 - r0, r1 if s["causal"] else n)
+            yield (blk, slice(r0, r1), shape[2],
+                   *(a[:math.prod(shape)].reshape(shape) for a in bufs))
+
+
+def _token_scores(s, blk, rows, keys, out):
+    """The scaled, masked scores of a tile of a token tape s, in out."""
     # the scale after the product: folded into q it is bitwise only
     # where sqrt(d) is a power of two
-    np.matmul(s["q"][blk], s["k"][blk].transpose(0, 2, 1), out=out)
+    np.matmul(s["q"][blk, rows], s["k"][blk, :keys].transpose(0, 2, 1), out=out)
     out *= s["scale"]
-    if s["causal"]:
-        np.copyto(out, -np.inf, where=np.triu(np.ones(out.shape[1:], dtype=bool), 1))
+    if s["causal"]:  # the tile's row i is row rows.start + i
+        np.copyto(out, -np.inf, where=np.triu(np.ones(out.shape[1:], bool), rows.start + 1))
     if s["key_pad"] is not None:
-        np.copyto(out, -np.inf, where=s["key_pad"][blk])
+        np.copyto(out, -np.inf, where=s["key_pad"][blk, :, :keys])
     return out
 
 
-def _token_probs(s, blk, out):
-    """The forward's probabilities of heads `blk`, rebuilt bitwise in out."""
-    return _softmax(_token_scores(s, blk, out), -1, out, s["peak"][blk], s["total"][blk])[0]
+def _token_probs(s, blk, rows, keys, out):
+    """The forward's probabilities of a tile, rebuilt bitwise in out."""
+    return _softmax(_token_scores(s, blk, rows, keys, out), -1, out,
+                    s["peak"][blk, rows], s["total"][blk, rows])[0]
+
+
+def _matmul_into(a, b, out, add):
+    """a @ b into out, or added to it with `add`."""
+    if add:
+        out += a @ b
+    else:
+        np.matmul(a, b, out=out)
 
 
 def token_attention_fwd(q, k, v, causal=False, key_pad=None):
@@ -276,47 +305,39 @@ def token_attention_fwd(q, k, v, causal=False, key_pad=None):
 
     Without `causal` the query rows are independent, so q may be any block
     of rows [B, Nq, d] of the full query matrix against all N keys.
-    Runs in blocks of _TOKEN_BLOCK leading entries in one buffer: every
-    entry's arithmetic is that of the whole-batch formulas, in the same
-    order, so the results are bitwise theirs.  The tape keeps q, k, v, the
-    masks and each query row's softmax max and sum [B, Nq, 1].
+    Runs in the tiles of _token_tiles, by the whole-batch formulas; a causal
+    row sums over its tile's keys alone.  The tape keeps q, k, v, the masks
+    and each query row's softmax max and sum [B, Nq, 1].
     """
     b, nq, d = q.shape
-    n = k.shape[1]
-    if TALLY.active:
-        TALLY.matmul("scores", nq, d, n, batch=b)
-        TALLY.matmul("attn_v", nq, n, d, batch=b)
     dtype = np.result_type(q, k, v)
     if key_pad is not None:
         key_pad = np.asarray(key_pad, dtype=bool)[:, None, :]
     s = dict(q=q, k=k, v=v, scale=1.0 / math.sqrt(d), causal=causal, key_pad=key_pad,
              peak=np.empty((b, nq, 1), dtype), total=np.empty((b, nq, 1), dtype))
-    p = np.empty((min(b, _TOKEN_BLOCK), nq, n), dtype)
     out = np.empty((b, nq, v.shape[2]), dtype)
-    for lo in range(0, b, _TOKEN_BLOCK):
-        blk = slice(lo, lo + _TOKEN_BLOCK)
-        pb = p[:b - lo]
-        _, s["peak"][blk], s["total"][blk] = _softmax(_token_scores(s, blk, pb), -1, pb)
-        np.matmul(pb, v[blk], out=out[blk])
+    for blk, rows, keys, pt in _token_tiles(s, 1):
+        if TALLY.active:
+            TALLY.matmul("scores", pt.shape[1], d, keys, batch=pt.shape[0])
+            TALLY.matmul("attn_v", pt.shape[1], keys, d, batch=pt.shape[0])
+        _, s["peak"][blk, rows], s["total"][blk, rows] = _softmax(
+            _token_scores(s, blk, rows, keys, pt), -1, pt)
+        np.matmul(pt, v[blk, :keys], out=out[blk, rows])
     return out, TapeNode(saved=s)
 
 
 def token_attention_bwd(node, u):
     s = node.saved
     q, k, v = s["q"], s["k"], s["v"]
-    b, dtype = q.shape[0], s["peak"].dtype
-    dq, dk, dv = (np.empty(a.shape, dtype) for a in (q, k, v))
-    p, dp = (np.empty((min(b, _TOKEN_BLOCK), q.shape[1], k.shape[1]), dtype)
-             for _ in range(2))
-    for lo in range(0, b, _TOKEN_BLOCK):
-        blk = slice(lo, lo + _TOKEN_BLOCK)
-        pb = _token_probs(s, blk, p[:b - lo])
-        ds = dp[:b - lo]
-        np.matmul(pb.transpose(0, 2, 1), u[blk], out=dv[blk])
-        np.matmul(u[blk], v[blk].transpose(0, 2, 1), out=ds)
-        softmax_vjp(pb, ds, out=ds)
-        np.matmul(ds, k[blk], out=dq[blk])
-        np.matmul(ds.transpose(0, 2, 1), q[blk], out=dk[blk])
+    dq, dk, dv = (np.empty(a.shape, s["peak"].dtype) for a in (q, k, v))
+    for blk, rows, keys, pt, ds in _token_tiles(s, 2):
+        pt, ut = _token_probs(s, blk, rows, keys, pt), u[blk, rows]
+        add = rows.stop < q.shape[1]  # rows above a block's first tile add to its dk, dv
+        _matmul_into(pt.transpose(0, 2, 1), ut, dv[blk, :keys], add)
+        np.matmul(ut, v[blk, :keys].transpose(0, 2, 1), out=ds)
+        softmax_vjp(pt, ds, out=ds)
+        np.matmul(ds, k[blk, :keys], out=dq[blk, rows])
+        _matmul_into(ds.transpose(0, 2, 1), q[blk, rows], dk[blk, :keys], add)
     dq *= s["scale"]
     dk *= s["scale"]
     return {"q": dq, "k": dk, "v": dv}

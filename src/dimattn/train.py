@@ -25,6 +25,7 @@ import numpy as np
 
 from . import data, model
 from .checkpoint import save_checkpoint
+from .cli import THREAD_VARS, check_out
 from .config import RunConfig
 from .grad import cross_entropy_masked_fwd
 
@@ -104,8 +105,6 @@ def _retain_heap() -> str:
 def _environment_lines() -> list:
     """numpy and BLAS versions, the BLAS thread pins and the heap policy,
     for `run.log`."""
-    from .cli import THREAD_VARS
-
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     lines = [f"numpy={np.__version__}",
              f"blas={blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"]
@@ -124,8 +123,7 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
     os.makedirs(ckpt_dir, exist_ok=True)
     if metrics_path is None:
         metrics_path = os.path.join(ckpt_dir, "metrics.csv")
-    elif os.path.isdir(metrics_path) or not os.path.isdir(os.path.dirname(metrics_path) or "."):
-        raise OSError(f"cannot write {metrics_path}: it is a directory or its directory is missing")
+    check_out(metrics_path)
 
     log_lines = cfg.echo_lines()
     log_lines.append(f"train_windows={train_split[0].shape[0]}")

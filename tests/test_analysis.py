@@ -57,6 +57,20 @@ class TestAnalyticCounts:
         rep = analysis.flops_token_attention(n, d, h)
         assert tally.by_component == rep.by_component
 
+    def test_causal_tiles_count_the_keys_they_read(self, rng):
+        # 2 heads over N = 512 take four row tiles of 128; the causal ones
+        # read 128, 256, 384 and 512 keys
+        n, d, h = 512, 8, 2
+        q, k, v = (rng.standard_normal((h, n, d)) for _ in range(3))
+        rep = analysis.flops_token_attention(n, d, h)
+        with counting() as tally:
+            grad.token_attention_fwd(q, k, v)
+        assert tally.by_component == rep.by_component
+        with counting() as tally:
+            grad.token_attention_fwd(q, k, v, causal=True)
+        assert rep.total // 2 < tally.total < rep.total
+        assert tally.by_component["scores"][0] == h * 128 * d * (128 + 256 + 384 + 512)
+
     def test_masked_counters_match(self, rng):
         n, d = 9, 3
         q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
@@ -145,6 +159,23 @@ class TestBenchSweep:
             fields = line.split(",")
             assert float(fields[5]) > 0.0
             assert int(fields[6]) > 0
+
+    @pytest.mark.parametrize("variant, kernel", [
+        ("token_encoder", "token_attention_fwd"), ("dim_encoder", "dim_attention_multi_fwd"),
+        ("masked_streaming", "masked_attention_multi_fwd"), ("masked_naive", None)])
+    def test_times_the_training_kernel(self, variant, kernel, monkeypatch):
+        # one call of the kernel training runs, over all N = 100 rows; the
+        # naive causal contender is the literal oracle and calls none of them
+        calls = []
+        for name in ("token_attention_fwd", "dim_attention_multi_fwd",
+                     "masked_attention_multi_fwd"):
+            def counted(*args, _name=name, _fn=getattr(grad, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(grad, name, counted)
+        fn, _ = analysis._bench_one(variant, 100, 4, np.random.default_rng(0))
+        fn()
+        assert calls == ([kernel] if kernel else [])
 
     def test_monotone_time_in_n(self):
         # large enough sizes that kernel time dominates call overhead

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dimattn import analysis, attention, grad, model
+from dimattn import attention, grad, model
 from dimattn.config import RunConfig
 from dimattn.opcount import counting
 
@@ -62,13 +62,14 @@ class TestTokenAttention:
         assert np.allclose(token_attention(q, k, v),
                            loop_token_attention(q, k, v), atol=1e-12)
 
-    def test_row_blocked_equals_full(self, rng):
-        # three blocks of rows, the last one partial
-        q, k, v = (rng.standard_normal((2 * analysis._TOKEN_ROW_BLOCK + 5, 4))
-                   for _ in range(3))
-        full = token_attention(q, k, v)
-        blocked = analysis.token_attention_rows(q, k, v)
-        assert np.abs(full - blocked).max() <= 1e-12
+    def test_row_blocked_equals_full(self, rng, monkeypatch):
+        q, k, v = (rng.standard_normal((69, 4)) for _ in range(3))
+        full = [token_attention(q, k, v, causal) for causal in (False, True)]
+        # three tiles of 32 query rows, the last one partial
+        monkeypatch.setattr(grad, "_TOKEN_TILE_BYTES", 32 * 69 * 8)
+        for causal, want in zip((False, True), full):
+            blocked = token_attention(q, k, v, causal)
+            assert np.abs(want - blocked).max() <= 1e-12
 
     def test_causal_first_row_is_value(self, rng):
         q, k, v = (rng.standard_normal((4, 3)) for _ in range(3))

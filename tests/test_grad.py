@@ -426,10 +426,13 @@ def _lane_mask(rng, shape, rate):
 
 
 class TestBlockedTokenCore:
-    """The token core walks blocks of grad._TOKEN_BLOCK heads in place; its
-    output, the probabilities the backward rebuilds, `dq`, `dk` and `dv`
-    must equal the whole-batch formulas bit for bit, it must write into no
-    input and not into its tape, and its tape must grow linearly in N."""
+    """The token core walks tiles of up to grad._TOKEN_BLOCK heads by query
+    rows in place.  Where each block is one tile, its output, the
+    probabilities the backward rebuilds, `dq`, `dk` and `dv` must equal the
+    whole-batch formulas bit for bit; across row tiles the non-causal
+    output, probabilities and `dq` still must, the rest within 1e-12.  It
+    must write into no input and not into its tape, and its tape must grow
+    linearly in N."""
 
     @staticmethod
     def _reference(q, k, v, u, causal, key_pad):
@@ -447,12 +450,11 @@ class TestBlockedTokenCore:
                           "k": (ds.transpose(0, 2, 1) @ q) * scale,
                           "v": p.transpose(0, 2, 1) @ u}
 
-    # 13 heads end in a part block; 64 are the mlm-token core's 8 x 8
-    @pytest.mark.parametrize("bh, d", [(13, 16), (13, 32), (64, 16)])
-    @pytest.mark.parametrize("queries, causal, padded", [
-        ("all", False, False), ("all", False, True), ("all", True, False),
-        ("all", True, True), ("gathered", False, True)])
-    def test_equals_whole_batch_formulas(self, bh, d, queries, causal, padded):
+    @classmethod
+    def _run(cls, bh, d, queries, causal, padded):
+        """The whole-batch formulas' output, probabilities and gradients;
+        the kernel's, with the probabilities its backward rebuilds tile by
+        tile; and its count of row tiles per block."""
         n = 100
         r = make_rng(bh + d)
         nq = 25 if queries == "gathered" else n
@@ -463,18 +465,59 @@ class TestBlockedTokenCore:
             key_pad = np.zeros((bh, n), dtype=bool)
             key_pad[-3:, 70:] = True
         _read_only(q, k, v, u)
-        want_out, want_p, want = self._reference(q, k, v, u, causal, key_pad)
+        want_out, want_p, want = cls._reference(q, k, v, u, causal, key_pad)
         out, node = grad.token_attention_fwd(q, k, v, causal=causal, key_pad=key_pad)
-        assert _same_bits(out, want_out)
         _read_only(*(a for a in node.saved.values() if isinstance(a, np.ndarray)))
-        p = np.empty(want_p.shape)
-        for lo in range(0, bh, grad._TOKEN_BLOCK):
-            blk = slice(lo, lo + grad._TOKEN_BLOCK)
-            grad._token_probs(node.saved, blk, p[blk])
-        assert _same_bits(p, want_p)
+        p, tiles = np.zeros(want_p.shape), 0
+        for blk, rows, keys, pt in grad._token_tiles(node.saved, 1):
+            p[blk, rows, :keys] = grad._token_probs(node.saved, blk, rows, keys, pt)
+            tiles += blk.start == 0
         got = grad.token_attention_bwd(node, u)
+        return (want_out, want_p, want), (out, p, got), tiles
+
+    # 13 heads end in a part block; 64 are the mlm-token core's 8 x 8
+    @pytest.mark.parametrize("bh, d", [(13, 16), (13, 32), (64, 16)])
+    @pytest.mark.parametrize("queries, causal, padded", [
+        ("all", False, False), ("all", False, True), ("all", True, False),
+        ("all", True, True), ("gathered", False, True)])
+    def test_equals_whole_batch_formulas(self, bh, d, queries, causal, padded):
+        (want_out, want_p, want), (out, p, got), tiles = self._run(bh, d, queries,
+                                                                   causal, padded)
+        assert tiles == 1
+        assert _same_bits(out, want_out)
+        assert _same_bits(p, want_p)
         for name in "qkv":
             assert _same_bits(got[name], want[name]), name
+
+    @pytest.mark.parametrize("bh, d", [(13, 16), (64, 16)])
+    @pytest.mark.parametrize("queries, causal, padded", [
+        ("all", False, False), ("all", False, True), ("all", True, False),
+        ("all", True, True), ("gathered", False, True)])
+    def test_row_tiles_equal_whole_batch_formulas(self, bh, d, queries, causal, padded,
+                                                  monkeypatch):
+        # scores of 8 heads x 10 rows x 100 keys: ten row tiles, three of 25
+        monkeypatch.setattr(grad, "_TOKEN_TILE_BYTES", 8 * 10 * 100 * 8)
+        (want_out, want_p, want), (out, p, got), tiles = self._run(bh, d, queries,
+                                                                   causal, padded)
+        assert tiles == (3 if queries == "gathered" else 10)
+
+        def close(a, b):
+            return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+        same = _same_bits if not causal else close
+        assert same(out, want_out)
+        assert same(p, want_p)
+        assert same(got["q"], want["q"])
+        assert close(got["k"], want["k"])
+        assert close(got["v"], want["v"])
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_fd_across_row_tiles(self, causal, monkeypatch):
+        # scores of 2 heads x 3 rows x 12 keys: four row tiles
+        monkeypatch.setattr(grad, "_TOKEN_TILE_BYTES", 2 * 3 * 12 * 8)
+        r = make_rng(83 + causal)
+        inputs = {name: r.standard_normal((2, 12, 3)) for name in "qkv"}
+        assert verify.fd_check("token_attention", inputs, attrs={"causal": causal}) <= 1e-4
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_tape_grows_linearly_in_n(self, causal):

@@ -6,8 +6,8 @@ returns the output plus a TapeNode holding whatever the backward rule
 needs; backward maps an upstream cotangent to per-input gradients.  This
 module holds training ops only: `verify.fd_check` checks each pair against
 central finite differences of the scalarizing loss sum(output).  Softmax
-alone has no node: its callers keep p for `softmax_vjp`, or its row max
-and sum, from which `_softmax` rebuilds p.
+alone has no node: its callers keep p for `softmax_vjp`.  The token core
+never forms p: it keeps each row's max and sum, and divides its output.
 
 The attention forwards here are the only fast implementation of each op:
 training runs them, `dimattn bench` times them and the FLOPs tally counts
@@ -15,24 +15,25 @@ them (opcount conventions, multiplied by batch and filter count); theirs
 are the only tally hooks.  attention.py and masked.py keep the literal
 oracles they are checked against.  Attention ops take batches [B, N, d]
 only (a caller holding one sequence adds the batch axis); parameter
-gradients are summed over the batch.  The causal one is a chunk-wise scan over position-major states
-whose tape holds only each chunk's starting state.  The other dim
-backward also takes the projection wo that reads its output: O @ wo =
-V @ (A^T @ wo) sums over the d x d gates rather than over N positions, so
-wo's gradient and the core's need no [B, N, c*d] array.
+gradients are summed over the batch.  The causal one is a chunk-wise scan
+over position-major states whose tape holds only each chunk's starting
+state.  The other dim backward also takes the projection wo that reads its
+output: O @ wo = V @ (A^T @ wo) sums over the d x d gates, not over N
+positions, so wo's gradient and the core's need no [B, N, c*d] array.  The
+token backward takes the output itself, which its caller keeps.
 
 Memory: an op writes in place only into arrays it allocated itself, never
-into an input or an array held on a tape, save an `out=` argument
-(`softmax_vjp`, `relu_bwd`): there the caller hands over an array it owns
-and reads no more, often the upstream gradient, for the result.  Within
-that rule the elementwise ops build their results in place (`out += b`,
-`dx *= inv_std`) rather than through chains of temporaries, with the same
-IEEE operations in the same order as the one-line formulas, so results
-are bitwise those formulas'.  A tape holds each fact once: the
-backward rebuilds, by the forward's own code, what one cheap operation makes
-from what it keeps (token probabilities, W_f * f(S), a layer norm's output).
-The token core walks tiles of heads by query rows, so a tile's scores,
-probabilities and their gradient stay in L2, in buffers it owns.
+into an input or an array held on a tape, save relu_bwd's `out=`: there
+the caller hands over the upstream gradient, which it reads no more, for
+the result.  Within that rule the elementwise ops build their results in
+place (`out += b`, `dx *= inv_std`) rather than through chains of
+temporaries, with the same IEEE operations in the same order as the
+one-line formulas, so results are bitwise those formulas'.  A tape holds
+each fact once: the backward rebuilds, by the forward's own code, what one
+cheap operation makes from what it keeps (the token core's exp(s - max),
+W_f * f(S), a layer norm's output).  The token core walks tiles of heads
+by query rows, so a tile's scores and their gradient stay in L2, in
+buffers it owns.
 """
 
 from __future__ import annotations
@@ -180,31 +181,22 @@ def layer_norm_bwd(node, u):
 
 
 def softmax_fwd(x, axis=-1):
-    """Softmax along `axis`, maximum subtracted first; the one softmax every
-    op and oracle uses.  Returns p alone: a caller that needs the backward
-    keeps p for softmax_vjp."""
-    return _softmax(x, axis, None)[0]
-
-
-def _softmax(x, axis, out, peak=None, total=None):
-    """softmax_fwd as (p, row max, row sum); given those of an earlier call
-    on the same x, it rebuilds that call's p bit for bit."""
-    peak = x.max(axis=axis, keepdims=True) if peak is None else peak
-    p = np.subtract(x, peak, out=out)
+    """Softmax along `axis`, maximum subtracted first; the one softmax of
+    every op and oracle but the token core (token_attention_fwd).  Returns p
+    alone: a caller that needs the backward keeps p for softmax_vjp."""
+    p = x - x.max(axis=axis, keepdims=True)
     np.exp(p, out=p)
-    total = p.sum(axis=axis, keepdims=True) if total is None else total
-    p /= total
+    p /= p.sum(axis=axis, keepdims=True)
     # a subnormal probability moves no result at this precision, but every
     # product that reads it runs many times slower
     p[p < np.finfo(p.dtype).tiny] = 0.0
-    return p, peak, total
+    return p
 
 
-def softmax_vjp(p, u, axis=-1, out=None):
-    """p * (u - sum(u * p)) along `axis`, the one softmax backward; with
-    out=u it runs in place.  Subnormal results are flushed to zero, as
-    softmax_fwd flushes its own."""
-    dx = np.subtract(u, (u * p).sum(axis=axis, keepdims=True), out=out)
+def softmax_vjp(p, u, axis=-1):
+    """p * (u - sum(u * p)) along `axis`, the one softmax backward.
+    Subnormal results are flushed to zero, as softmax_fwd flushes its own."""
+    dx = u - (u * p).sum(axis=axis, keepdims=True)
     dx *= p
     dx[np.abs(dx) < np.finfo(dx.dtype).tiny] = 0.0
     return dx
@@ -245,10 +237,9 @@ def _norm_bwd(dfs, fs, mode, n):
     return dfs
 
 
-# heads per block of the token core: a block's [8, 100, 100] scores take
-# 640 KB, so they and their gradient (`dp`), the only tile-sized arrays,
-# stay in a 2 MB L2.  On a 2-vCPU Xeon, forward plus backward took longer
-# in blocks of 4, 16 or 32, and longer still unblocked
+# heads per block of the token core: a block's [8, 100, 100] scores take 640 KB,
+# so they and their gradient `ds`, the only tile-sized arrays, stay in a 2 MB L2.
+# On a 2-vCPU Xeon, blocks of 4, 16 or 32 ran slower, and unblocked slower still
 _TOKEN_BLOCK = 8
 # bytes of a tile's scores, which fix its rows: a block of the mlm-token
 # core ([8, 100, 100] in f64) is one tile; one head at N = 4096 takes 32 rows
@@ -272,23 +263,22 @@ def _token_tiles(s, count):
                    *(a[:math.prod(shape)].reshape(shape) for a in bufs))
 
 
-def _token_scores(s, blk, rows, keys, out):
-    """The scaled, masked scores of a tile of a token tape s, in out."""
-    # the scale after the product: folded into q it is bitwise only
-    # where sqrt(d) is a power of two
-    np.matmul(s["q"][blk, rows], s["k"][blk, :keys].transpose(0, 2, 1), out=out)
-    out *= s["scale"]
+def _token_exp(s, blk, rows, keys, out, first=False):
+    """A tile's e = exp(scores - row max) in out, flushed as softmax_fwd's;
+    returns its queries times 1/sqrt(d), which make the scores.  The forward
+    puts the row max on the tape, so the backward's e is its bit for bit."""
+    qs = s["q"][blk, rows] * s["scale"]
+    np.matmul(qs, s["k"][blk, :keys].transpose(0, 2, 1), out=out)
     if s["causal"]:  # the tile's row i is row rows.start + i
         np.copyto(out, -np.inf, where=np.triu(np.ones(out.shape[1:], bool), rows.start + 1))
     if s["key_pad"] is not None:
         np.copyto(out, -np.inf, where=s["key_pad"][blk, :, :keys])
-    return out
-
-
-def _token_probs(s, blk, rows, keys, out):
-    """The forward's probabilities of a tile, rebuilt bitwise in out."""
-    return _softmax(_token_scores(s, blk, rows, keys, out), -1, out,
-                    s["peak"][blk, rows], s["total"][blk, rows])[0]
+    if first:
+        np.max(out, axis=-1, keepdims=True, out=s["peak"][blk, rows])
+    out -= s["peak"][blk, rows]
+    np.exp(out, out=out)
+    out[out < np.finfo(out.dtype).tiny] = 0.0
+    return qs
 
 
 def _matmul_into(a, b, out, add):
@@ -304,42 +294,49 @@ def token_attention_fwd(q, k, v, causal=False, key_pad=None):
     marks keys excluded from every query.
 
     Without `causal` the query rows are independent, so q may be any block
-    of rows [B, Nq, d] of the full query matrix against all N keys.
-    Runs in the tiles of _token_tiles, by the whole-batch formulas; a causal
-    row sums over its tile's keys alone.  The tape keeps q, k, v, the masks
-    and each query row's softmax max and sum [B, Nq, 1].
-    """
-    b, nq, d = q.shape
-    dtype = np.result_type(q, k, v)
-    if key_pad is not None:
-        key_pad = np.asarray(key_pad, dtype=bool)[:, None, :]
+    of rows [B, Nq, d] of the full query matrix against all N keys.  Runs in
+    the tiles of _token_tiles; a causal row sums over its tile's keys alone.
+    A tile's output is (e @ v) / rowsum(e), e = exp(s - row max): the
+    division runs over d columns, not N keys.  The tape keeps q, k, v, the
+    masks and each query row's max and sum [B, Nq, 1]."""
+    (b, nq, d), dtype = q.shape, np.result_type(q, k, v)
+    key_pad = None if key_pad is None else np.asarray(key_pad, dtype=bool)[:, None, :]
     s = dict(q=q, k=k, v=v, scale=1.0 / math.sqrt(d), causal=causal, key_pad=key_pad,
              peak=np.empty((b, nq, 1), dtype), total=np.empty((b, nq, 1), dtype))
     out = np.empty((b, nq, v.shape[2]), dtype)
-    for blk, rows, keys, pt in _token_tiles(s, 1):
+    for blk, rows, keys, et in _token_tiles(s, 1):
         if TALLY.active:
-            TALLY.matmul("scores", pt.shape[1], d, keys, batch=pt.shape[0])
-            TALLY.matmul("attn_v", pt.shape[1], keys, d, batch=pt.shape[0])
-        _, s["peak"][blk, rows], s["total"][blk, rows] = _softmax(
-            _token_scores(s, blk, rows, keys, pt), -1, pt)
-        np.matmul(pt, v[blk, :keys], out=out[blk, rows])
+            TALLY.matmul("scores", et.shape[1], d, keys, batch=et.shape[0])
+            TALLY.matmul("attn_v", et.shape[1], keys, d, batch=et.shape[0])
+        _token_exp(s, blk, rows, keys, et, first=True)
+        # not BLAS's e @ ones, which sums a row by its place in the tile
+        np.einsum("hrk,k->hr", et, np.ones(keys, dtype), out=s["total"][blk, rows, 0])
+        np.matmul(et, v[blk, :keys], out=out[blk, rows])
+        out[blk, rows] /= s["total"][blk, rows]
     return out, TapeNode(saved=s)
 
 
-def token_attention_bwd(node, u):
+def token_attention_bwd(node, u, out):
+    """Gradients of token_attention_fwd for upstream u, given its output
+    `out`, which the caller keeps (the model as attn.wo's input).  The
+    softmax backward's row term sum(p * (u @ v^T)) is delta = sum(u * out),
+    so a tile rebuilds e alone: dv = e^T (u / sum) and
+    ds = e * ((u / sum) @ v^T - delta / sum), FlashAttention-2's form."""
     s = node.saved
-    q, k, v = s["q"], s["k"], s["v"]
-    dq, dk, dv = (np.empty(a.shape, s["peak"].dtype) for a in (q, k, v))
-    for blk, rows, keys, pt, ds in _token_tiles(s, 2):
-        pt, ut = _token_probs(s, blk, rows, keys, pt), u[blk, rows]
+    q, k, v, total = s["q"], s["k"], s["v"], s["total"]
+    delta = np.einsum("bnd,bnd->bn", u, out)[..., None] / total
+    dq, dk, dv = (np.empty(a.shape, total.dtype) for a in (q, k, v))
+    for blk, rows, keys, et, ds in _token_tiles(s, 2):
+        qs = _token_exp(s, blk, rows, keys, et)
         add = rows.stop < q.shape[1]  # rows above a block's first tile add to its dk, dv
-        _matmul_into(pt.transpose(0, 2, 1), ut, dv[blk, :keys], add)
+        ut = u[blk, rows] / total[blk, rows]
+        _matmul_into(et.transpose(0, 2, 1), ut, dv[blk, :keys], add)
         np.matmul(ut, v[blk, :keys].transpose(0, 2, 1), out=ds)
-        softmax_vjp(pt, ds, out=ds)
+        ds -= delta[blk, rows]
+        ds *= et
         np.matmul(ds, k[blk, :keys], out=dq[blk, rows])
-        _matmul_into(ds.transpose(0, 2, 1), q[blk, rows], dk[blk, :keys], add)
+        _matmul_into(ds.transpose(0, 2, 1), qs, dk[blk, :keys], add)
     dq *= s["scale"]
-    dk *= s["scale"]
     return {"q": dq, "k": dk, "v": dv}
 
 

@@ -384,7 +384,8 @@ def _attention_bwd(lc, dres, cfg: RunConfig, decoder, grads, layer_input):
         dwo = [ga.pop("wo") for ga in gas]
         grads[p + "attn.wo"] = dwo[0] if cfg.groups == 1 else np.concatenate(dwo)
     else:
-        go = grad.linear_bwd(lc.pop("no"), da)
+        # the token core's backward reads attn.wo's input, its output
+        go = grad.linear_bwd(lc["no"] if cfg.attention == "token" else lc.pop("no"), da)
         grads[p + "attn.wo"] = go["w"]
         dconcat = go.pop("x")
     del da
@@ -392,10 +393,11 @@ def _attention_bwd(lc, dres, cfg: RunConfig, decoder, grads, layer_input):
     # core's input terms go into it now that da, which may be dres, is read
     dx = dres if r is None else grad.scatter_rows(dres, r)
     if cfg.attention == "token":
-        b, n, dm = dx.shape
-        h = cfg.heads
-        ga = grad.token_attention_bwd(lc.pop("nattn"),
-                                      _split_heads(dconcat.reshape(b, -1, dm), h))
+        (b, n, dm), h = dx.shape, cfg.heads
+        heads = [_split_heads(a.reshape(b, -1, dm), h) for a in (dconcat, lc.pop("no").saved["x"])]
+        del dconcat  # the core reads its split copy
+        ga = grad.token_attention_bwd(lc.pop("nattn"), *heads)
+        del heads  # before dqkv is made
         # dq|dk|dv straight into the fused projection's column layout
         dqkv = np.empty((b, n, 3, h, dm // h), dtype=dx.dtype)
         for j, t in enumerate("kv", start=1):
@@ -407,7 +409,7 @@ def _attention_bwd(lc, dres, cfg: RunConfig, decoder, grads, layer_input):
             # only the gathered queries have a gradient
             dqkv[:, :, 0] = 0.0
             dqkv[:, :, 0][r] = dq.reshape(-1, h, dm // h)
-        del dconcat, dq  # with dk and dv, before the input is rebuilt
+        del dq  # with dk and dv, before the input is rebuilt
         gl = grad.linear_bwd(lc.pop("nqkv"), dqkv.reshape(b, n, 3 * dm), x=layer_input())
         grads[p + "attn.wqkv"] = gl["w"]
         dx += gl["x"]

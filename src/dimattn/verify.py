@@ -203,9 +203,10 @@ def fd_check(op: str, inputs: dict, attrs: dict | None = None) -> float:
         raise ValueError(f"unknown op id {op!r}")
     inputs = {name: np.array(arr) for name, arr in inputs.items()}  # perturbed in place
     out, node = fwd(**inputs, **attrs)
-    # the dim backward takes the projection that reads its output: none here
-    proj = (np.eye(out.shape[-1]),) if op == "dim_attention_multi" else ()
-    analytic = bwd(node, np.ones_like(out) if np.ndim(out) else 1.0, *proj)
+    # extra backward arguments: the dim core's projection (none here), the token core's output
+    extra = ((np.eye(out.shape[-1]),) if op == "dim_attention_multi"
+             else (out,) if op == "token_attention" else ())
+    analytic = bwd(node, np.ones_like(out) if np.ndim(out) else 1.0, *extra)
     return _fd_worst(lambda: float(np.sum(fwd(**inputs, **attrs)[0])), inputs, analytic)
 
 
@@ -273,12 +274,12 @@ def suite_gradient_ops(seed=0):
     w = r.standard_normal((3, 3))
     zero_ok = True
     wo = r.standard_normal((3, 3))  # the projection after the dim core
-    for op, args, proj in (
-            ("token_attention", (q, k, v, True), ()),
-            ("dim_attention_multi", (q, k, v, w[None], "softmax_rows_over_k"), (wo,)),
-            ("masked_attention_multi", (q, k, v, w[None]), ())):
+    for op, args, extra in (
+            ("token_attention", (q, k, v, True), lambda out: (out,)),
+            ("dim_attention_multi", (q, k, v, w[None], "softmax_rows_over_k"), lambda out: (wo,)),
+            ("masked_attention_multi", (q, k, v, w[None]), lambda out: ())):
         out, node = getattr(grad, op + "_fwd")(*args)
-        zeros = getattr(grad, op + "_bwd")(node, np.zeros_like(out), *proj)
+        zeros = getattr(grad, op + "_bwd")(node, np.zeros_like(out), *extra(out))
         zero_ok &= all(not g.any() for g in zeros.values())
 
     # duplicated input: d/dQ of op(Q, Q, V) @ wo equals the sum of both partials

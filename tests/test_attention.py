@@ -71,6 +71,31 @@ class TestTokenAttention:
             blocked = token_attention(q, k, v, causal)
             assert np.abs(want - blocked).max() <= 1e-12
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["f64", "f32"])
+    @pytest.mark.parametrize("case", ["plain", "causal", "key_pad", "gathered"])
+    @pytest.mark.parametrize("tiled", [False, True], ids=["one_tile", "row_tiles"])
+    def test_batch_matches_loop_oracle(self, dtype, tol, case, tiled, monkeypatch):
+        # 10 heads: a block of 8 and a part block of 2
+        bh, n, d = 10, 24, 4
+        r = np.random.default_rng(7)
+        q, k, v = (r.standard_normal((bh, n, d)).astype(dtype) for _ in range(3))
+        pad = np.zeros((bh, n), dtype=bool)
+        if case in ("key_pad", "gathered"):
+            pad[-3:, 17:] = True
+        rows = [0, 3, 4, 11, 17, 23] if case == "gathered" else slice(None)
+        if tiled:  # tiles of 5 query rows
+            monkeypatch.setattr(grad, "_TOKEN_TILE_BYTES", 8 * 5 * n * np.dtype(dtype).itemsize)
+        order = np.tril(np.ones((n, n), bool)) if case == "causal" else np.ones((n, n), bool)
+        out = grad.token_attention_fwd(q[:, rows], k, v, causal=case == "causal",
+                                       key_pad=pad if pad.any() else None)[0]
+        # the oracle in f64 on the same inputs
+        want = np.stack([loop_token_attention(*(a[i].astype(np.float64) for a in (q, k, v)),
+                                              order & ~pad[i][None, :])[rows]
+                         for i in range(bh)])
+        assert out.dtype == dtype
+        assert np.max(np.abs(out - want)) <= tol * np.max(np.abs(want))
+
     def test_causal_first_row_is_value(self, rng):
         q, k, v = (rng.standard_normal((4, 3)) for _ in range(3))
         out = token_attention(q, k, v, causal=True)

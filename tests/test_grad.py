@@ -87,11 +87,9 @@ class TestSoftmaxRule:
         formula = p * (u - (u * p).sum(axis=-1, keepdims=True))
         subnormal = (formula != 0.0) & (np.abs(formula) < tiny)
         assert subnormal.all()
-        in_place = u.copy()
-        grad.softmax_vjp(p, in_place, out=in_place)
-        for g in (grad.softmax_vjp(p, u), in_place):
-            assert g.dtype == dtype
-            assert not g.any()
+        g = grad.softmax_vjp(p, u)
+        assert g.dtype == dtype
+        assert not g.any()
 
 
 class TestAttentionRules:
@@ -425,14 +423,20 @@ def _lane_mask(rng, shape, rate):
     return (lanes[:n] >= math.ceil(rate * 2 ** 32)).reshape(shape)
 
 
+def _close(a, b, tol=1e-12):
+    """a within tol of b, relative to b's largest entry."""
+    return a.shape == b.shape and np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+
+
 class TestBlockedTokenCore:
     """The token core walks tiles of up to grad._TOKEN_BLOCK heads by query
-    rows in place.  Where each block is one tile, its output, the
-    probabilities the backward rebuilds, `dq`, `dk` and `dv` must equal the
-    whole-batch formulas bit for bit; across row tiles the non-causal
-    output, probabilities and `dq` still must, the rest within 1e-12.  It
-    must write into no input and not into its tape, and its tape must grow
-    linearly in N."""
+    rows in place, and divides each row's output, not its probabilities, by
+    the row's sum.  Its output, the probabilities that a tile's rebuilt e and
+    the tape's row sums give, `dq`, `dk` and `dv` must agree with the
+    whole-batch formulas within 1e-12 relative in f64, with each block one
+    tile or split into row tiles, and within 1e-5 in f32.  It must write
+    into no input and not into its tape, and its tape must grow linearly in
+    N and keep no copy of the output."""
 
     @staticmethod
     def _reference(q, k, v, u, causal, key_pad):
@@ -445,35 +449,45 @@ class TestBlockedTokenCore:
         p = grad.softmax_fwd(s)
         dp = u @ v.transpose(0, 2, 1)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-        ds[np.abs(ds) < np.finfo(ds.dtype).tiny] = 0.0
         return p @ v, p, {"q": (ds @ k) * scale,
                           "k": (ds.transpose(0, 2, 1) @ q) * scale,
                           "v": p.transpose(0, 2, 1) @ u}
 
     @classmethod
-    def _run(cls, bh, d, queries, causal, padded):
-        """The whole-batch formulas' output, probabilities and gradients;
-        the kernel's, with the probabilities its backward rebuilds tile by
-        tile; and its count of row tiles per block."""
+    def _run(cls, bh, d, queries, causal, padded, dtype=np.float64):
+        """The whole-batch formulas' output, probabilities and gradients, in
+        f64; the kernel's, with the probabilities e / sum of its tiles; and
+        its count of row tiles per block."""
         n = 100
         r = make_rng(bh + d)
         nq = 25 if queries == "gathered" else n
-        q, u = r.standard_normal((bh, nq, d)), r.standard_normal((bh, nq, d))
-        k, v = r.standard_normal((bh, n, d)), r.standard_normal((bh, n, d))
+        q, u = (r.standard_normal((bh, nq, d)).astype(dtype) for _ in range(2))
+        k, v = (r.standard_normal((bh, n, d)).astype(dtype) for _ in range(2))
         key_pad = None
         if padded:
             key_pad = np.zeros((bh, n), dtype=bool)
             key_pad[-3:, 70:] = True
         _read_only(q, k, v, u)
-        want_out, want_p, want = cls._reference(q, k, v, u, causal, key_pad)
+        want = cls._reference(*(a.astype(np.float64) for a in (q, k, v, u)), causal, key_pad)
         out, node = grad.token_attention_fwd(q, k, v, causal=causal, key_pad=key_pad)
-        _read_only(*(a for a in node.saved.values() if isinstance(a, np.ndarray)))
-        p, tiles = np.zeros(want_p.shape), 0
-        for blk, rows, keys, pt in grad._token_tiles(node.saved, 1):
-            p[blk, rows, :keys] = grad._token_probs(node.saved, blk, rows, keys, pt)
+        s = node.saved
+        _read_only(*(a for a in s.values() if isinstance(a, np.ndarray)), out)
+        p, tiles = np.zeros((bh, nq, n), dtype), 0
+        for blk, rows, keys, et in grad._token_tiles(s, 1):
+            grad._token_exp(s, blk, rows, keys, et)
+            p[blk, rows, :keys] = et / s["total"][blk, rows]
             tiles += blk.start == 0
-        got = grad.token_attention_bwd(node, u)
-        return (want_out, want_p, want), (out, p, got), tiles
+        got = grad.token_attention_bwd(node, u, out)
+        assert all(a.dtype == dtype for a in (out, *got.values()))
+        return want, (out, p, got), tiles
+
+    @staticmethod
+    def _agree(want, got, tol=1e-12):
+        (want_out, want_p, want_g), (out, p, got_g) = want, got
+        assert _close(out, want_out, tol)
+        assert _close(p, want_p, tol)
+        for name in "qkv":
+            assert _close(got_g[name], want_g[name], tol), name
 
     # 13 heads end in a part block; 64 are the mlm-token core's 8 x 8
     @pytest.mark.parametrize("bh, d", [(13, 16), (13, 32), (64, 16)])
@@ -481,13 +495,9 @@ class TestBlockedTokenCore:
         ("all", False, False), ("all", False, True), ("all", True, False),
         ("all", True, True), ("gathered", False, True)])
     def test_equals_whole_batch_formulas(self, bh, d, queries, causal, padded):
-        (want_out, want_p, want), (out, p, got), tiles = self._run(bh, d, queries,
-                                                                   causal, padded)
+        want, got, tiles = self._run(bh, d, queries, causal, padded)
         assert tiles == 1
-        assert _same_bits(out, want_out)
-        assert _same_bits(p, want_p)
-        for name in "qkv":
-            assert _same_bits(got[name], want[name]), name
+        self._agree(want, got)
 
     @pytest.mark.parametrize("bh, d", [(13, 16), (64, 16)])
     @pytest.mark.parametrize("queries, causal, padded", [
@@ -497,19 +507,17 @@ class TestBlockedTokenCore:
                                                   monkeypatch):
         # scores of 8 heads x 10 rows x 100 keys: ten row tiles, three of 25
         monkeypatch.setattr(grad, "_TOKEN_TILE_BYTES", 8 * 10 * 100 * 8)
-        (want_out, want_p, want), (out, p, got), tiles = self._run(bh, d, queries,
-                                                                   causal, padded)
+        want, got, tiles = self._run(bh, d, queries, causal, padded)
         assert tiles == (3 if queries == "gathered" else 10)
+        self._agree(want, got)
 
-        def close(a, b):
-            return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-
-        same = _same_bits if not causal else close
-        assert same(out, want_out)
-        assert same(p, want_p)
-        assert same(got["q"], want["q"])
-        assert close(got["k"], want["k"])
-        assert close(got["v"], want["v"])
+    @pytest.mark.parametrize("queries, causal, padded", [
+        ("all", False, True), ("all", True, True), ("gathered", False, True)])
+    def test_f32_equals_whole_batch_formulas(self, queries, causal, padded, monkeypatch):
+        # f32 tiles of 8 heads x 10 rows x 100 keys
+        monkeypatch.setattr(grad, "_TOKEN_TILE_BYTES", 8 * 10 * 100 * 4)
+        want, got, _ = self._run(13, 16, queries, causal, padded, np.float32)
+        self._agree(want, got, 1e-5)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_fd_across_row_tiles(self, causal, monkeypatch):
@@ -517,7 +525,71 @@ class TestBlockedTokenCore:
         monkeypatch.setattr(grad, "_TOKEN_TILE_BYTES", 2 * 3 * 12 * 8)
         r = make_rng(83 + causal)
         inputs = {name: r.standard_normal((2, 12, 3)) for name in "qkv"}
-        assert verify.fd_check("token_attention", inputs, attrs={"causal": causal}) <= 1e-4
+        key_pad = np.zeros((2, 12), dtype=bool)
+        key_pad[1, 9:] = True
+        for pad in (None, key_pad):
+            assert verify.fd_check("token_attention", inputs,
+                                   attrs={"causal": causal, "key_pad": pad}) <= 1e-4
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_zero_upstream_gives_zero_gradients(self, causal, monkeypatch):
+        monkeypatch.setattr(grad, "_TOKEN_TILE_BYTES", 8 * 10 * 100 * 8)
+        r = make_rng(89 + causal)
+        q, k, v = (r.standard_normal((13, 100, 16)) for _ in range(3))
+        key_pad = np.zeros((13, 100), dtype=bool)
+        key_pad[-3:, 70:] = True
+        out, node = grad.token_attention_fwd(q, k, v, causal=causal, key_pad=key_pad)
+        got = grad.token_attention_bwd(node, np.zeros_like(out), out)
+        assert sorted(got) == ["k", "q", "v"]
+        assert all(not g.any() for g in got.values())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_no_subnormal_reaches_the_e_v_product(self, dtype, causal, monkeypatch):
+        # scores spread over thousands: exp(s - max) underflows through the
+        # subnormals for some keys of every row
+        r = make_rng(97)
+        q, k = (30 * r.standard_normal((3, 40, 4)).astype(dtype) for _ in range(2))
+        v = r.standard_normal((3, 40, 4)).astype(dtype)
+        tiny = np.finfo(dtype).tiny
+        s = (q @ k.transpose(0, 2, 1)) * dtype(0.5)
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        assert ((e > 0) & (e < tiny)).any()
+        operands = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, **kwargs):
+                operands.extend((a, b))
+                return np.matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(grad, "np", Spy())
+        grad.token_attention_fwd(q, k, v, causal=causal)
+        # e of the e @ v product, its underflows flushed to zero
+        assert any(a.shape[-1] == 40 and 0 < np.count_nonzero(a) < a.size
+                   for a in operands)
+        assert not any(((a != 0) & (np.abs(a) < tiny)).any() for a in operands)
+
+    def test_tape_keeps_inputs_masks_and_row_statistics(self):
+        r = make_rng(101)
+        q = r.standard_normal((13, 25, 16))
+        k, v = (r.standard_normal((13, 100, 16)) for _ in range(2))
+        key_pad = np.zeros((13, 100), dtype=bool)
+        key_pad[-3:, 70:] = True
+        out, node = grad.token_attention_fwd(q, k, v, key_pad=key_pad)
+        s = node.saved
+        assert sorted(s) == ["causal", "k", "key_pad", "peak", "q", "scale", "total", "v"]
+        assert s["q"] is q and s["k"] is k and s["v"] is v
+        assert np.array_equal(s["key_pad"][:, 0], key_pad)
+        assert s["peak"].shape == s["total"].shape == (13, 25, 1)
+        # nothing of the output: the backward takes it from its caller
+        arrays = [a for a in s.values() if isinstance(a, np.ndarray)]
+        assert not any(np.shares_memory(a, out) for a in arrays)
+        assert sum(a.nbytes for a in arrays) == (q.nbytes + k.nbytes + v.nbytes
+                                                 + key_pad.nbytes + 2 * 13 * 25 * 8)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_tape_grows_linearly_in_n(self, causal):
@@ -591,9 +663,9 @@ class TestGatheredRows:
 
         u = np.where(rows[..., None], r.standard_normal(q.shape), 0.0)
         out, node = grad.token_attention_fwd(q, k, v, key_pad=key_pad)
-        want = grad.token_attention_bwd(node, u)
+        want = grad.token_attention_bwd(node, u, out)
         got_out, node = grad.token_attention_fwd(gathered(q), k, v, key_pad=key_pad)
-        got = grad.token_attention_bwd(node, gathered(u))
+        got = grad.token_attention_bwd(node, gathered(u), got_out)
         assert _same_bits(got_out, gathered(out))
         assert _same_bits(got["q"], gathered(want["q"]))
         assert _same_bits(got["k"], want["k"])

@@ -6,10 +6,10 @@ retained (`train._retain_heap`).  Each tree trains its own run of one config:
 its own windows, parameters and Adam state, from the same seed.  A round
 runs --steps calls of `model.train_step` on tree a and as many on tree b, a
 first in even rounds and b first in odd ones, each continuing its run from
-the step the last round reached.  The --warmup rounds are run and not kept.
-Prints each tree's median ms per step with its quartiles, and the paired
-ratio b / a of each round's two times: its median, its quartiles and the
-rounds in which b was faster.
+the step the last round reached.  One warm-up round comes first and is not
+kept.  Prints each tree's median ms per step with its quartiles, and the
+paired ratio b / a of each round's two times: its median, its quartiles and
+the rounds in which b was faster.
 
 Both trees run at the same moment of the machine's drift, so the ratio
 resolves differences well under 1% where separate benchmark processes do
@@ -83,13 +83,14 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def pair_rounds(runs, rounds, steps, warmup):
-    """Each run's ms per step over the kept rounds, the order alternating."""
+def pair_rounds(runs, rounds, steps):
+    """Each run's ms per step over the rounds after the warm-up round, the
+    order alternating."""
     times = ([], [])
-    for r in range(warmup + rounds):
+    for r in range(1 + rounds):
         for i in ((0, 1) if r % 2 == 0 else (1, 0)):
             ms = runs[i].ms_per_step(steps)
-            if r >= warmup:
+            if r > 0:
                 times[i].append(ms)
     return times
 
@@ -112,12 +113,11 @@ def main(argv=None):
     p.add_argument("--b", required=True, help="source tree b")
     p.add_argument("--rounds", type=int, default=30, help="rounds kept")
     p.add_argument("--steps", type=int, default=10, help="training steps per tree per round")
-    p.add_argument("--warmup", type=int, default=1, help="rounds run first and not kept")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config key in both trees; may repeat")
     args = p.parse_args(argv)
-    if args.rounds < 1 or args.steps < 1 or args.warmup < 0:
-        p.error("--rounds and --steps must be at least 1, --warmup at least 0")
+    if args.rounds < 1 or args.steps < 1:
+        p.error("--rounds and --steps must be at least 1")
     for src in (args.a, args.b):
         if not (Path(src) / "dimattn" / "__init__.py").is_file():
             p.error(f"no dimattn package in {src}")
@@ -131,8 +131,8 @@ def main(argv=None):
     except (OSError, ValueError) as e:  # ConfigError is a ValueError
         p.error(str(e))
     print(f"{args.config} {' '.join(args.set)}: {args.rounds} rounds of {args.steps} "
-          f"steps per tree after {args.warmup} warm-up, a first in even rounds")
-    report([t.path for t in trees], pair_rounds(runs, args.rounds, args.steps, args.warmup))
+          "steps per tree after a warm-up round, a first in even rounds")
+    report([t.path for t in trees], pair_rounds(runs, args.rounds, args.steps))
 
 
 if __name__ == "__main__":

@@ -293,12 +293,11 @@ def token_attention_fwd(q, k, v, causal=False, key_pad=None):
     """Softmax attention over keys for q, k, v [B, N, d]; key_pad [B, N]
     marks keys excluded from every query.
 
-    Without `causal` the query rows are independent, so q may be any block
-    of rows [B, Nq, d] of the full query matrix against all N keys.  Runs in
-    the tiles of _token_tiles; a causal row sums over its tile's keys alone.
-    A tile's output is (e @ v) / rowsum(e), e = exp(s - row max): the
-    division runs over d columns, not N keys.  The tape keeps q, k, v, the
-    masks and each query row's max and sum [B, Nq, 1]."""
+    Without `causal` the query rows are independent, so q may be any rows
+    [B, Nq, d] of the full query matrix against all N keys.  Per tile of
+    _token_tiles (a causal row reads its tile's keys alone), the output is
+    (e @ v) / rowsum(e), e = exp(s - row max), divided over d columns, not
+    N keys.  The tape keeps q, k, v, the masks and each row's max and sum."""
     (b, nq, d), dtype = q.shape, np.result_type(q, k, v)
     key_pad = None if key_pad is None else np.asarray(key_pad, dtype=bool)[:, None, :]
     s = dict(q=q, k=k, v=v, scale=1.0 / math.sqrt(d), causal=causal, key_pad=key_pad,
@@ -320,8 +319,8 @@ def token_attention_bwd(node, u, out):
     """Gradients of token_attention_fwd for upstream u, given its output
     `out`, which the caller keeps (the model as attn.wo's input).  The
     softmax backward's row term sum(p * (u @ v^T)) is delta = sum(u * out),
-    so a tile rebuilds e alone: dv = e^T (u / sum) and
-    ds = e * ((u / sum) @ v^T - delta / sum), FlashAttention-2's form."""
+    so a tile rebuilds e alone (FlashAttention-2): dv = e^T (u / sum) and
+    ds = e * ((u / sum) @ v^T - delta / sum), its subnormals flushed."""
     s = node.saved
     q, k, v, total = s["q"], s["k"], s["v"], s["total"]
     delta = np.einsum("bnd,bnd->bn", u, out)[..., None] / total
@@ -334,6 +333,7 @@ def token_attention_bwd(node, u, out):
         np.matmul(ut, v[blk, :keys].transpose(0, 2, 1), out=ds)
         ds -= delta[blk, rows]
         ds *= et
+        ds[np.abs(ds, out=et) < np.finfo(ds.dtype).tiny] = 0.0  # e is read no more
         np.matmul(ds, k[blk, :keys], out=dq[blk, rows])
         _matmul_into(ds.transpose(0, 2, 1), qs, dk[blk, :keys], add)
     dq *= s["scale"]

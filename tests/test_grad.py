@@ -573,6 +573,47 @@ class TestBlockedTokenCore:
                    for a in operands)
         assert not any(((a != 0) & (np.abs(a) < tiny)).any() for a in operands)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_no_subnormal_reaches_the_backward_products(self, dtype, causal, monkeypatch):
+        # row i's scores are -j * q_i over keys j, one nat or so apart, so
+        # every row has normal e within a factor 1000 of the smallest normal
+        # number; a small upstream makes ds = e * (u~ v^T - delta~) subnormal there
+        b, n = 2, 800
+        q = np.broadcast_to(1 + 1e-3 * np.arange(n, dtype=dtype)[:, None], (b, n, 1)).copy()
+        k = np.broadcast_to(-np.arange(n, dtype=dtype)[:, None], (b, n, 1)).copy()
+        r = make_rng(103)
+        v = r.standard_normal((b, n, 1)).astype(dtype)
+        u = (1e-3 * r.standard_normal((b, n, 1))).astype(dtype)
+        tiny = np.finfo(dtype).tiny
+        out, node = grad.token_attention_fwd(q, k, v, causal=causal)
+        # the backward's formula without the flush
+        s = q @ k.transpose(0, 2, 1)
+        if causal:
+            s[:, np.triu(np.ones((n, n), bool), 1)] = -np.inf
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        e[e < tiny] = 0.0
+        total = e.sum(axis=-1, keepdims=True)
+        delta = (u * out).sum(axis=-1, keepdims=True) / total
+        ds = e * ((u / total) @ v.transpose(0, 2, 1) - delta)
+        assert ((ds != 0) & (np.abs(ds) < tiny)).any()
+        operands = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, **kwargs):
+                operands.extend((a.copy(), b.copy()))  # as read: tile buffers are reused
+                return np.matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(grad, "np", Spy())
+        grad.token_attention_bwd(node, u, out)
+        # ds of the ds @ k product, its underflows flushed to zero
+        assert any(a.shape[-1] == n and a.shape[-2] < n for a in operands)
+        assert not any(((a != 0) & (np.abs(a) < tiny)).any() for a in operands)
+
     def test_tape_keeps_inputs_masks_and_row_statistics(self):
         r = make_rng(101)
         q = r.standard_normal((13, 25, 16))

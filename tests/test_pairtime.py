@@ -28,11 +28,11 @@ def test_the_tree_against_itself(tmp_path, corpus_path, capsys):
         "steps = 20\nwarmup = 5\nseed = 13\n", encoding="utf-8")
     src = str(ROOT / "src")
     pairtime.main(["--config", str(cfg), "--a", src, "--b", src, "--rounds", "2",
-                   "--steps", "1", "--warmup", "0", "--set", "dropout = 0.2"])
+                   "--steps", "1", "--set", "dropout = 0.2"])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
-    assert lines[0] == (f"{cfg} dropout = 0.2: 2 rounds of 1 steps per tree after 0 "
-                        "warm-up, a first in even rounds")
+    assert lines[0] == (f"{cfg} dropout = 0.2: 2 rounds of 1 steps per tree after a "
+                        "warm-up round, a first in even rounds")
     number = r"\d+\.\d{3}"
     for tag, line in zip("ab", lines[1:3]):
         assert re.fullmatch(rf"{tag} {re.escape(src)}: median {number} ms/step "

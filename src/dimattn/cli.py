@@ -5,7 +5,8 @@ that verification is reproducible and benchmark doubling ratios measure the
 kernels rather than the thread pool.  Heavy imports are deferred into the
 command handlers for the same reason.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config errors.
+Exit codes: 0 success, 1 verification failure, 2 bad usage, config or input,
+or a run that cannot produce a finite number: one stderr line, from `main`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -37,9 +39,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run every property suite")
+    p.set_defaults(func=_cmd_verify)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", help="wall-clock scaling sweep, CSV output")
+    p.set_defaults(func=_cmd_bench)
     p.add_argument("--variants", default="token_encoder,dim_encoder",
                    help="comma list from: token_encoder,dim_encoder,"
                         "masked_naive,masked_streaming")
@@ -50,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
 
     p = sub.add_parser("flops", help="analytic cost of both attention families")
+    p.set_defaults(func=_cmd_flops)
     p.add_argument("--N", type=int, default=100)
     p.add_argument("--d", type=int, default=64)
     p.add_argument("--heads", type=int, default=8)
@@ -59,14 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the input/output projections")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
 
-    for task in ("train-mlm", "train-clm"):
-        p = sub.add_parser(task, help=f"train the {task.split('-')[1]} task")
+    for task in ("mlm", "clm"):
+        p = sub.add_parser(f"train-{task}", help=f"train the {task} task")
+        p.set_defaults(func=_cmd_train, task=task)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--ckpt-dir", default=None)
         p.add_argument("--metrics", default=None, help="metrics CSV path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p = sub.add_parser("eval", help="reload a checkpoint and report held-out NLL")
+    p.set_defaults(func=_cmd_eval)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", default=None, help="override the corpus path")
     return parser
@@ -89,8 +96,7 @@ def _write_csv(csv: str, path) -> None:
 
 def _cmd_verify(args) -> int:
     if args.seed < 0:
-        print(f"cannot run verify: seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 2
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     from . import verify
     return verify.run_all(seed=args.seed)
 
@@ -98,28 +104,20 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     from . import analysis
     variants = [v for v in args.variants.split(",") if v]
-    try:
-        check_out(args.out)
-        result = analysis.bench_sweep(variants, _int_list(args.N), _int_list(args.d),
-                                      repeats=args.repeats, seed=args.seed)
-    except ValueError as e:
-        print(f"cannot run bench: {e}", file=sys.stderr)
-        return 2
+    check_out(args.out)
+    result = analysis.bench_sweep(variants, _int_list(args.N), _int_list(args.d),
+                                  repeats=args.repeats, seed=args.seed)
     _write_csv(result.to_csv(), args.out)
     return 0
 
 
 def _cmd_flops(args) -> int:
     from . import analysis
-    try:
-        check_out(args.out)
-        token = analysis.flops_token_attention(args.N, args.d, args.heads,
-                                               include_projections=args.projections)
-        dim = analysis.flops_dim_attention(args.N, args.d, args.groups, args.convs,
+    check_out(args.out)
+    token = analysis.flops_token_attention(args.N, args.d, args.heads,
                                            include_projections=args.projections)
-    except ValueError as e:
-        print(f"cannot count flops: {e}", file=sys.stderr)
-        return 2
+    dim = analysis.flops_dim_attention(args.N, args.d, args.groups, args.convs,
+                                       include_projections=args.projections)
     lines = ["variant,N,d,heads,groups,convs,component,mults,adds,total"]
     for variant, rep, h, g, c in (("token", token, args.heads, "", ""),
                                   ("dim", dim, "", args.groups, args.convs)):
@@ -131,23 +129,13 @@ def _cmd_flops(args) -> int:
     return 0
 
 
-def _cmd_train(args, task: str) -> int:
-    from dataclasses import replace
-
-    from .config import ConfigError, load_config
+def _cmd_train(args) -> int:
+    from .config import load_config
     from .train import run_training
-    try:
-        cfg = load_config(args.config)
-        cfg = replace(cfg, task=task, seed=cfg.seed if args.seed is None else args.seed)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    ckpt_dir = args.ckpt_dir or os.path.join("runs", task)
-    try:
-        summary = run_training(cfg, ckpt_dir, metrics_path=args.metrics)
-    except (OSError, ValueError) as e:
-        print(f"cannot run training: {e}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    cfg = replace(cfg, task=args.task, seed=cfg.seed if args.seed is None else args.seed)
+    ckpt_dir = args.ckpt_dir or os.path.join("runs", args.task)
+    summary = run_training(cfg, ckpt_dir, metrics_path=args.metrics)
     print(f"final valid nll: {summary['final_valid_nll']:.6f}")
     print(f"metrics: {summary['metrics_path']}")
     print(f"checkpoint: {summary['checkpoint_path']}")
@@ -156,11 +144,7 @@ def _cmd_train(args, task: str) -> int:
 
 def _cmd_eval(args) -> int:
     from .train import evaluate_checkpoint
-    try:
-        report = evaluate_checkpoint(args.ckpt, override_data=args.data)
-    except (OSError, ValueError) as e:
-        print(f"cannot evaluate checkpoint: {e}", file=sys.stderr)
-        return 2
+    report = evaluate_checkpoint(args.ckpt, override_data=args.data)
     print(f"task: {report['task']}")
     print(f"vocab size: {report['vocab_size']}")
     print(f"valid nll: {report['valid_nll']:.6f}")
@@ -170,23 +154,20 @@ def _cmd_eval(args) -> int:
 def main(argv=None) -> int:
     _pin_threads()
     args = build_parser().parse_args(argv)
+    import numpy as np  # this and the rest load numpy, so only after the pins
+    from .config import ConfigError
     if args.command != "bench":
         # training steps, verify's among them, reuse the heap they freed;
         # bench times its kernels under the allocator's defaults
         from .train import _retain_heap
         _retain_heap()
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "flops":
-        return _cmd_flops(args)
-    if args.command == "train-mlm":
-        return _cmd_train(args, "mlm")
-    if args.command == "train-clm":
-        return _cmd_train(args, "clm")
-    if args.command == "eval":
-        return _cmd_eval(args)
+    try:
+        with np.errstate(all="ignore"):  # the finiteness checks report divergence
+            return args.func(args)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+    except (ValueError, OSError, FloatingPointError) as e:
+        print(f"cannot run {args.command}: {e}", file=sys.stderr)
     return 2
 
 

@@ -91,8 +91,10 @@ class RunConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ConfigError("Adam betas must lie in (0, 1)")
-        if not (self.lr >= 0 and self.eps > 0 and self.clip > 0):  # NaN fails too
-            raise ConfigError("lr must be >= 0; eps and clip must be > 0")
+        # NaN fails too; clip = inf is legal and means no clipping
+        if not (0 <= self.lr < np.inf and 0 < self.eps < np.inf and self.clip > 0):
+            raise ConfigError(f"lr must be finite and >= 0, eps finite and > 0, clip > 0; "
+                              f"got lr={self.lr}, eps={self.eps}, clip={self.clip}")
         if not 0.0 < self.valid_fraction < 1.0:
             raise ConfigError(f"valid_fraction must lie in (0, 1), got {self.valid_fraction}")
         if self.attention == "token":

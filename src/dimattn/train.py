@@ -51,6 +51,8 @@ def _batch(cfg: RunConfig, split, step: int, eval_mode=False):
 
 
 def _eval_nll(params, cfg: RunConfig, valid_split) -> float:
+    """Mean held-out NLL per scored token, which training logs and `eval`
+    reports; ValueError when no token is scored or the mean is not finite."""
     decoder = cfg.task == "clm"
     num_batches = min(cfg.eval_batches,
                       (valid_split[0].shape[0] + cfg.batch_size - 1) // cfg.batch_size)
@@ -71,7 +73,10 @@ def _eval_nll(params, cfg: RunConfig, valid_split) -> float:
         count += n
     if not count:
         raise ValueError("no held-out token was scored; check eval_batches")
-    return total / count
+    nll = total / count
+    if not math.isfinite(nll):
+        raise ValueError(f"the held-out NLL is {nll!r}, not a number to report")
+    return nll
 
 
 # glibc mallopt parameters, and the values the training process sets
@@ -196,6 +201,4 @@ def evaluate_checkpoint(ckpt_path: str, override_data: str | None = None) -> dic
                          f"{other} of {vocab.size} ids name another token")
     params = {k: v.astype(cfg.dtype) for k, v in params.items()}
     nll = _eval_nll(params, cfg, valid_split)
-    if not math.isfinite(nll):
-        raise ValueError(f"the held-out NLL is {nll!r}, not a number to report")
     return {"valid_nll": nll, "vocab_size": vocab.size, "task": cfg.task}

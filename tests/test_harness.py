@@ -203,6 +203,9 @@ class TestRunConfig:
             config.parse_config("vocab_size = 40\n")
         assert len(config.KEYS) == 28
 
+    def test_infinite_clip_means_no_clipping(self):
+        assert config.parse_config("clip = inf\n").clip == float("inf")
+
     def test_echo_covers_every_field(self):
         cfg = config.RunConfig()
         lines = cfg.echo_lines()
@@ -405,7 +408,8 @@ class TestEvalRejectsMalformedCheckpoint:
         assert "'l0.ffn.w1' holds a non-finite value" in err
 
     def test_non_finite_nll(self, tiny_run, monkeypatch, capsys):
-        monkeypatch.setattr(train, "_eval_nll", lambda *args: float("inf"))
+        monkeypatch.setattr(train, "cross_entropy_masked_fwd",
+                            lambda *args: (float("inf"), None))
         capsys.readouterr()
         assert cli.main(["eval", "--ckpt", str(tiny_run)]) == 2
         out, err = capsys.readouterr()
@@ -499,6 +503,8 @@ BAD_VALUES = [
     ("mlm", "tokenizer = bpe"),
     ("mlm", "dropout = 1.5"),
     ("mlm", "lr = -1"),
+    ("mlm", "lr = inf"),
+    ("mlm", "eps = inf"),
     ("mlm", "seq_len = 0"),
     ("mlm", "head_dim = -2"),
     ("mlm", "attention = token\nheads = 0"),
@@ -653,6 +659,40 @@ class TestCli:
                          "--ckpt-dir", str(tmp_path / "run")]) == 2
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["verify", "--seed", "-1"], "cannot run verify: "),
+        (["bench", "--N", "0"], "cannot run bench: "),
+        (["flops", "--N", "0"], "cannot run flops: "),
+        (["eval", "--ckpt", "{tmp}/missing.ckpt"], "cannot run eval: "),
+        (["train-mlm", "--config", "{tmp}/bad.cfg"], "config error: "),
+    ], ids=["verify", "bench", "flops", "eval", "train-mlm"])
+    def test_one_line_per_error(self, tmp_path, corpus_path, capsys, argv, prefix):
+        (tmp_path / "bad.cfg").write_text(f"data = {corpus_path}\n{TINY_CONFIG}layers = 0\n",
+                                          encoding="utf-8")
+        assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+
+    @pytest.mark.parametrize("steps, message", [(1, "held-out NLL is nan"),
+                                                (2, "non-finite training loss")])
+    def test_diverged_run_exits_2(self, tmp_path, corpus_path, capsys, recwarn, steps,
+                                  message):
+        # the first step at lr = 1e300 leaves NaN weights: a one-step run meets
+        # them in its held-out pass, a two-step run in its second step
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(f"data = {corpus_path}\n{TINY_CONFIG}lr = 1e300\nsteps = {steps}\n",
+                       encoding="utf-8")
+        assert cli.main(["train-mlm", "--config", str(cfg),
+                         "--ckpt-dir", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert "final valid nll" not in out
+        assert len(err.splitlines()) == 1 and message in err, err
+        assert err.startswith("cannot run train-mlm: ")
+        assert not (tmp_path / "run" / "final.ckpt").exists()
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+        assert not recwarn.list  # numpy's warnings would print lines of their own
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,4 +1,4 @@
-"""Paired step timing: two source trees' training steps, interleaved in one process.
+"""Paired timing: two source trees' training steps or held-out passes, interleaved in one process.
 
 Imports the `dimattn` package of two source trees side by side, as the
 packages `tree_a` and `tree_b`, with BLAS pinned to one thread and the heap
@@ -10,6 +10,11 @@ the step the last round reached.  One warm-up round comes first and is not
 kept.  Prints each tree's median ms per step with its quartiles, and the
 paired ratio b / a of each round's two times: its median, its quartiles and
 the rounds in which b was faster.
+
+With --eval a round times held-out passes instead: --steps calls of
+`train._eval_nll` per tree, at each tree's initial parameters, with the
+same warm-up, order and report, in ms per pass.  The `mlm-dim` benchmark
+workload evaluates at `--set valid_fraction=0.2 --set eval_batches=64`.
 
 Both trees run at the same moment of the machine's drift, so the ratio
 resolves differences well under 1% where separate benchmark processes do
@@ -57,7 +62,7 @@ class Run:
     def __init__(self, tree, text):
         tree.train._retain_heap()
         cfg = tree.config.parse_config(text)
-        vocab, self.split, _ = tree.train._load_windows(cfg)
+        vocab, self.split, self.valid = tree.train._load_windows(cfg)
         self.tree, self.cfg = tree, cfg.block_config(vocab.size)
         self.params = tree.model.init_params(self.cfg, self.cfg.seed)
         self.state = tree.model.AdamState()
@@ -75,6 +80,13 @@ class Run:
         self.step += steps
         return 1e3 * elapsed / steps
 
+    def ms_per_pass(self, passes):
+        """Run `passes` held-out passes; their mean ms per pass."""
+        start = time.perf_counter()
+        for _ in range(passes):
+            self.tree.train._eval_nll(self.params, self.cfg, self.valid)
+        return 1e3 * (time.perf_counter() - start) / passes
+
 
 def quartiles(values):
     """(first quartile, median, third quartile) of at least one value."""
@@ -83,22 +95,23 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def pair_rounds(runs, rounds, steps):
-    """Each run's ms per step over the rounds after the warm-up round, the
-    order alternating."""
+def pair_rounds(timers, rounds, steps):
+    """Each of the two timers' ms over the rounds after the warm-up round,
+    the order alternating; timer(steps) runs that many steps or passes and
+    returns the mean ms of one."""
     times = ([], [])
     for r in range(1 + rounds):
         for i in ((0, 1) if r % 2 == 0 else (1, 0)):
-            ms = runs[i].ms_per_step(steps)
+            ms = timers[i](steps)
             if r > 0:
                 times[i].append(ms)
     return times
 
 
-def report(paths, times, out=print):
+def report(paths, times, out=print, unit="step"):
     for tag, path, ts in zip("ab", paths, times):
         q1, med, q3 = quartiles(ts)
-        out(f"{tag} {path}: median {med:.3f} ms/step [{q1:.3f}, {q3:.3f}]")
+        out(f"{tag} {path}: median {med:.3f} ms/{unit} [{q1:.3f}, {q3:.3f}]")
     ratios = [b / a for a, b in zip(*times)]
     q1, med, q3 = quartiles(ratios)
     faster = sum(x < 1.0 for x in ratios)
@@ -112,7 +125,10 @@ def main(argv=None):
     p.add_argument("--a", required=True, help="source tree a: the directory holding dimattn/")
     p.add_argument("--b", required=True, help="source tree b")
     p.add_argument("--rounds", type=int, default=30, help="rounds kept")
-    p.add_argument("--steps", type=int, default=10, help="training steps per tree per round")
+    p.add_argument("--steps", type=int, default=10,
+                   help="training steps (held-out passes with --eval) per tree per round")
+    p.add_argument("--eval", action="store_true",
+                   help="time held-out passes (train._eval_nll), not training steps")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config key in both trees; may repeat")
     args = p.parse_args(argv)
@@ -130,9 +146,12 @@ def main(argv=None):
         runs = [Run(tree, text) for tree in trees]
     except (OSError, ValueError) as e:  # ConfigError is a ValueError
         p.error(str(e))
+    unit = "pass" if args.eval else "step"
     print(f"{args.config} {' '.join(args.set)}: {args.rounds} rounds of {args.steps} "
-          "steps per tree after a warm-up round, a first in even rounds")
-    report([t.path for t in trees], pair_rounds(runs, args.rounds, args.steps))
+          f"{'held-out passes' if args.eval else 'steps'} per tree after a warm-up "
+          "round, a first in even rounds")
+    timers = [getattr(run, f"ms_per_{unit}") for run in runs]
+    report([t.path for t in trees], pair_rounds(timers, args.rounds, args.steps), unit=unit)
 
 
 if __name__ == "__main__":

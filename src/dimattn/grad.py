@@ -343,16 +343,17 @@ def token_attention_bwd(node, u, out):
 def dim_attention_multi_fwd(q, k, v, ws, mode="none"):
     """Factored dimension-wise attention O_f = V @ (W_f * f(S))^T, S = Q^T K.
 
-    q, k, v are [B, N, d]; the c filters ws [c, d, d] share one normalized
-    score matrix; one filter is ws[None].  Output layout is [B, N, c*d] with
-    filter f occupying columns [f*d, (f+1)*d).
+    q, k are [B, N, d]; the c filters ws [c, d, d] share one normalized
+    score matrix; one filter is ws[None].  Output row i reads V's row i
+    alone, so v may be any rows [B, Nv, d] of V, and the output is those
+    rows [B, Nv, c*d], filter f occupying columns [f*d, (f+1)*d).
     """
     b, n, d = q.shape
     c = ws.shape[0]
     if TALLY.active:
         TALLY.matmul("scores", d, n, d, batch=b)
         TALLY.elemwise_mul("filter_gate", b * c * d * d)
-        TALLY.matmul("filter_mix", n, d, d, batch=b * c)
+        TALLY.matmul("filter_mix", v.shape[1], d, d, batch=b * c)
     s = q.transpose(0, 2, 1) @ k
     fs = normalize_scores(s, mode, n)
     # columns (f, j) of the output: V @ A_f^T for every filter in one product
@@ -374,9 +375,9 @@ def dim_attention_multi_bwd(node, u, wo, rows=None):
     filters' gates side by side [B, d, c*d].  So dM = V^T @ u, and
     linear_bwd of M gives dA^T and, as one product over B*d rows, dwo;
     dV = u @ M^T.  No [B, N, c*d] array is made.  With rows, a bool
-    [B, N] marking the same count r in every window, Y was read at those
-    rows alone: u holds their upstream [B*r, w] in row-major order, dM
-    sums over them and dV is zero elsewhere.
+    [B, N] marking the same count r in every window, the forward's v was
+    V at those rows: u holds their upstream [B*r, w] in row-major order,
+    dM sums over them and dV, scattered to [B, N, d], is zero elsewhere.
     """
     s = node.saved
     q, k, v, ws = s["q"], s["k"], s["v"], s["ws"]
@@ -384,8 +385,7 @@ def dim_attention_multi_bwd(node, u, wo, rows=None):
     c = ws.shape[0]
     at = _filter_gate(ws, s["fs"]).reshape(b, c * d, d).transpose(0, 2, 1)
     u = u.reshape(b, -1, u.shape[-1])
-    vr = v if rows is None else v[rows].reshape(b, -1, d)
-    gm = linear_bwd(_node(x=at, w=wo, has_bias=False), vr.transpose(0, 2, 1) @ u)
+    gm = linear_bwd(_node(x=at, w=wo, has_bias=False), v.transpose(0, 2, 1) @ u)
     dv = u @ (at @ wo).transpose(0, 2, 1)
     if rows is not None:
         dv = scatter_rows(dv.reshape(-1, d), rows)

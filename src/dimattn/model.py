@@ -159,9 +159,9 @@ def forward(params, ids, cfg: RunConfig, decoder=False, drop_rng=None,
     Output row i of attention reads query row i only, and everything
     after the attention core is row-wise, so the last layer runs on those
     rows alone from its core on.  A token layer gathers them as its query
-    rows and scores only them against every key; a dim layer, whose core
-    costs O(N d^2) whatever is read, gathers them from the core's output.
-    Keys and values still see every position.  The causal token core
+    rows and scores only them against every key.  A dim layer projects V
+    at those rows, and its core makes the output there; its scores
+    S = Q^T K still sum over every position.  The causal token core
     takes no block of query rows, so the decoder takes no `rows`.
     The logits are bitwise those rows of the full [B, N, V] wherever BLAS
     sums each row of a product of fewer rows in the same order: with
@@ -256,14 +256,15 @@ def _token_core_fwd(params, x, lc, cfg: RunConfig, decoder, pad):
 
 def _dim_core_fwd(params, x, lc, cfg: RunConfig, decoder, pad):
     """Dimension-wise attention of x [B, N, d_model], groups side by side."""
-    p = lc["prefix"]
+    p, rows = lc["prefix"], lc["rows"]
     keep = None if pad is None else (~np.asarray(pad, dtype=bool)).astype(x.dtype)[:, :, None]
+    xv = x if rows is None else x[rows].reshape(x.shape[0], -1, x.shape[2])
     outs, lc["groups"] = [], []
     for g in range(cfg.groups):
         gc = {}
         q, gc["nq"] = _linear_of_rebuilt(x, params[p + f"attn.wq{g}"])
         k, gc["nk"] = _linear_of_rebuilt(x, params[p + f"attn.wk{g}"])
-        v, gc["nv"] = _linear_of_rebuilt(x, params[p + f"attn.wv{g}"])
+        v, gc["nv"] = _linear_of_rebuilt(xv, params[p + f"attn.wv{g}"])
         if keep is not None:
             q, k = q * keep, k * keep
         ws = params[p + f"attn.filters{g}"]
@@ -271,8 +272,7 @@ def _dim_core_fwd(params, x, lc, cfg: RunConfig, decoder, pad):
                           else grad.dim_attention_multi_fwd(q, k, v, ws, mode=cfg.norm_mode))
         outs.append(o)
         lc["groups"].append(gc)
-    concat = np.concatenate(outs, axis=2) if len(outs) > 1 else outs[0]
-    return concat if lc["rows"] is None else concat[lc["rows"]]
+    return np.concatenate(outs, axis=2) if len(outs) > 1 else outs[0]
 
 
 def _attention_fwd(params, x, lc, cfg: RunConfig, decoder, pad, drop_rng):

@@ -19,7 +19,9 @@ import ctypes
 import functools
 import math
 import os
+import shutil
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -119,50 +121,58 @@ def _environment_lines() -> list:
 
 def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
                  log=print) -> dict:
-    """Train per the config; returns {'final_valid_nll', 'metrics_path', ...}."""
+    """Train per the config; returns {'final_valid_nll', 'metrics_path', ...}.
+    A run that raises removes the outermost directory it made for ckpt_dir."""
     _retain_heap()
     vocab, train_split, valid_split = _load_windows(cfg)
     cfg = cfg.block_config(vocab.size)
     params = model.init_params(cfg, cfg.seed)
     state = model.AdamState()
+    path = Path(ckpt_dir).resolve()
+    made = [d for d in (path, *path.parents) if not d.exists()]  # the outermost last
     os.makedirs(ckpt_dir, exist_ok=True)
-    if metrics_path is None:
-        metrics_path = os.path.join(ckpt_dir, "metrics.csv")
-    check_out(metrics_path)
+    try:
+        if metrics_path is None:
+            metrics_path = os.path.join(ckpt_dir, "metrics.csv")
+        check_out(metrics_path)
 
-    log_lines = cfg.echo_lines()
-    log_lines.append(f"train_windows={train_split[0].shape[0]}")
-    log_lines.append(f"valid_windows={valid_split[0].shape[0]}")
-    for line in log_lines:
-        log(line)
+        log_lines = cfg.echo_lines()
+        log_lines.append(f"train_windows={train_split[0].shape[0]}")
+        log_lines.append(f"valid_windows={valid_split[0].shape[0]}")
+        for line in log_lines:
+            log(line)
 
-    rows = []
-    for step in range(cfg.steps):
-        batch = _batch(cfg, train_split, step)
-        loss = model.train_step((batch.inputs, batch.targets, batch.mask, batch.pad),
-                                params, state, cfg, step)
-        rows.append(f"{step},train,{loss:.12g}")
-        if (step + 1) % cfg.eval_interval == 0 or step + 1 == cfg.steps:
-            valid_nll = _eval_nll(params, cfg, valid_split)
-            rows.append(f"{step},valid,{valid_nll:.12g}")
-            log(f"step {step + 1}/{cfg.steps} train_nll={loss:.4f} "
-                f"valid_nll={valid_nll:.4f}")
+        rows = []
+        for step in range(cfg.steps):
+            batch = _batch(cfg, train_split, step)
+            loss = model.train_step((batch.inputs, batch.targets, batch.mask, batch.pad),
+                                    params, state, cfg, step)
+            rows.append(f"{step},train,{loss:.12g}")
+            if (step + 1) % cfg.eval_interval == 0 or step + 1 == cfg.steps:
+                valid_nll = _eval_nll(params, cfg, valid_split)
+                rows.append(f"{step},valid,{valid_nll:.12g}")
+                log(f"step {step + 1}/{cfg.steps} train_nll={loss:.4f} "
+                    f"valid_nll={valid_nll:.4f}")
 
-    with open(metrics_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("step,split,nll\n")
-        f.write("\n".join(rows) + "\n")
-    ckpt_path = os.path.join(ckpt_dir, "final.ckpt")
-    save_checkpoint(ckpt_path, params, dict(cfg.as_dict(), vocab=vocab.tokens))
-    with open(os.path.join(ckpt_dir, "run.log"), "w", encoding="utf-8") as f:
-        f.write("\n".join(log_lines + _environment_lines()) + "\n")
-        f.write(f"final_valid_nll={valid_nll:.12g}\n")
-    return {
-        "final_valid_nll": valid_nll,
-        "metrics_path": metrics_path,
-        "checkpoint_path": ckpt_path,
-        "vocab_size": vocab.size,
-        "params": params,
-    }
+        with open(metrics_path, "w", encoding="utf-8", newline="\n") as f:
+            f.write("step,split,nll\n")
+            f.write("\n".join(rows) + "\n")
+        ckpt_path = os.path.join(ckpt_dir, "final.ckpt")
+        save_checkpoint(ckpt_path, params, dict(cfg.as_dict(), vocab=vocab.tokens))
+        with open(os.path.join(ckpt_dir, "run.log"), "w", encoding="utf-8") as f:
+            f.write("\n".join(log_lines + _environment_lines()) + "\n")
+            f.write(f"final_valid_nll={valid_nll:.12g}\n")
+        return {
+            "final_valid_nll": valid_nll,
+            "metrics_path": metrics_path,
+            "checkpoint_path": ckpt_path,
+            "vocab_size": vocab.size,
+            "params": params,
+        }
+    except BaseException:
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
 
 
 def _check_param_shapes(params: dict, cfg: RunConfig):

@@ -736,7 +736,8 @@ class TestDimBackwardInDSpace:
     core's output into its backward, in d-space, and must agree with the
     N-space chain it replaced: every gradient within 1e-13 relative in
     f64 (1e-5 in f32, in f32), per group of a wider wo, with a padded
-    tail, at the loss rows and at every row."""
+    tail, at every row and at the loss rows, where the forward takes V
+    at those rows alone."""
 
     B, N, D, C = 3, 12, 4, 3
 
@@ -768,8 +769,13 @@ class TestDimBackwardInDSpace:
             ws = r.standard_normal((c, d, d)).astype(dtype)
             out, node = grad.dim_attention_multi_fwd(q * keep, k * keep, v, ws, mode=mode)
             proj = wo[g * c * d:(g + 1) * c * d]
-            got = grad.dim_attention_multi_bwd(node, u, proj, rows=picked)
             want = _unfolded_dim_bwd(out, node, u, proj, picked)
+            if rows:  # the loss rows' forward: V, and so the output, at them alone
+                out_r, node = grad.dim_attention_multi_fwd(
+                    q * keep, k * keep, v[picked].reshape(b, -1, d), ws, mode=mode)
+                assert self._worst({"o": out_r}, {"o": out[picked].reshape(b, -1, c * d)}) \
+                    <= (1e-13 if dtype == np.float64 else 1e-5)
+            got = grad.dim_attention_multi_bwd(node, u, proj, rows=picked)
             assert all(a.dtype == dtype for a in got.values())
             assert self._worst(got, want) <= (1e-13 if dtype == np.float64 else 1e-5)
             assert not got["q"][pad].any() and not got["k"][pad].any()

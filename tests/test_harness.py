@@ -690,9 +690,23 @@ class TestCli:
         assert "final valid nll" not in out
         assert len(err.splitlines()) == 1 and message in err, err
         assert err.startswith("cannot run train-mlm: ")
-        assert not (tmp_path / "run" / "final.ckpt").exists()
-        assert not (tmp_path / "run" / "metrics.csv").exists()
+        assert not (tmp_path / "run").exists()  # the run made it, so it removes it
         assert not recwarn.list  # numpy's warnings would print lines of their own
+
+    def test_diverged_run_keeps_a_directory_that_existed(self, tmp_path, corpus_path,
+                                                          capsys):
+        # a failed run removes the outermost directory it made, sub/, and
+        # keeps run/, which was there before, with its contents
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(f"data = {corpus_path}\n{TINY_CONFIG}lr = 1e300\nsteps = 1\n",
+                       encoding="utf-8")
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "notes.txt").write_text("kept\n", encoding="utf-8")
+        assert cli.main(["train-mlm", "--config", str(cfg),
+                         "--ckpt-dir", str(tmp_path / "run" / "sub" / "deeper")]) == 2
+        assert "held-out NLL is nan" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["notes.txt"]
+        assert (tmp_path / "run" / "notes.txt").read_text(encoding="utf-8") == "kept\n"
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

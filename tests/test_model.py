@@ -298,9 +298,9 @@ class TestLossRows:
     computation bit for bit.  So must every gradient, save that the last
     layer's weight gradients and the head's term sum the loss rows alone:
     bitwise the products of those rows of the all-rows operands, and within
-    1e-12 relative of the all-rows gradients.  With dropout on, the
-    all-rows model replays the gathered run's masks, the last layer's two
-    at the loss rows and keep-all elsewhere."""
+    1e-12 relative of the all-rows gradients (1e-5 in f32).  With dropout
+    on, the all-rows model replays the gathered run's masks, the last
+    layer's two at the loss rows and keep-all elsewhere."""
 
     SMALL = dict(d_model=64, head_dim=16, ffn_width=96, vocab_size=40)
     CONFIGS = {
@@ -320,9 +320,10 @@ class TestLossRows:
     # alone in another order than over all rows
     SHAPE = (4, 100)
 
-    def _setup(self, name, layers=2, dropout=0.1):
+    def _setup(self, name, layers=2, dropout=0.1, precision="f64"):
         shape = self.SHAPE if name in self.CONFIGS else (8, 100)
         bc = tiny_config(layers=layers, dropout=dropout, seq_len=100, seed=4,
+                         precision=precision,
                          **{**self.CONFIGS, **self.SHIPPED_CONFIGS}[name])
         r = make_rng(17)
         ids = r.integers(0, bc.vocab_size, shape)
@@ -335,7 +336,9 @@ class TestLossRows:
     def _all_rows(self, monkeypatch, params, ids, targets, mask, pad, bc, masks):
         """The all-rows loss and gradients, and the same gradients with the
         last layer's weight products, its dim cores' backward and the
-        head's term taken over the loss rows of that run's own operands.
+        head's term taken over the loss rows of that run's own operands;
+        a dim core's backward reads V there, as the gathered forward
+        projects it.
         Its dropout nodes take the (keep, scale) pairs of masks in order; a
         keep drawn for the loss rows alone is scattered into a keep-all
         mask."""
@@ -367,10 +370,12 @@ class TestLossRows:
             return g
 
         def spy_dim(node, u, wo, rows=None):
-            # the last layer's core, over the loss rows of its upstream:
-            # its dM = V^T u, and so each gradient it passes on
+            # the last layer's core, over the loss rows of its upstream and
+            # of V: its dM = V^T u, and so each gradient it passes on
             if wo is last_wo or wo.base is last_wo:
-                picked = model.loss_rows(mask)
+                picked, v = model.loss_rows(mask), node.saved["v"]
+                node = grad._node(**{**node.saved,
+                                     "v": v[picked].reshape(v.shape[0], -1, v.shape[2])})
                 return dim_bwd(node, u[picked], wo, rows=picked)
             return dim_bwd(node, u, wo, rows=rows)
 
@@ -433,14 +438,20 @@ class TestLossRows:
         assert loss == want_loss
         # the same names in the same order: clip_global_norm sums in it
         assert list(grads) == list(want)
+        tol = 1e-12 if bc.precision == "f64" else 1e-5
         for name in want:
             assert _same_bits(grads[name], want[name]), name
             diff = np.max(np.abs(grads[name] - all_rows[name]))
-            assert diff <= 1e-12 * np.max(np.abs(all_rows[name])), name
+            assert diff <= tol * np.max(np.abs(all_rows[name])), name
 
-    @pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(SHIPPED_CONFIGS))
-    def test_loss_and_grads_equal_all_rows(self, monkeypatch, name):
-        bc, params, ids, targets, mask, pad = self._setup(name, dropout=0.0)
+    # the shipped configs also at f32, a precision a run may choose
+    ALL_ROWS_CASES = ([(name, "f64") for name in sorted(CONFIGS) + sorted(SHIPPED_CONFIGS)]
+                      + [(name, "f32") for name in sorted(SHIPPED_CONFIGS)])
+
+    @pytest.mark.parametrize("name, precision", ALL_ROWS_CASES)
+    def test_loss_and_grads_equal_all_rows(self, monkeypatch, name, precision):
+        bc, params, ids, targets, mask, pad = self._setup(name, dropout=0.0,
+                                                          precision=precision)
         assert 1 < mask.sum() < mask.size
         self._assert_same(monkeypatch, params, ids, targets, mask, pad, bc)
 
@@ -458,9 +469,9 @@ class TestLossRows:
         for mask in (one, np.ones(self.SHAPE, dtype=bool)):
             self._assert_same(monkeypatch, params, ids, targets, mask, None, bc)
 
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_logits_are_rows_of_full_logits(self, name):
-        bc, params, ids, _, mask, pad = self._setup(name)
+    @pytest.mark.parametrize("name, precision", ALL_ROWS_CASES)
+    def test_logits_are_rows_of_full_logits(self, name, precision):
+        bc, params, ids, _, mask, pad = self._setup(name, precision=precision)
         full, _ = model.forward(params, ids, bc, pad=pad)
         for rows in (model.loss_rows(mask), np.ones_like(mask)):
             logits, _ = model.forward(params, ids, bc, pad=pad, rows=rows)
@@ -471,6 +482,38 @@ class TestLossRows:
             model.forward(params, ids, bc, pad=pad, rows=mask)
         with pytest.raises(ValueError, match="decoder"):
             model.forward(params, ids, bc, decoder=True, rows=np.ones_like(mask))
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_last_dim_layer_projects_v_at_the_loss_rows(self, monkeypatch, groups):
+        # output row i reads V at row i alone: the last encoder layer's
+        # attn.wv{g} products read its loss rows, and each core returns
+        # them as [B, r, c*d]; layer 0 and the decoder read every position
+        bc, params, ids, _, mask, pad = self._setup(f"dim-g{groups}")
+        rows = model.loss_rows(mask)
+        (b, n), r, width = ids.shape, rows.sum() // ids.shape[0], bc.convs * bc.head_dim
+        wv = {id(params[f"l{i}.attn.wv{g}"]): i for i in range(bc.layers)
+              for g in range(groups)}
+        reads, cores = [], []
+        linear_fwd, dim_fwd = grad.linear_fwd, grad.dim_attention_multi_fwd
+
+        def spy_linear(x, w, bias=None):
+            if id(w) in wv:
+                reads.append((wv[id(w)], math.prod(x.shape[:-1])))
+            return linear_fwd(x, w, bias)
+
+        def spy_dim(*args, **kwargs):
+            out = dim_fwd(*args, **kwargs)
+            cores.append(out[0].shape)
+            return out
+
+        monkeypatch.setattr(grad, "linear_fwd", spy_linear)
+        monkeypatch.setattr(grad, "dim_attention_multi_fwd", spy_dim)
+        model.forward(params, ids, bc, pad=pad, rows=rows)
+        assert reads == [(0, b * n)] * groups + [(1, rows.sum())] * groups
+        assert cores == [(b, n, width)] * groups + [(b, r, width)] * groups
+        reads.clear()
+        model.forward(params, ids, bc, decoder=True)
+        assert reads == [(0, b * n)] * groups + [(1, b * n)] * groups
 
     def test_loss_rows(self):
         mask = np.zeros((4, 12), dtype=bool)

@@ -1,5 +1,6 @@
-"""Smoke test of scripts/pairtime.py: the repo's tree against itself, two
-rounds of one step; the output format only, no timing."""
+"""Smoke tests of scripts/pairtime.py: the repo's tree against itself, two
+rounds of one training step or one held-out pass; the output format only,
+no timing."""
 
 import importlib.util
 import re
@@ -19,23 +20,28 @@ def _pairtime():
     return module
 
 
-def test_the_tree_against_itself(tmp_path, corpus_path, capsys):
+@pytest.mark.parametrize("attention, extra, timed, unit", [
+    ("token", [], "steps", "step"),
+    ("dim", ["--eval"], "held-out passes", "pass"),
+], ids=["steps", "eval"])
+def test_the_tree_against_itself(tmp_path, corpus_path, capsys, attention, extra, timed,
+                                 unit):
     pairtime = _pairtime()
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(
-        f"data = {corpus_path}\nattention = token\nheads = 2\n"
+        f"data = {corpus_path}\nattention = {attention}\nheads = 2\nhead_dim = 8\n"
         "seq_len = 48\nd_model = 32\nlayers = 1\nffn_width = 64\nbatch_size = 4\n"
-        "steps = 20\nwarmup = 5\nseed = 13\n", encoding="utf-8")
+        "steps = 20\nwarmup = 5\nseed = 13\neval_batches = 2\n", encoding="utf-8")
     src = str(ROOT / "src")
     pairtime.main(["--config", str(cfg), "--a", src, "--b", src, "--rounds", "2",
-                   "--steps", "1", "--set", "dropout = 0.2"])
+                   "--steps", "1", "--set", "dropout = 0.2"] + extra)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
-    assert lines[0] == (f"{cfg} dropout = 0.2: 2 rounds of 1 steps per tree after a "
+    assert lines[0] == (f"{cfg} dropout = 0.2: 2 rounds of 1 {timed} per tree after a "
                         "warm-up round, a first in even rounds")
     number = r"\d+\.\d{3}"
     for tag, line in zip("ab", lines[1:3]):
-        assert re.fullmatch(rf"{tag} {re.escape(src)}: median {number} ms/step "
+        assert re.fullmatch(rf"{tag} {re.escape(src)}: median {number} ms/{unit} "
                             rf"\[{number}, {number}\]", line), line
     assert re.fullmatch(r"b / a: median \d+\.\d{4} \[\d+\.\d{4}, \d+\.\d{4}\], "
                         r"b faster in [012] of 2 rounds", lines[3]), lines[3]

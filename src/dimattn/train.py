@@ -8,9 +8,11 @@ metrics CSV and checkpoint files.
 
 The run's `RunConfig` gets its `vocab_size` from the corpus; that config,
 echoed into `run.log`, is also the checkpoint's manifest, which `eval`
-rebuilds and checks through the same dataclass.  The manifest also keeps
-the corpus vocabulary, so `eval` refuses a corpus whose tokens differ even
-when their number matches.
+rebuilds and checks through the same dataclass.  The manifest stores the
+corpus path relative to the checkpoint's directory, so two checkouts write
+the same bytes and `eval` finds the corpus from any directory.  It also
+keeps the corpus vocabulary, so `eval` refuses a corpus whose tokens differ
+even when their number matches.
 """
 
 from __future__ import annotations
@@ -158,7 +160,11 @@ def run_training(cfg: RunConfig, ckpt_dir: str, metrics_path: str | None = None,
             f.write("step,split,nll\n")
             f.write("\n".join(rows) + "\n")
         ckpt_path = os.path.join(ckpt_dir, "final.ckpt")
-        save_checkpoint(ckpt_path, params, dict(cfg.as_dict(), vocab=vocab.tokens))
+        # both resolved: `eval` opens <checkpoint dir>/<data>, and the OS takes
+        # each ".." from the real directory, not from a symlink to it
+        data_path = os.path.relpath(os.path.realpath(cfg.data), path)
+        save_checkpoint(ckpt_path, params,
+                        dict(cfg.as_dict(), data=data_path, vocab=vocab.tokens))
         with open(os.path.join(ckpt_dir, "run.log"), "w", encoding="utf-8") as f:
             f.write("\n".join(log_lines + _environment_lines()) + "\n")
             f.write(f"final_valid_nll={valid_nll:.12g}\n")
@@ -188,7 +194,8 @@ def _check_param_shapes(params: dict, cfg: RunConfig):
 
 
 def evaluate_checkpoint(ckpt_path: str, override_data: str | None = None) -> dict:
-    """Reload a checkpoint and report NLL on the held-out split."""
+    """Reload a checkpoint and report NLL on the held-out split of its corpus,
+    found relative to the checkpoint's directory, or of override_data."""
     from .checkpoint import load_checkpoint
 
     _retain_heap()
@@ -200,8 +207,8 @@ def evaluate_checkpoint(ckpt_path: str, override_data: str | None = None) -> dic
     if unknown:
         raise ValueError(f"checkpoint config has unknown keys {unknown}")
     cfg = RunConfig(**cfg_dict)
-    if override_data:
-        cfg = replace(cfg, data=override_data)
+    cfg = replace(cfg, data=override_data
+                  or os.path.join(os.path.dirname(ckpt_path), cfg.data))
     vocab, _, valid_split = _load_windows(cfg)
     cfg = cfg.block_config(vocab.size)
     _check_param_shapes(params, cfg)

@@ -7,7 +7,9 @@ config, model or op signature change that breaks the benchmark fail in this
 suite.
 """
 
+import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench import checks, program, tracer, workloads  # noqa: E402
+from perfbench import checks, program, tracer, worker, workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -61,3 +63,20 @@ def test_tracer_attributes_two_steps(name, corpus_path, tmp_path):
     for direction in ("fwd", "bwd"):
         assert summary["layers"][f"grad.linear.attn_out.{direction}"]["calls"] == cfg.layers
     assert summary["tape_mb"][attention] > 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_two_rounds_pass_the_round_checks(name, corpus_path, tmp_path):
+    """Two short rounds through the benchmark's worker give finite losses,
+    a checkpoint that loads bitwise, and the same outputs twice."""
+    prog = program.load()
+    spec = dict(workloads.run_config_fields(name, corpus_path, 1), steps=2,
+                eval_batches=1)
+    results = [worker.run_round(prog, spec, tmp_path / f"round{i}", time.monotonic(),
+                                trace=False) for i in range(2)]
+    kinds = ("train_losses_finite", "checkpoint_bitwise", "deterministic")
+    found = [c for i, result in enumerate(results)
+             for c in checks.round_checks(i, result, results[0], math.inf)
+             if c.name.startswith(kinds)]
+    assert sorted({c.name.split("[")[0] for c in found}) == sorted(kinds)
+    assert all(c.ok for c in found), found

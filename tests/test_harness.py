@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -306,7 +308,7 @@ class TestEvalRejectsMismatch:
 
     def test_version_1_file(self, tiny_run, tmp_path, capsys):
         path = tmp_path / "v1.ckpt"
-        _rewrite_manifest(tiny_run, path, lambda m: m.update(version=1))
+        _rewrite_manifest(tiny_run, path, lambda m: m["manifest"].update(version=1))
         capsys.readouterr()
         assert cli.main(["eval", "--ckpt", str(path)]) == 2
         out, err = capsys.readouterr()
@@ -324,7 +326,8 @@ class TestEvalRejectsMismatch:
         wqkv = params.pop("l0.attn.wqkv")
         for name, block in zip(("wq", "wk", "wv"), np.split(wqkv, 3, axis=1)):
             params["l0.attn." + name] = block
-        path = tmp_path / "split.ckpt"
+        # beside the original: the manifest's corpus path is relative to it
+        path = tmp_path / "run" / "split.ckpt"
         checkpoint.save_checkpoint(path, params, manifest)
         capsys.readouterr()
         assert cli.main(["eval", "--ckpt", str(path)]) == 2
@@ -361,33 +364,38 @@ class TestEvalRejectsMismatch:
 
 
 def _rewrite_manifest(src, dst, edit):
-    """Copy checkpoint src to dst with edit(manifest) applied to its JSON,
-    padded with spaces to its old length so that the offsets still hold."""
-    blob = src.read_bytes()
-    start = len(checkpoint.MAGIC) + 8
-    (mlen,) = struct.unpack_from("<Q", blob, len(checkpoint.MAGIC))
-    manifest = json.loads(blob[start:start + mlen])
-    edit(manifest)
-    text = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
-    assert len(text) <= mlen
-    dst.write_bytes(blob[:start] + text.ljust(mlen) + blob[start + mlen:])
+    """Rebuild checkpoint src as dst with edit(members) applied to its
+    {name: array} members, in which "manifest" is the decoded JSON; a
+    manifest left as bytes is stored as they are."""
+    with np.load(src) as npz:
+        members = {name: npz[name] for name in npz.files}
+    members["manifest"] = json.loads(members["manifest"].tobytes())
+    edit(members)
+    if "manifest" in members:
+        text = members["manifest"]
+        if not isinstance(text, bytes):
+            text = json.dumps(text, sort_keys=True).encode("utf-8")
+        members["manifest"] = np.frombuffer(text, np.uint8)
+    with open(dst, "wb") as f:
+        np.savez(f, **members)
 
 
 class TestEvalRejectsMalformedCheckpoint:
     """A file that is not a whole checkpoint exits 2 and prints no NLL."""
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda m: m.pop("tensors"), "no tensors list"),
-        (lambda m: m.pop("config"), "no config dict"),
-        (lambda m: m["tensors"][0].update(precision="f16"), "unknown precision 'f16'"),
-        (lambda m: m["tensors"][0].pop("nbytes"), "lacks ['nbytes']"),
-        (lambda m: m["tensors"][0].update(nbytes="x"), "non-integer offset"),
-    ], ids=["no-tensors", "no-config", "precision-f16", "entry-without-nbytes",
-            "nbytes-not-int"])
-    def test_bad_manifest(self, tiny_run, tmp_path, capsys, edit, message):
+        (lambda m: m.pop("manifest"), "no manifest member"),
+        (lambda m: m.update(manifest=b'{"version": 3'), "corrupt checkpoint"),
+        (lambda m: m["manifest"].update(version=2), "unsupported checkpoint version 2"),
+        (lambda m: m["manifest"].update(config=[1]), "no config dict"),
+        (lambda m: m.update({"l0.ffn.w1": m["l0.ffn.w1"].astype(np.int64)}),
+         "'l0.ffn.w1' has dtype int64"),
+    ], ids=["no-manifest", "manifest-not-json", "version-2", "config-not-dict",
+            "int64-tensor"])
+    def test_bad_manifest(self, tiny_run, tmp_path, capsys, edit, message, corpus_path):
         path = tmp_path / "bad.ckpt"
         _rewrite_manifest(tiny_run, path, lambda m: None)
-        assert cli.main(["eval", "--ckpt", str(path)]) == 0
+        assert cli.main(["eval", "--ckpt", str(path), "--data", corpus_path]) == 0
         _rewrite_manifest(tiny_run, path, edit)
         capsys.readouterr()
         assert cli.main(["eval", "--ckpt", str(path)]) == 2
@@ -417,12 +425,123 @@ class TestEvalRejectsMalformedCheckpoint:
         assert "held-out NLL is inf" in err
 
     def test_eight_byte_file(self, tmp_path, capsys):
+        # a zip's local-file signature and nothing else of it
         path = tmp_path / "short.ckpt"
-        path.write_bytes(checkpoint.MAGIC + b"\x00\x00")
+        path.write_bytes(b"PK\x03\x04\x00\x00\x00\x00")
         assert cli.main(["eval", "--ckpt", str(path)]) == 2
         out, err = capsys.readouterr()
         assert "valid nll" not in out
-        assert "truncated checkpoint" in err
+        assert "corrupt checkpoint" in err
+
+
+class TestCheckpointIntegrity:
+    """A flipped bit anywhere in a checkpoint either exits 2 with one stderr
+    line and no NLL, or changes nothing that the load returns."""
+
+    @staticmethod
+    def _check_copy(blob, tiny_run, path, corpus_path, capsys):
+        path.write_bytes(blob)
+        capsys.readouterr()
+        code = cli.main(["eval", "--ckpt", str(path), "--data", corpus_path])
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert "valid nll" not in out
+            assert len(err.splitlines()) == 1, err
+            with pytest.raises(ValueError):
+                checkpoint.load_checkpoint(path)
+            return False
+        assert code == 0
+        (params, cfg), (want, want_cfg) = map(checkpoint.load_checkpoint, (path, tiny_run))
+        assert cfg == want_cfg and sorted(params) == sorted(want)
+        for name in want:
+            assert params[name].dtype == want[name].dtype
+            assert params[name].tobytes() == want[name].tobytes()
+        return True
+
+    def test_one_flip_in_every_member(self, tiny_run, tmp_path, corpus_path, capsys):
+        blob = tiny_run.read_bytes()
+        rng = np.random.default_rng(0)
+        with zipfile.ZipFile(tiny_run) as zf:
+            infos = zf.infolist()
+        assert "manifest.npy" in [info.filename for info in infos]
+        for info in infos:
+            # the member's data follows its local header, name and extra field
+            name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+            start = info.header_offset + 30 + name_len + extra_len
+            bit = int(rng.integers(8 * start, 8 * (start + info.compress_size)))
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            assert not self._check_copy(bytes(flipped), tiny_run, tmp_path / "flip.ckpt",
+                                        corpus_path, capsys), info.filename
+
+    def test_random_flips(self, tiny_run, tmp_path, corpus_path, capsys):
+        blob = tiny_run.read_bytes()
+        rng = np.random.default_rng(1)
+        rejected = 0
+        for bit in rng.integers(0, 8 * len(blob), size=200):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            rejected += not self._check_copy(bytes(flipped), tiny_run,
+                                             tmp_path / "flip.ckpt", corpus_path, capsys)
+        assert rejected > 100
+
+    @pytest.mark.parametrize("kind", ["parent-format", "npy-file", "truncated-zip"])
+    def test_not_a_version_3_file(self, tiny_run, tmp_path, capsys, kind):
+        path = tmp_path / "other.ckpt"
+        if kind == "parent-format":
+            path.write_bytes(b"TCKPT1" + struct.pack("<Q", 2) + b"{}")
+        elif kind == "npy-file":
+            with open(path, "wb") as f:
+                np.save(f, np.ones(3))
+        else:
+            blob = tiny_run.read_bytes()
+            path.write_bytes(blob[:len(blob) // 2])
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "valid nll" not in out
+        assert err.count("\n") == 1 and "corrupt checkpoint" in err
+
+
+class TestCorpusPathRelativeToCheckpoint:
+    @pytest.mark.parametrize("given", ["relative", "absolute"])
+    def test_two_checkouts_write_the_same_bytes(self, corpus_path, tmp_path, monkeypatch,
+                                                given):
+        blobs = []
+        for checkout in ("a", "b"):
+            root = tmp_path / checkout
+            root.mkdir()
+            shutil.copy(corpus_path, root / "corpus.txt")
+            corpus = "corpus.txt" if given == "relative" else root / "corpus.txt"
+            (root / "tiny.cfg").write_text(f"data = {corpus}\n{TINY_CONFIG}",
+                                           encoding="utf-8")
+            monkeypatch.chdir(root)
+            assert cli.main(["train-mlm", "--config", "tiny.cfg", "--ckpt-dir", "run"]) == 0
+            blobs.append((root / "run" / "final.ckpt").read_bytes())
+        assert blobs[0] == blobs[1]
+        # eval from a third directory finds the corpus through the checkpoint
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        run = Path("..", "a", "run")
+        nll = train.evaluate_checkpoint(str(run / "final.ckpt"))["valid_nll"]
+        logged = (run / "run.log").read_text().splitlines()[-1]
+        assert logged == f"final_valid_nll={nll:.12g}"
+
+    def test_checkpoint_directory_behind_a_symlink(self, corpus_path, tmp_path,
+                                                   monkeypatch):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "top").mkdir()
+        (tmp_path / "top" / "link").symlink_to(tmp_path / "real")
+        shutil.copy(corpus_path, tmp_path / "top" / "corpus.txt")
+        (tmp_path / "top" / "tiny.cfg").write_text(f"data = corpus.txt\n{TINY_CONFIG}",
+                                                   encoding="utf-8")
+        monkeypatch.chdir(tmp_path / "top")
+        assert cli.main(["train-mlm", "--config", "tiny.cfg",
+                         "--ckpt-dir", "link/run"]) == 0
+        monkeypatch.chdir(tmp_path)
+        nll = train.evaluate_checkpoint("top/link/run/final.ckpt")["valid_nll"]
+        logged = (tmp_path / "real" / "run" / "run.log").read_text().splitlines()[-1]
+        assert logged == f"final_valid_nll={nll:.12g}"
 
 
 class TestRunLog:

@@ -901,21 +901,38 @@ class TestCheckpoint:
         checkpoint.save_checkpoint(p2, loaded, cfg)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_magic_validated(self, tmp_path):
+    def test_not_a_zip_file(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"NOTCKPTxxxxxxx")
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ValueError, match="corrupt checkpoint"):
             checkpoint.load_checkpoint(path)
 
-    def test_offsets_are_absolute(self, tmp_path, rng):
-        import json
-        import struct
-        params = {"m": rng.standard_normal((4, 4))}
+    def test_header_flip_fails_the_crc_check(self, tmp_path, rng):
+        # The member outgrows zipfile's read-ahead, so a reader that parsed
+        # the header first would read the shrunk shape's bytes alone and
+        # never reach the member's CRC-32.
+        path = tmp_path / "w.ckpt"
+        checkpoint.save_checkpoint(path, {"w": rng.standard_normal((64, 64))}, {})
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b"'shape': (64, 64)") + len(b"'shape': (")] ^= 0x02  # 64 -> 44
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="Bad CRC-32 for file 'w.npy'"):
+            checkpoint.load_checkpoint(path)
+
+    def test_tensors_are_stored_members(self, tmp_path, rng):
+        import io
+        import zipfile
+        params = {"m": rng.standard_normal((4, 4)),
+                  "b": rng.standard_normal(3).astype(np.float32)}
         path = tmp_path / "c.ckpt"
         checkpoint.save_checkpoint(path, params, {})
-        blob = path.read_bytes()
-        (mlen,) = struct.unpack_from("<Q", blob, 6)
-        manifest = json.loads(blob[14: 14 + mlen])
-        entry = manifest["tensors"][0]
-        raw = blob[entry["offset"]: entry["offset"] + entry["nbytes"]]
-        assert np.array_equal(np.frombuffer(raw, "<f8").reshape(4, 4), params["m"])
+        with zipfile.ZipFile(path) as zf:
+            infos = zf.infolist()
+            assert [i.filename for i in infos] == ["b.npy", "m.npy", "manifest.npy"]
+            # no save time in the file, so two saves give the same bytes
+            assert {i.date_time for i in infos} == {(1980, 1, 1, 0, 0, 0)}
+            for info in infos[:2]:
+                assert info.compress_type == zipfile.ZIP_STORED
+                arr = np.lib.format.read_array(io.BytesIO(zf.read(info)))
+                want = params[info.filename.removesuffix(".npy")]
+                assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()
